@@ -10,6 +10,8 @@ import math
 
 from dataclasses import dataclass
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -80,6 +82,10 @@ class RoadNetwork:
         self._adjacency = {nid: tuple(sorted(near)) for nid, near in adjacency.items()}
         self._edge_attrs = attrs
         self._sssp = {}
+        self._node_ids = tuple(self.nodes)
+        self._node_lat = np.array([q.lat for q in self.nodes.values()], dtype=float)
+        self._node_lon = np.array([q.lon for q in self.nodes.values()], dtype=float)
+        self._node_cos_lat = np.cos(np.radians(self._node_lat))
 
     def __len__(self):
         return len(self.nodes)
@@ -92,14 +98,26 @@ class RoadNetwork:
         return self._edge_attrs.get((u, v))
 
     def snap_to_node(self, p: GeoPoint) -> int:
-        """Nearest node by great-circle distance; ties go to the lowest id."""
+        """Nearest node by great-circle distance; ties go to the lowest id.
+
+        A numpy haversine over all nodes shortlists those within a relative
+        1e-9 (plus 1e-6 m) of its minimum, far wider than its rounding
+        differences from the scalar formula; the shortlist is then re-ranked
+        with ``great_circle_distance`` in ascending id order, so the answer
+        is exactly that of a scalar scan over every node.
+        """
         if not self.nodes:
             raise ValueError("cannot snap onto an empty network")
+        dphi = np.radians(self._node_lat - p.lat)
+        dlam = np.radians(self._node_lon - p.lon)
+        h = np.sin(dphi / 2.0) ** 2 + math.cos(math.radians(p.lat)) * self._node_cos_lat * np.sin(dlam / 2.0) ** 2
+        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
         best_id, best_d = None, math.inf
-        for nid, q in self.nodes.items():  # ascending id order
-            d = great_circle_distance(p, q)
-            if d < best_d:
-                best_id, best_d = nid, d
+        for i in np.flatnonzero(d <= d.min() * (1.0 + 1e-9) + 1e-6):  # ascending id order
+            nid = self._node_ids[i]
+            exact = great_circle_distance(p, self.nodes[nid])
+            if exact < best_d:
+                best_id, best_d = nid, exact
         return best_id
 
     def _single_source(self, origin):

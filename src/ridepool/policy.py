@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import MatchingSolution, canonical_groups, matching_value
+from .geo import NoRouteError
 from .shareability import Objective, ShareabilityGraph
 from .tolerance import ToleranceProfile, rejection_cost
 
@@ -157,7 +158,7 @@ def initial_state(graph, features, focal, unavailable=frozenset(), capacity=2) -
 def _group_routable(graph, focal, selected, candidate) -> bool:
     try:
         graph.group_route((focal,) + selected + (candidate,))
-    except Exception:
+    except (NoRouteError, ValueError):
         return False
     return True
 

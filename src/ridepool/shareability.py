@@ -12,6 +12,7 @@ depend on the build objective:
 
 import itertools
 import logging
+import math
 
 from dataclasses import dataclass
 from enum import Enum
@@ -187,12 +188,52 @@ def best_shared_route(net: RoadNetwork, a: TripRequest, b: TripRequest) -> Share
     return best
 
 
+def _cheapest_order(legs, k):
+    """Stop indices of the shortest order that puts each pickup before its dropoff.
+
+    Stop i < k is rider i's pickup and stop k + i its dropoff; ``legs[i][j]``
+    is the i -> j leg distance.  Orders are visited in lexicographic index
+    order (the order ``itertools.permutations`` yields) and each total is
+    summed left to right from 0.0, the same float ``_evaluate_order`` gets.
+    A prefix is dropped once its distance reaches the best total (legs are
+    >= 0, so it cannot end strictly shorter) and only a strictly shorter
+    total replaces the best, so ties go to the first order visited.
+    """
+    n = 2 * k
+    best_cost = math.inf
+    best_order = None
+    order = []
+    placed = [False] * n
+
+    def extend(row, cost):
+        nonlocal best_cost, best_order
+        if len(order) == n:
+            best_cost, best_order = cost, tuple(order)
+            return
+        for stop in range(n):
+            if placed[stop] or (stop >= k and not placed[stop - k]):
+                continue
+            total = cost + row[stop]
+            if total >= best_cost:
+                continue
+            placed[stop] = True
+            order.append(stop)
+            extend(legs[stop], total)
+            order.pop()
+            placed[stop] = False
+
+    extend([0.0] * n, 0.0)
+    return best_order
+
+
 def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
     """Best vehicle route for 1..4 riders.
 
-    Pairs use the four shared orders; larger groups enumerate every stop
-    order with each pickup before its own dropoff ((2n)!/2^n orders, 2520 at
-    n=4).  Singletons reduce to the solo route.
+    Pairs use the four shared orders.  Larger groups take the minimum-distance
+    order among those with each pickup before its own dropoff, found by an
+    exact search over a stop-to-stop leg matrix (``_cheapest_order``) with
+    the stops listed as pickups by trip id, then dropoffs by trip id.
+    Singletons reduce to the solo route.
     """
     trips = sorted(trips, key=lambda t: t.trip_id)
     if len(trips) == 1:
@@ -208,24 +249,17 @@ def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
         return best_shared_route(net, trips[0], trips[1])
     if len(trips) > 4:
         raise ValueError(f"group routing supports at most 4 riders, got {len(trips)}")
-    by_id = {t.trip_id: t for t in trips}
+    k = len(trips)
     stops = [("P", t.trip_id) for t in trips] + [("D", t.trip_id) for t in trips]
-    best = None
-    for perm in itertools.permutations(stops):
-        seen = set()
-        valid = True
-        for kind, tid in perm:
-            if kind == "P":
-                seen.add(tid)
-            elif tid not in seen:
-                valid = False
-                break
-        if not valid:
-            continue
-        candidate = _evaluate_order(net, by_id, perm)
-        if best is None or candidate.total_distance < best.total_distance:
-            best = candidate
-    return best
+    nodes = [t.origin for t in trips] + [t.dest for t in trips]
+    # Every leg but D_i -> P_i lies on some valid order, so this raises
+    # NoRouteError exactly when some valid order cannot be driven.
+    legs = [
+        [0.0 if i == j or i == j + k else net.distance_time(u, v)[0] for j, v in enumerate(nodes)]
+        for i, u in enumerate(nodes)
+    ]
+    order = _cheapest_order(legs, k)
+    return _evaluate_order(net, {t.trip_id: t for t in trips}, tuple(stops[i] for i in order))
 
 
 def edge_weight(shared: SharedRoute, a: TripRequest, b: TripRequest, objective: Objective) -> float:

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridepool.geo import (
@@ -87,6 +87,15 @@ class TestGreatCircle:
             GeoPoint(0.0, 181.0)
 
 
+def snap_oracle(net, p):
+    """Scalar scan over every node: nearest by haversine, ties to the lowest id."""
+    return min(net.nodes, key=lambda nid: (great_circle_distance(p, net.nodes[nid]), nid))
+
+
+# Off the equator so the cos(latitude) factor matters; 0.0045 deg ~ one 500 m step.
+_SNAP_NET = build_grid_network(5, 5, 500.0, 10.0, anchor=GeoPoint(48.0, 11.0))
+
+
 class TestSnap:
     def test_exact_node(self, grid3):
         for nid, p in grid3.nodes.items():
@@ -110,6 +119,38 @@ class TestSnap:
         net = RoadNetwork({}, [])
         with pytest.raises(ValueError):
             net.snap_to_node(GeoPoint(0.0, 0.0))
+
+    @settings(max_examples=300)
+    @given(st.floats(47.99, 48.03), st.floats(10.99, 11.04))
+    def test_matches_scalar_scan_near_the_lattice(self, lat, lon):
+        p = GeoPoint(lat, lon)
+        assert _SNAP_NET.snap_to_node(p) == snap_oracle(_SNAP_NET, p)
+
+    @given(coords)
+    def test_matches_scalar_scan_anywhere(self, p):
+        assert _SNAP_NET.snap_to_node(p) == snap_oracle(_SNAP_NET, p)
+
+    def test_matches_scalar_scan_at_midpoints(self):
+        nodes = _SNAP_NET.nodes
+        probes = [
+            GeoPoint((nodes[u].lat + nodes[v].lat) / 2.0, (nodes[u].lon + nodes[v].lon) / 2.0)
+            for u, v, _, _ in _SNAP_NET.edges
+        ]
+        cells = [(r * 5 + c, (r + 1) * 5 + c + 1) for r in range(4) for c in range(4)]
+        probes += [
+            GeoPoint((nodes[u].lat + nodes[v].lat) / 2.0, (nodes[u].lon + nodes[v].lon) / 2.0)
+            for u, v in cells
+        ]
+        for p in probes:
+            assert _SNAP_NET.snap_to_node(p) == snap_oracle(_SNAP_NET, p)
+
+    def test_exact_four_way_tie_goes_to_lowest_id(self):
+        # the origin is exactly equidistant from all four nodes
+        nodes = {5: GeoPoint(0.01, 0.0), 9: GeoPoint(0.0, 0.01), 2: GeoPoint(-0.01, 0.0), 4: GeoPoint(0.0, -0.01)}
+        net = RoadNetwork(nodes, [])
+        origin = GeoPoint(0.0, 0.0)
+        assert len({great_circle_distance(origin, q) for q in nodes.values()}) == 1
+        assert net.snap_to_node(origin) == snap_oracle(net, origin) == 2
 
 
 def enumerate_paths(net, origin, dest, seen=None):

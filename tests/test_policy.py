@@ -26,6 +26,7 @@ from ridepool.policy import (
     write_policy,
     _softmax,
 )
+from ridepool.geo import NoRouteError
 from ridepool.shareability import Objective
 
 from conftest import features_for, scenario_instance, weighted_graph
@@ -146,6 +147,27 @@ class TestCandidateActions:
         features = {i: np.zeros(3) for i in range(3)}
         state = initial_state(graph, features, focal=0, unavailable=frozenset({1}))
         assert candidate_actions(state) == [PolicyAction(2), STOP]
+
+    def test_unroutable_neighbor_excluded_but_other_errors_raised(self, monkeypatch):
+        graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0, (0, 3): 5.0})
+        features = {i: np.zeros(3) for i in range(4)}
+        state = MatchState(
+            focal=0, context=features[0], graph=graph, selected=(1,), features=features, capacity=3
+        )
+
+        def no_route_via_2(group):
+            if 2 in group:
+                raise NoRouteError("no route")
+
+        monkeypatch.setattr(graph, "group_route", no_route_via_2)
+        assert candidate_actions(state) == [PolicyAction(3), STOP]
+
+        def broken(group):
+            raise KeyError(group)
+
+        monkeypatch.setattr(graph, "group_route", broken)
+        with pytest.raises(KeyError):
+            candidate_actions(state)
 
 
 class TestActionDistribution:

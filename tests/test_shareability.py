@@ -2,13 +2,21 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridepool.geo import GeoPoint, METERS_PER_DEGREE, build_grid_network, great_circle_distance
+from ridepool.geo import (
+    GeoPoint,
+    METERS_PER_DEGREE,
+    NoRouteError,
+    RoadNetwork,
+    build_grid_network,
+    great_circle_distance,
+)
 from ridepool.shareability import (
     Objective,
     PairingConstraints,
+    SharedRoute,
     best_shared_route,
     build_shareability_graph,
     edge_weight,
@@ -51,6 +59,89 @@ def pair_route_oracle(net, a, b):
         if best is None or total_d < best[0]:
             best = (total_d, total_t)
     return best
+
+
+def group_route_oracle(net, trips):
+    """Independent brute force over every stop permutation: the first
+    strictly shortest one with each pickup before its own dropoff."""
+    trips = sorted(trips, key=lambda t: t.trip_id)
+    by_id = {t.trip_id: t for t in trips}
+    start = max(t.desired_departure for t in trips)
+    stops = [("P", t.trip_id) for t in trips] + [("D", t.trip_id) for t in trips]
+    best = None
+    for perm in itertools.permutations(stops):
+        picked = set()
+        valid = True
+        for kind, tid in perm:
+            if kind == "P":
+                picked.add(tid)
+            elif tid not in picked:
+                valid = False
+                break
+        if not valid:
+            continue
+        nodes = [by_id[tid].origin if kind == "P" else by_id[tid].dest for kind, tid in perm]
+        cum_d = cum_t = 0.0
+        pickup_d = {perm[0][1]: 0.0}
+        delay, detour = {}, {}
+        for (kind, tid), u, v in zip(perm[1:], nodes, nodes[1:]):
+            d, t = net.distance_time(u, v)
+            cum_d += d
+            cum_t += t
+            trip = by_id[tid]
+            if kind == "P":
+                pickup_d[tid] = cum_d
+            else:
+                detour[tid] = (cum_d - pickup_d[tid]) - trip.solo_route.distance
+                delay[tid] = (start + cum_t) - trip.desired_departure - trip.solo_route.time
+        if best is None or cum_d < best.total_distance:
+            best = SharedRoute(perm, cum_d, cum_t, delay, detour)
+    return best
+
+
+def assert_same_group_route(net, trips):
+    """route_for_group and the oracle agree exactly, NoRouteError included."""
+    try:
+        expected = group_route_oracle(net, trips)
+    except NoRouteError:
+        with pytest.raises(NoRouteError):
+            route_for_group(net, trips)
+        return
+    assert route_for_group(net, trips) == expected
+
+
+# Corners and centre of a 3x3 lattice: shared endpoints and many equal-length orders.
+_TIE_LATTICE = build_grid_network(3, 3, 1000.0, 10.0)
+_TIE_NODES = (0, 2, 4, 6, 8)
+
+# One-way line 0 -> 1 -> ... -> 5 plus drawn one-way chords; forward trips always
+# have a solo route, while legs between riders may not exist.
+_DIRECTED_LINE = tuple((i, i + 1, 1000.0, 100.0) for i in range(5))
+
+
+def _directed_net(chords):
+    nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
+    return RoadNetwork(nodes, _DIRECTED_LINE + tuple(chords), directed=True)
+
+
+@st.composite
+def _rider_groups(draw, node_pairs):
+    k = draw(st.integers(3, 4))
+    ids = draw(st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True))
+    return [(tid, *draw(node_pairs), draw(st.sampled_from((0.0, 60.0, 300.0)))) for tid in ids]
+
+
+_lattice_pairs = st.tuples(st.sampled_from(_TIE_NODES), st.sampled_from(_TIE_NODES)).filter(
+    lambda p: p[0] != p[1]
+)
+_forward_pairs = st.tuples(st.integers(0, 4), st.integers(1, 5)).filter(lambda p: p[0] < p[1])
+_chords = st.lists(
+    st.tuples(
+        st.integers(0, 5), st.integers(0, 5), st.sampled_from((500.0, 1000.0, 2000.0)), st.just(50.0)
+    ).filter(lambda e: e[0] != e[1]),
+    min_size=2,
+    max_size=10,
+)
 
 
 class TestFeasibility:
@@ -186,6 +277,28 @@ class TestGroupRouting:
         trips = [trip_on(line_net, i, 0, 3) for i in range(5)]
         with pytest.raises(ValueError):
             route_for_group(line_net, trips)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rider_groups(_lattice_pairs))
+    def test_matches_brute_force_on_tie_heavy_lattice(self, riders):
+        trips = [trip_on(_TIE_LATTICE, tid, o, d, departure=dep) for tid, o, d, dep in riders]
+        assert_same_group_route(_TIE_LATTICE, trips)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rider_groups(_forward_pairs), _chords)
+    def test_matches_brute_force_on_directed_network(self, riders, chords):
+        net = _directed_net(chords)
+        trips = [trip_on(net, tid, o, d, departure=dep) for tid, o, d, dep in riders]
+        assert_same_group_route(net, trips)
+
+    def test_no_route_raised_like_brute_force(self):
+        nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
+        net = RoadNetwork(nodes, [(0, 1, 1000.0, 100.0), (1, 2, 1000.0, 100.0), (3, 4, 1000.0, 100.0)])
+        trips = [trip_on(net, 0, 0, 2), trip_on(net, 1, 1, 2), trip_on(net, 2, 3, 4)]
+        with pytest.raises(NoRouteError):
+            group_route_oracle(net, trips)
+        with pytest.raises(NoRouteError):
+            route_for_group(net, trips)
 
 
 class TestEdgeWeight:
