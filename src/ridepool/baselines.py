@@ -22,12 +22,6 @@ class MatchingSolution:
     objective_value: float
     routes: dict = None
 
-    def group_of(self, trip_id):
-        for group in self.groups:
-            if trip_id in group:
-                return group
-        raise KeyError(f"trip {trip_id} not present in solution")
-
 
 def canonical_groups(groups):
     return tuple(sorted(tuple(sorted(g)) for g in groups))

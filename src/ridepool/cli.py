@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .scenario import ConfigError, ScenarioConfig, load_config, validate_config, with_overrides
+from .scenario import ConfigError, ScenarioConfig, load_config, with_overrides
 
 _COMMANDS = pipeline.STAGES + ("all",)
 
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else validate_config(ScenarioConfig())
+        cfg = load_config(args.config) if args.config else ScenarioConfig()
         cfg = with_overrides(cfg, seed=args.seed, objective=args.objective)
     except FileNotFoundError as exc:
         print(f"error: config file not found: {exc.filename or exc}", file=sys.stderr)
@@ -66,9 +66,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,15 +76,6 @@ class InteractionMatrix:
     matrix: np.ndarray
     grid: GridIndex
 
-    def user_row(self, user_id):
-        return self.user_ids.index(user_id)
-
-
-@dataclass(frozen=True)
-class SimilarityMatrices:
-    user_user: np.ndarray
-    loc_loc: np.ndarray
-
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
@@ -94,7 +85,6 @@ class EmbeddingConfig:
     init_seed: int = 0
     init_scale: float = 0.1
     convergence_eps: float = 0.0
-    max_iters: int = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -115,11 +105,6 @@ def build_interaction_matrix(trips, grid: GridIndex) -> InteractionMatrix:
         A[row, encode_location(grid, t.origin_point)] = 1
         A[row, encode_location(grid, t.dest_point)] = 1
     return InteractionMatrix(user_ids=user_ids, matrix=A, grid=grid)
-
-
-def compute_similarity(interactions: InteractionMatrix) -> SimilarityMatrices:
-    A = interactions.matrix
-    return SimilarityMatrices(user_user=A @ A.T, loc_loc=A.T @ A)
 
 
 def build_laplacian(interactions: InteractionMatrix) -> np.ndarray:
@@ -165,8 +150,7 @@ def compute_user_features(trips, grid: GridIndex, cfg: EmbeddingConfig) -> dict:
     n = lap.shape[0]
     rng = np.random.default_rng(cfg.init_seed)
     layers = [rng.uniform(-cfg.init_scale, cfg.init_scale, size=(n, cfg.dim))]
-    n_iters = cfg.layers if cfg.max_iters is None else min(cfg.layers, cfg.max_iters)
-    for _ in range(n_iters):
+    for _ in range(cfg.layers):
         w1 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.dim, cfg.dim))
         w2 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.dim, cfg.dim))
         nxt = propagate(layers[-1], lap, w1, w2, cfg.activation)

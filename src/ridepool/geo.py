@@ -64,7 +64,6 @@ class RoadNetwork:
         self.directed = directed
         self.edges = []
         adjacency = {nid: [] for nid in self.nodes}
-        attrs = {}
         for u, v, length, time in edges:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
@@ -75,12 +74,9 @@ class RoadNetwork:
             length, time = float(length), float(time)
             self.edges.append((u, v, length, time))
             adjacency[u].append((v, length, time))
-            attrs.setdefault((u, v), (length, time))
             if not directed:
                 adjacency[v].append((u, length, time))
-                attrs.setdefault((v, u), (length, time))
         self._adjacency = {nid: tuple(sorted(near)) for nid, near in adjacency.items()}
-        self._edge_attrs = attrs
         self._sssp = {}
         self._node_ids = tuple(self.nodes)
         self._node_lat = np.array([q.lat for q in self.nodes.values()], dtype=float)
@@ -92,10 +88,6 @@ class RoadNetwork:
 
     def neighbors(self, node_id):
         return self._adjacency[node_id]
-
-    def edge_between(self, u, v):
-        """(length, time) of the edge u->v, or None."""
-        return self._edge_attrs.get((u, v))
 
     def snap_to_node(self, p: GeoPoint) -> int:
         """Nearest node by great-circle distance; ties go to the lowest id.

@@ -168,7 +168,8 @@ def stage_match(cfg: ScenarioConfig, out_dir):
     solution = policy_mod.match_all(graph, features, params, spec, capacity=cfg.capacity)
     if cfg.tolerance_enabled:
         rng = np.random.default_rng([cfg.seed, 7001])  # separate stream from demand/training
-        solution = tolerance_mod.apply_tolerance_filter(solution, graph, cfg.active_tolerance(), rng)
+        draws = {tid: rng.random() for tid in sorted(graph.trips)}
+        solution = tolerance_mod.filter_with_draws(solution, graph, cfg.active_tolerance(), draws)
     write_matching(solution, os.path.join(out_dir, MATCHING_FILE))
 
 

@@ -277,10 +277,6 @@ class RolloutResult:
     episodes: list  # one list[StepRecord] per focal trip
     groups: tuple  # the partition produced by this pass
 
-    @property
-    def steps(self):
-        return [rec for episode in self.episodes for rec in episode]
-
     def episode_returns(self, gamma=1.0):
         out = []
         for episode in self.episodes:

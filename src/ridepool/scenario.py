@@ -11,6 +11,7 @@ import io
 import math
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -155,220 +156,134 @@ def generate_scenario(cfg: ScenarioConfig):
     return net, trips
 
 
-_SECTION_FIELDS = {
-    "network": ("rows", "cols", "spacing_m", "speed_mps", "anchor_lat", "anchor_lon"),
-    "demand": ("n_trips", "n_users", "hotspots", "hotspot_spread_m", "departure_window_s"),
-    "constraints": ("radius_m", "max_departure_gap_s"),
-    "run": ("objective", "capacity", "seed", "train_updates"),
-    "embedding": ("dim", "layers", "activation", "init_scale", "convergence_eps", "cell_size_deg"),
-    "ppo": (
-        "clip_epsilon",
-        "learning_rate",
-        "gamma",
-        "epochs_per_update",
-        "rollouts_per_update",
-        "entropy_coeff",
-        "hidden",
-    ),
-    "tolerance": ("enabled", "tau0_s", "kappa", "s", "social_penalty_weight"),
-    "factors": ("emission_g_per_km", "fuel_l_per_km", "fare_per_km"),
-    "sweep": ("s_values", "objectives", "runs_per_cell"),
-}
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
+def _parse_bool(raw):
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        spellings = "/".join(configparser.ConfigParser.BOOLEAN_STATES)
+        raise ValueError(f"expected a boolean ({spellings}), got {raw!r}") from None
+
+
+def _split(raw):
+    return raw.replace(",", " ").split()
+
+
+def _format_s(s):
+    """Shortest `:g` spelling when it reads back exactly, else the full repr."""
+    short = f"{s:g}"
+    return short if float(short) == s else repr(s)
+
+
+# (parse, format) pairs; parse raises ValueError on a malformed value.
+_INT = (int, str)
+_FLOAT = (float, repr)
+_STR = (str, str)
+_BOOL = (_parse_bool, lambda v: str(v).lower())
+_OBJECTIVE = (Objective.from_string, lambda o: o.value)
+_S_VALUES = (
+    lambda raw: tuple(float(v) for v in _split(raw)),
+    lambda values: ", ".join(_format_s(s) for s in values),
+)
+_OBJECTIVES = (
+    lambda raw: tuple(Objective.from_string(v) for v in _split(raw)),
+    lambda objectives: ", ".join(o.value for o in objectives),
+)
+
+# Every config key once: (section, key, ScenarioConfig field path, codec), in
+# manifest order.  embedding.init_seed and ppo.seed have no key; they follow
+# run.seed (see with_overrides).
+_SCHEMA = (
+    ("network", "rows", "network.rows", _INT),
+    ("network", "cols", "network.cols", _INT),
+    ("network", "spacing_m", "network.spacing_m", _FLOAT),
+    ("network", "speed_mps", "network.speed_mps", _FLOAT),
+    ("network", "anchor_lat", "network.anchor_lat", _FLOAT),
+    ("network", "anchor_lon", "network.anchor_lon", _FLOAT),
+    ("demand", "n_trips", "demand.n_trips", _INT),
+    ("demand", "n_users", "demand.n_users", _INT),
+    ("demand", "hotspots", "demand.hotspots", _INT),
+    ("demand", "hotspot_spread_m", "demand.hotspot_spread_m", _FLOAT),
+    ("demand", "departure_window_s", "demand.departure_window_s", _FLOAT),
+    ("constraints", "radius_m", "constraints.radius_m", _FLOAT),
+    ("constraints", "max_departure_gap_s", "constraints.max_departure_gap_s", _FLOAT),
+    ("run", "objective", "objective", _OBJECTIVE),
+    ("run", "capacity", "capacity", _INT),
+    ("run", "seed", "seed", _INT),
+    ("run", "train_updates", "train_updates", _INT),
+    ("embedding", "dim", "embedding.dim", _INT),
+    ("embedding", "layers", "embedding.layers", _INT),
+    ("embedding", "activation", "embedding.activation", _STR),
+    ("embedding", "init_scale", "embedding.init_scale", _FLOAT),
+    ("embedding", "convergence_eps", "embedding.convergence_eps", _FLOAT),
+    ("embedding", "cell_size_deg", "grid_cell_deg", _FLOAT),
+    ("ppo", "clip_epsilon", "ppo.clip_epsilon", _FLOAT),
+    ("ppo", "learning_rate", "ppo.learning_rate", _FLOAT),
+    ("ppo", "gamma", "ppo.gamma", _FLOAT),
+    ("ppo", "epochs_per_update", "ppo.epochs_per_update", _INT),
+    ("ppo", "rollouts_per_update", "ppo.rollouts_per_update", _INT),
+    ("ppo", "entropy_coeff", "ppo.entropy_coeff", _FLOAT),
+    ("ppo", "hidden", "policy_hidden", _INT),
+    ("tolerance", "enabled", "tolerance_enabled", _BOOL),
+    ("tolerance", "tau0_s", "tolerance.tau0", _FLOAT),
+    ("tolerance", "kappa", "tolerance.kappa", _FLOAT),
+    ("tolerance", "s", "tolerance.s", _FLOAT),
+    ("tolerance", "social_penalty_weight", "social_penalty_weight", _FLOAT),
+    ("factors", "emission_g_per_km", "factors.emission_g_per_km", _FLOAT),
+    ("factors", "fuel_l_per_km", "factors.fuel_l_per_km", _FLOAT),
+    ("factors", "fare_per_km", "factors.fare_per_km", _FLOAT),
+    ("sweep", "s_values", "sweep_s_values", _S_VALUES),
+    ("sweep", "objectives", "sweep_objectives", _OBJECTIVES),
+    ("sweep", "runs_per_cell", "sweep_runs_per_cell", _INT),
+)
+_ROWS = {(section, key): (path, parse) for section, key, path, (parse, _) in _SCHEMA}
+_SECTIONS = {section for section, *_ in _SCHEMA}
 
 
 def load_config(path=None, text=None) -> ScenarioConfig:
-    """Parse the key=value section file; unknown sections or keys are errors."""
+    """Parse the key=value section file; unknown sections or keys are errors.
+
+    Absent keys keep their dataclass defaults.
+    """
     parser = configparser.ConfigParser()
     if text is not None:
         parser.read_string(text)
     else:
         with open(path) as fh:
             parser.read_file(fh)
+    top, nested = {}, {}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in _SECTION_FIELDS[section]:
+            if (section, key) not in _ROWS:
                 raise ConfigError(f"unknown config key {section}.{key}")
-
-    network = NetworkConfig(
-        rows=_get(parser, "network", "rows", int, 10),
-        cols=_get(parser, "network", "cols", int, 10),
-        spacing_m=_get(parser, "network", "spacing_m", float, 500.0),
-        speed_mps=_get(parser, "network", "speed_mps", float, 10.0),
-        anchor_lat=_get(parser, "network", "anchor_lat", float, 0.0),
-        anchor_lon=_get(parser, "network", "anchor_lon", float, 0.0),
-    )
-    demand = DemandConfig(
-        n_trips=_get(parser, "demand", "n_trips", int, 50),
-        n_users=_get(parser, "demand", "n_users", int, 30),
-        hotspots=_get(parser, "demand", "hotspots", int, 4),
-        hotspot_spread_m=_get(parser, "demand", "hotspot_spread_m", float, 800.0),
-        departure_window_s=_get(parser, "demand", "departure_window_s", float, 3600.0),
-    )
-    try:
-        constraints = PairingConstraints(
-            radius_m=_get(parser, "constraints", "radius_m", float, 3000.0),
-            max_departure_gap_s=_get(parser, "constraints", "max_departure_gap_s", float, 600.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"constraints: {exc}") from exc
-    seed = _get(parser, "run", "seed", int, 0)
-    try:
-        embedding = EmbeddingConfig(
-            dim=_get(parser, "embedding", "dim", int, 16),
-            layers=_get(parser, "embedding", "layers", int, 3),
-            activation=_get(parser, "embedding", "activation", str, "relu"),
-            init_seed=seed,
-            init_scale=_get(parser, "embedding", "init_scale", float, 0.1),
-            convergence_eps=_get(parser, "embedding", "convergence_eps", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"embedding: {exc}") from exc
-    try:
-        ppo = PPOConfig(
-            clip_epsilon=_get(parser, "ppo", "clip_epsilon", float, 0.2),
-            learning_rate=_get(parser, "ppo", "learning_rate", float, 3e-3),
-            gamma=_get(parser, "ppo", "gamma", float, 1.0),
-            epochs_per_update=_get(parser, "ppo", "epochs_per_update", int, 4),
-            rollouts_per_update=_get(parser, "ppo", "rollouts_per_update", int, 8),
-            entropy_coeff=_get(parser, "ppo", "entropy_coeff", float, 0.01),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"ppo: {exc}") from exc
-    try:
-        profile = ToleranceProfile(
-            tau0=_get(parser, "tolerance", "tau0_s", float, 900.0),
-            kappa=_get(parser, "tolerance", "kappa", float, 2.0),
-            s=_get(parser, "tolerance", "s", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"tolerance: {exc}") from exc
-    try:
-        factors = CostFactors(
-            emission_g_per_km=_get(parser, "factors", "emission_g_per_km", float, 192.0),
-            fuel_l_per_km=_get(parser, "factors", "fuel_l_per_km", float, 0.08),
-            fare_per_km=_get(parser, "factors", "fare_per_km", float, 2.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"factors: {exc}") from exc
-
-    def parse_s_values(raw):
-        return tuple(float(v) for v in raw.replace(",", " ").split())
-
-    def parse_objectives(raw):
-        return tuple(Objective.from_string(v) for v in raw.replace(",", " ").split())
-
-    try:
-        objective = Objective.from_string(_get(parser, "run", "objective", str, "distance"))
-        sweep_objectives = _get(
-            parser,
-            "sweep",
-            "objectives",
-            parse_objectives,
-            (Objective.DISTANCE, Objective.TIME, Objective.VEHICLE),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    cfg = ScenarioConfig(
-        network=network,
-        demand=demand,
-        constraints=constraints,
-        embedding=embedding,
-        ppo=ppo,
-        tolerance=profile,
-        factors=factors,
-        objective=objective,
-        capacity=_get(parser, "run", "capacity", int, 2),
-        seed=seed,
-        train_updates=_get(parser, "run", "train_updates", int, 50),
-        policy_hidden=_get(parser, "ppo", "hidden", int, 64),
-        grid_cell_deg=_get(parser, "embedding", "cell_size_deg", float, 0.02),
-        tolerance_enabled=_get(parser, "tolerance", "enabled", bool, False),
-        social_penalty_weight=_get(parser, "tolerance", "social_penalty_weight", float, 0.0),
-        sweep_s_values=_get(parser, "sweep", "s_values", parse_s_values, (0.0, 0.25, 0.5, 0.75, 1.0)),
-        sweep_objectives=sweep_objectives,
-        sweep_runs_per_cell=_get(parser, "sweep", "runs_per_cell", int, 3),
-    )
-    return validate_config(cfg)
+            field_path, parse = _ROWS[section, key]
+            try:
+                value = parse(parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+            attr, _, sub = field_path.partition(".")
+            if sub:
+                nested.setdefault(attr, {})[sub] = value
+            else:
+                top[attr] = value
+    cfg = ScenarioConfig()
+    for attr, values in nested.items():
+        try:
+            top[attr] = replace(getattr(cfg, attr), **values)
+        except ValueError as exc:
+            raise ConfigError(f"{attr}: {exc}") from exc
+    cfg = replace(cfg, **top)
+    return with_overrides(cfg, seed=cfg.seed)
 
 
 def config_to_ini(cfg: ScenarioConfig) -> str:
     """Canonical config echo (all values explicit) for the run manifest."""
+    sections = {}
+    for section, key, field_path, (_, fmt) in _SCHEMA:
+        sections.setdefault(section, {})[key] = fmt(attrgetter(field_path)(cfg))
     parser = configparser.ConfigParser()
-    parser["network"] = {
-        "rows": str(cfg.network.rows),
-        "cols": str(cfg.network.cols),
-        "spacing_m": repr(cfg.network.spacing_m),
-        "speed_mps": repr(cfg.network.speed_mps),
-        "anchor_lat": repr(cfg.network.anchor_lat),
-        "anchor_lon": repr(cfg.network.anchor_lon),
-    }
-    parser["demand"] = {
-        "n_trips": str(cfg.demand.n_trips),
-        "n_users": str(cfg.demand.n_users),
-        "hotspots": str(cfg.demand.hotspots),
-        "hotspot_spread_m": repr(cfg.demand.hotspot_spread_m),
-        "departure_window_s": repr(cfg.demand.departure_window_s),
-    }
-    parser["constraints"] = {
-        "radius_m": repr(cfg.constraints.radius_m),
-        "max_departure_gap_s": repr(cfg.constraints.max_departure_gap_s),
-    }
-    parser["run"] = {
-        "objective": cfg.objective.value,
-        "capacity": str(cfg.capacity),
-        "seed": str(cfg.seed),
-        "train_updates": str(cfg.train_updates),
-    }
-    parser["embedding"] = {
-        "dim": str(cfg.embedding.dim),
-        "layers": str(cfg.embedding.layers),
-        "activation": cfg.embedding.activation,
-        "init_scale": repr(cfg.embedding.init_scale),
-        "convergence_eps": repr(cfg.embedding.convergence_eps),
-        "cell_size_deg": repr(cfg.grid_cell_deg),
-    }
-    parser["ppo"] = {
-        "clip_epsilon": repr(cfg.ppo.clip_epsilon),
-        "learning_rate": repr(cfg.ppo.learning_rate),
-        "gamma": repr(cfg.ppo.gamma),
-        "epochs_per_update": str(cfg.ppo.epochs_per_update),
-        "rollouts_per_update": str(cfg.ppo.rollouts_per_update),
-        "entropy_coeff": repr(cfg.ppo.entropy_coeff),
-        "hidden": str(cfg.policy_hidden),
-    }
-    parser["tolerance"] = {
-        "enabled": str(cfg.tolerance_enabled).lower(),
-        "tau0_s": repr(cfg.tolerance.tau0),
-        "kappa": repr(cfg.tolerance.kappa),
-        "s": repr(cfg.tolerance.s),
-        "social_penalty_weight": repr(cfg.social_penalty_weight),
-    }
-    parser["factors"] = {
-        "emission_g_per_km": repr(cfg.factors.emission_g_per_km),
-        "fuel_l_per_km": repr(cfg.factors.fuel_l_per_km),
-        "fare_per_km": repr(cfg.factors.fare_per_km),
-    }
-    parser["sweep"] = {
-        "s_values": ", ".join(f"{s:g}" for s in cfg.sweep_s_values),
-        "objectives": ", ".join(o.value for o in cfg.sweep_objectives),
-        "runs_per_cell": str(cfg.sweep_runs_per_cell),
-    }
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -270,22 +270,6 @@ def edge_weight(shared: SharedRoute, a: TripRequest, b: TripRequest, objective: 
     return a.solo_route.time + b.solo_route.time - shared.total_time
 
 
-def group_savings(net: RoadNetwork, trips, objective: Objective, route: SharedRoute = None) -> float:
-    """Objective value of pooling `trips` into one vehicle (0 for singletons)."""
-    trips = sorted(trips, key=lambda t: t.trip_id)
-    if len(trips) == 1:
-        return 0.0
-    if objective is Objective.VEHICLE:
-        return 2.0 * (len(trips) - 1)
-    if route is None:
-        route = route_for_group(net, trips)
-    if objective is Objective.DISTANCE:
-        solo = sum(t.solo_route.distance for t in trips)
-        return solo - route.total_distance
-    solo = sum(t.solo_route.time for t in trips)
-    return solo - route.total_time
-
-
 class ShareabilityGraph:
     """Trips plus the feasible, beneficial pairings between them."""
 
@@ -333,8 +317,9 @@ class ShareabilityGraph:
     def group_value(self, group) -> float:
         """Savings of pooling `group` under this graph's objective.
 
-        Pairs joined by an edge are worth exactly that edge's weight; larger
-        groups are worth their re-routed savings.
+        Pairs joined by an edge are worth exactly that edge's weight; other
+        groups are worth their solo totals, summed in trip id order, minus
+        their shared route's.
         """
         key = tuple(sorted(group))
         if len(key) == 1:
@@ -343,8 +328,11 @@ class ShareabilityGraph:
             return self.edges[key].weight
         if self.objective is Objective.VEHICLE:
             return 2.0 * (len(key) - 1)
+        route = self.group_route(key)
         trips = [self.trips[t] for t in key]
-        return group_savings(self.net, trips, self.objective, route=self.group_route(key))
+        if self.objective is Objective.DISTANCE:
+            return sum(t.solo_route.distance for t in trips) - route.total_distance
+        return sum(t.solo_route.time for t in trips) - route.total_time
 
 
 def build_shareability_graph(

@@ -15,6 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import metrics as metrics_mod
+from .baselines import MatchingSolution, matching_value
+
 
 @dataclass(frozen=True)
 class ToleranceProfile:
@@ -46,17 +49,12 @@ def tolerance(delay, profile: ToleranceProfile) -> float:
     return math.exp(-(delay / profile.tau0) * (1.0 + profile.kappa * profile.s))
 
 
-def accepts(delay, profile: ToleranceProfile, rng) -> bool:
-    """One stochastic accept/reject draw from a seeded generator."""
-    return rng.random() < tolerance(delay, profile)
-
-
 def rejection_cost(delays, profile: ToleranceProfile) -> float:
     """Expected number of rejecting riders: sum of (1 - T(delay_i))."""
     return sum(1.0 - tolerance(d, profile) for d in delays)
 
 
-def filter_with_draws(solution, graph, profile: ToleranceProfile, draws) -> "MatchingSolution":
+def filter_with_draws(solution, graph, profile: ToleranceProfile, draws) -> MatchingSolution:
     """Dissolve pooled groups whose riders reject their delays.
 
     `draws` maps trip_id -> a fixed uniform(0,1) value, so acceptance is
@@ -64,8 +62,6 @@ def filter_with_draws(solution, graph, profile: ToleranceProfile, draws) -> "Mat
     levels make the carpooling trend in s noise-free.  A group survives only
     if every rider's draw falls below their tolerance.
     """
-    from .baselines import MatchingSolution, matching_value
-
     groups = []
     routes = {}
     for group in solution.groups:
@@ -89,13 +85,6 @@ def filter_with_draws(solution, graph, profile: ToleranceProfile, draws) -> "Mat
     )
 
 
-def apply_tolerance_filter(solution, graph, profile: ToleranceProfile, rng) -> "MatchingSolution":
-    """Sequential-draw variant of filter_with_draws (one draw per trip, sorted order)."""
-    trip_ids = sorted(tid for group in solution.groups for tid in group)
-    draws = {tid: rng.random() for tid in trip_ids}
-    return filter_with_draws(solution, graph, profile, draws)
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """Mean/stddev of every report metric for one (objective, s) setting."""
@@ -114,10 +103,7 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
     When the reward's social penalty weight is positive the policy is
     retrained per cell because s then feeds back into training.
     """
-    from dataclasses import replace as dc_replace
-
-    from . import metrics as metrics_mod
-    from . import pipeline
+    from . import pipeline  # pipeline imports this module
 
     s_values = list(s_values)
     objectives = list(objectives)
@@ -128,7 +114,7 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
 
     samples = {(obj, s): {name: [] for name in metrics_mod.METRIC_NAMES} for obj in objectives for s in s_values}
     for run in range(runs_per_cell):
-        run_cfg = dc_replace(scenario, seed=int(np.random.SeedSequence([seed, run]).generate_state(1)[0]))
+        run_cfg = replace(scenario, seed=int(np.random.SeedSequence([seed, run]).generate_state(1)[0]))
         net, trips = pipeline.generate_scenario(run_cfg)
         features = pipeline.embed_trips(trips, run_cfg)
         draws = {
@@ -144,7 +130,7 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
                     cell_seed = int(
                         np.random.SeedSequence([seed, run, obj_index, s_index]).generate_state(1)[0]
                     )
-                    cell_cfg = dc_replace(run_cfg, seed=cell_seed)
+                    cell_cfg = replace(run_cfg, seed=cell_seed)
                     graph, solution = pipeline.match_scenario(
                         net, trips, features, cell_cfg, objective=obj, profile=profile
                     )

@@ -1,18 +1,25 @@
+import configparser
 import os
 import subprocess
 import sys
 
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ridepool import pipeline
 from ridepool.cli import main
 from ridepool.geo import read_network
 from ridepool.metrics import METRIC_NAMES, read_report_csv, read_report_json
 from ridepool.scenario import (
+    _SCHEMA,
     ConfigError,
     DemandConfig,
     NetworkConfig,
     ScenarioConfig,
+    config_to_ini,
     generate_scenario,
     load_config,
     with_overrides,
@@ -133,6 +140,60 @@ class TestConfigParsing:
     def test_objective_parse_error(self):
         with pytest.raises(ConfigError, match="objective"):
             load_config(text="[run]\nobjective = fastest\n")
+
+    def test_bool_accepts_configparser_spellings(self):
+        for raw, value in configparser.ConfigParser.BOOLEAN_STATES.items():
+            for spelling in (raw, raw.upper(), raw.capitalize()):
+                cfg = load_config(text=f"[tolerance]\nenabled = {spelling}\n")
+                assert cfg.tolerance_enabled is value
+
+    def test_bad_bool_names_field(self, tmp_path):
+        with pytest.raises(ConfigError, match="tolerance.enabled"):
+            load_config(text="[tolerance]\nenabled = maybe\n")
+        path = tmp_path / "run.ini"
+        path.write_text("[tolerance]\nenabled = maybe\n")
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_names_every_leaf_field_once(self):
+        default = ScenarioConfig()
+        leaves = []
+        for f in fields(default):
+            value = getattr(default, f.name)
+            if is_dataclass(value):
+                leaves.extend(f"{f.name}.{sub.name}" for sub in fields(value))
+            else:
+                leaves.append(f.name)
+        derived_from_seed = {"embedding.init_seed", "ppo.seed"}
+        assert sorted(path for _, _, path, _ in _SCHEMA) == sorted(set(leaves) - derived_from_seed)
+        assert len({(section, key) for section, key, _, _ in _SCHEMA}) == len(_SCHEMA)
+
+    def test_round_trip_defaults(self):
+        cfg = ScenarioConfig()
+        assert load_config(text=config_to_ini(cfg)) == cfg
+
+    @given(
+        s_values=st.lists(st.floats(0.0, 1.0), max_size=6),
+        objectives=st.lists(st.sampled_from(list(Objective)), max_size=3),
+        objective=st.sampled_from(list(Objective)),
+        seed=st.integers(0, 2**63),
+        capacity=st.integers(2, 4),
+        enabled=st.booleans(),
+        spacing_m=st.floats(1.0, 1e4),
+    )
+    def test_round_trip_drawn(self, s_values, objectives, objective, seed, capacity, enabled, spacing_m):
+        default = ScenarioConfig()
+        cfg = replace(
+            default,
+            network=replace(default.network, spacing_m=spacing_m),
+            objective=objective,
+            capacity=capacity,
+            tolerance_enabled=enabled,
+            sweep_s_values=tuple(s_values),
+            sweep_objectives=tuple(objectives),
+        )
+        cfg = with_overrides(cfg, seed=seed)
+        assert load_config(text=config_to_ini(cfg)) == cfg
 
 
 def run_cli(args):

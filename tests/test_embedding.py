@@ -12,7 +12,6 @@ from ridepool.embedding import (
     InteractionMatrix,
     build_interaction_matrix,
     build_laplacian,
-    compute_similarity,
     compute_user_features,
     encode_location,
     grid_covering,
@@ -130,25 +129,6 @@ class TestInteractionMatrix:
             expected[row, encode_location(grid, t.dest_point)] = 1
         assert (im.matrix == expected).all()
         assert (im.matrix.sum(axis=1) >= 1).all()
-
-
-class TestSimilarity:
-    def test_single_row(self):
-        sim = compute_similarity(interactions_from([[1, 1]]))
-        assert (sim.user_user == np.array([[2]])).all()
-        assert (sim.loc_loc == np.array([[1, 1], [1, 1]])).all()
-
-    def test_zero_matrix(self):
-        sim = compute_similarity(interactions_from([[0, 0], [0, 0]]))
-        assert not sim.user_user.any()
-        assert not sim.loc_loc.any()
-
-    @given(binary_matrices)
-    def test_diagonal_counts_visits_and_symmetry(self, A):
-        sim = compute_similarity(interactions_from(A))
-        assert (sim.user_user == sim.user_user.T).all()
-        assert (sim.loc_loc == sim.loc_loc.T).all()
-        assert (np.diag(sim.user_user) == A.sum(axis=1)).all()
 
 
 class TestLaplacian:

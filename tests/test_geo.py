@@ -186,11 +186,12 @@ class TestShortestPath:
             net.shortest_path(0, 2)
 
     def test_route_distance_is_sum_of_edges(self, grid3):
+        lengths = {}
+        for u, v, length, _ in grid3.edges:
+            lengths[u, v] = lengths[v, u] = length
         for origin, dest in [(0, 8), (2, 6), (1, 7)]:
             route = grid3.shortest_path(origin, dest)
-            total = sum(
-                grid3.edge_between(u, v)[0] for u, v in zip(route.nodes, route.nodes[1:])
-            )
+            total = sum(lengths[u, v] for u, v in zip(route.nodes, route.nodes[1:]))
             assert route.distance == total
 
     def test_undirected_symmetry(self, grid3):

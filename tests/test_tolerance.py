@@ -10,8 +10,6 @@ from ridepool.scenario import DemandConfig, NetworkConfig, ScenarioConfig
 from ridepool.shareability import Objective
 from ridepool.tolerance import (
     ToleranceProfile,
-    accepts,
-    apply_tolerance_filter,
     filter_with_draws,
     read_sweep,
     rejection_cost,
@@ -73,37 +71,13 @@ class TestToleranceFunction:
         assert rejection_cost([900.0, 1800.0], profile) == pytest.approx(expected, abs=1e-12)
 
 
-class TestAccepts:
-    def test_zero_delay_always_accepted(self):
-        rng = np.random.default_rng(0)
-        assert all(accepts(0.0, ToleranceProfile(), rng) for _ in range(100))
-
-    def test_binomial_concentration_at_half(self):
-        # delay chosen so the acceptance probability is exactly 0.5
-        profile = ToleranceProfile(tau0=900.0, kappa=0.0, s=0.0)
-        delay = 900.0 * math.log(2.0)
-        assert tolerance(delay, profile) == pytest.approx(0.5, abs=1e-12)
-        rng = np.random.default_rng(123)
-        n = 10_000
-        fraction = sum(accepts(delay, profile, rng) for _ in range(n)) / n
-        assert abs(fraction - 0.5) < 0.02
-
-    def test_fixed_seed_reproducible(self):
-        profile = ToleranceProfile(tau0=600.0)
-        rng = np.random.default_rng(9)
-        first = [accepts(300.0, profile, rng) for _ in range(20)]
-        rng = np.random.default_rng(9)
-        second = [accepts(300.0, profile, rng) for _ in range(20)]
-        assert first == second
-
-
 class TestFilter:
     def test_off_profile_keeps_everything(self):
         _, _, graph = scenario_instance(seed=5, n_trips=10, departure_span=600.0)
         solution = greedy_matching(graph)
-        filtered = apply_tolerance_filter(
-            solution, graph, ToleranceProfile.off(), np.random.default_rng(0)
-        )
+        rng = np.random.default_rng(0)
+        draws = {tid: rng.random() for tid in sorted(graph.trips)}
+        filtered = filter_with_draws(solution, graph, ToleranceProfile.off(), draws)
         assert filtered.groups == solution.groups
 
     def test_draw_keyed_filter_monotone_in_s(self):
