@@ -4,11 +4,14 @@ policy gradients.
 Each focal trip runs an episode over the state (context vector, graph,
 selected co-riders): the policy scores every still-available neighbor plus a
 Stop action, samples one, and is rewarded with the marginal pooling savings
-of the pick.  A two-layer perceptron scores candidates one at a time (the
+of the pick.  A two-layer perceptron scores candidates row by row (the
 candidate set varies per state), with a learned scalar Stop logit and a value
-head sharing the hidden layer.  Updates use the clipped probability-ratio
-surrogate with exact hand-rolled backprop, which keeps the gradients
-finite-difference checkable.
+head sharing the hidden layer.  That network is evaluated in one place,
+`_score`, by the rollout, the greedy decode and the update alike; which
+Selects are legal is decided in one place, `_selectable`; discounted returns
+are formed in one place, `fill_returns`.  Updates use the clipped
+probability-ratio surrogate with exact hand-rolled backprop, which keeps the
+gradients finite-difference checkable.
 """
 
 import math
@@ -114,10 +117,6 @@ class PolicyParams:
     def input_dim(self):
         return self.w_hidden.shape[0]
 
-    @property
-    def hidden_width(self):
-        return self.w_hidden.shape[1]
-
     def arrays(self):
         return {name: getattr(self, name) for name in self.ARRAY_NAMES}
 
@@ -155,28 +154,29 @@ def initial_state(graph, features, focal, unavailable=frozenset(), capacity=2) -
     )
 
 
-def _group_routable(graph, focal, selected, candidate) -> bool:
+def _selectable(state: MatchState, v) -> bool:
+    """Select(v) is legal: the group has room, v is an available trip joined
+    to the focal trip by an edge and not yet in the group, and the grown group
+    routes (a pair routes by its edge)."""
+    if len(state.selected) >= state.capacity - 1:
+        return False
+    if v == state.focal or v in state.selected or v in state.unavailable:
+        return False
+    if state.graph.edge(state.focal, v) is None:
+        return False
+    if not state.selected:
+        return True
     try:
-        graph.group_route((focal,) + selected + (candidate,))
+        state.graph.group_route((state.focal,) + state.selected + (v,))
     except (NoRouteError, ValueError):
         return False
     return True
 
 
-def candidate_actions(state: MatchState, capacity=None):
-    """Select(v) for every available, routable neighbor of the focal trip,
-    plus Stop, sorted selects-first by trip id."""
-    cap = state.capacity if capacity is None else capacity
-    actions = []
-    if len(state.selected) < cap - 1:
-        for v in state.graph.neighbors(state.focal):
-            if v in state.selected or v in state.unavailable or v == state.focal:
-                continue
-            if state.selected and not _group_routable(state.graph, state.focal, state.selected, v):
-                continue
-            actions.append(PolicyAction(v))
-    actions.append(STOP)
-    return actions
+def candidate_actions(state: MatchState):
+    """Select(v) for every selectable neighbor of the focal trip, plus Stop,
+    sorted selects-first by trip id."""
+    return [PolicyAction(v) for v in state.graph.neighbors(state.focal) if _selectable(state, v)] + [STOP]
 
 
 def _select_inputs(state: MatchState, select_ids) -> np.ndarray:
@@ -187,13 +187,9 @@ def _select_inputs(state: MatchState, select_ids) -> np.ndarray:
     for v in select_ids:
         edge = state.graph.edge(state.focal, v)
         candidate_context = state.features[state.graph.trips[v].user_id]
-        rows.append(
-            np.concatenate([state.context, candidate_context, [edge.weight * WEIGHT_INPUT_SCALE], [fill]])
-        )
-    width = 2 * len(state.context) + 2
-    if not rows:
-        return np.zeros((0, width))
-    return np.array(rows)
+        weight = edge.weight * WEIGHT_INPUT_SCALE
+        rows.append(np.concatenate([state.context, candidate_context, [weight], [fill]]))
+    return np.array(rows).reshape(len(rows), 2 * len(state.context) + 2)
 
 
 def _value_input(state: MatchState) -> np.ndarray:
@@ -201,11 +197,17 @@ def _value_input(state: MatchState) -> np.ndarray:
     return np.concatenate([state.context, np.zeros_like(state.context), [0.0], [fill]])
 
 
-def _select_logits(params: PolicyParams, inputs: np.ndarray) -> np.ndarray:
-    if inputs.shape[0] == 0:
-        return np.zeros(0)
-    hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden)
-    return hidden @ params.w_logit + float(params.b_logit)
+def _score(params: PolicyParams, select_inputs: np.ndarray, value_input: np.ndarray):
+    """The network's forward pass for one decision.
+
+    Returns the candidates' hidden rows, the logits (one per select row in
+    row order, then Stop), the value input's hidden row and the state value.
+    """
+    hidden = np.tanh(select_inputs @ params.w_hidden + params.b_hidden)
+    logits = np.append(hidden @ params.w_logit + float(params.b_logit), float(params.stop_logit))
+    value_hidden = np.tanh(value_input @ params.w_hidden + params.b_hidden)
+    value = float(value_hidden @ params.w_value + float(params.b_value))
+    return hidden, logits, value_hidden, value
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -214,31 +216,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def state_value(params: PolicyParams, state: MatchState) -> float:
-    hidden = np.tanh(_value_input(state) @ params.w_hidden + params.b_hidden)
-    return float(hidden @ params.w_value + float(params.b_value))
-
-
-def action_distribution(params: PolicyParams, state: MatchState, candidates) -> dict:
-    """Softmax over candidate logits; anything not in `candidates` has
-    probability exactly 0 (it is never scored)."""
-    if not any(a.is_stop for a in candidates):
-        raise ValueError("candidate set must include Stop")
-    select_ids = sorted(a.trip_id for a in candidates if not a.is_stop)
-    logits = np.append(_select_logits(params, _select_inputs(state, select_ids)), float(params.stop_logit))
-    probs = _softmax(logits)
-    out = {PolicyAction(v): float(probs[i]) for i, v in enumerate(select_ids)}
-    out[STOP] = float(probs[-1])
-    return out
-
-
 def step(state: MatchState, action: PolicyAction, spec: RewardSpec):
     """Apply one action: Stop terminates with reward 0; Select(v) extends the
     group and pays the marginal savings (minus the marginal expected-rejection
     penalty when configured).  Context and graph carry over unchanged."""
     if action.is_stop:
         return state, 0.0, True
-    if action not in candidate_actions(state):
+    if not _selectable(state, action.trip_id):
         raise InfeasibleActionError(f"trip {action.trip_id} is not selectable from this state")
     prev_group = (state.focal,) + state.selected
     next_group = prev_group + (action.trip_id,)
@@ -278,25 +262,17 @@ class RolloutResult:
     groups: tuple  # the partition produced by this pass
 
     def episode_returns(self, gamma=1.0):
-        out = []
-        for episode in self.episodes:
-            total = 0.0
-            for rec in reversed(episode):
-                total = rec.reward + gamma * total
-            out.append(total)
-        return out
-
-
-def _check_spec(graph, spec):
-    if spec.objective is not graph.objective:
-        raise ValueError(
-            f"reward objective {spec.objective.value} does not match graph objective {graph.objective.value}"
-        )
+        """Discounted return of each episode (fills every record's return_)."""
+        fill_returns(self.episodes, gamma)
+        return [episode[0].return_ for episode in self.episodes]
 
 
 def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
     """Shared driver: focal trips in ascending id, assigned trips excluded."""
-    _check_spec(graph, spec)
+    if spec.objective is not graph.objective:
+        raise ValueError(
+            f"reward objective {spec.objective.value} does not match graph objective {graph.objective.value}"
+        )
     assigned = set()
     episodes = []
     groups = []
@@ -305,30 +281,18 @@ def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
             continue
         state = initial_state(graph, features, focal, unavailable=frozenset(assigned), capacity=capacity)
         records = []
-        while True:
-            if len(state.selected) >= capacity - 1:
-                break
-            select_ids = sorted(
-                a.trip_id for a in candidate_actions(state) if not a.is_stop
-            )
+        while len(state.selected) < capacity - 1:
+            select_ids = [a.trip_id for a in candidate_actions(state)[:-1]]
             inputs = _select_inputs(state, select_ids)
-            logits = np.append(_select_logits(params, inputs), float(params.stop_logit))
+            value_input = _value_input(state)
+            _, logits, _, value = _score(params, inputs, value_input)
             probs = _softmax(logits)
             index = pick(probs)
-            record = StepRecord(
-                select_inputs=inputs,
-                value_input=_value_input(state),
-                action_index=index,
-                log_prob=float(np.log(probs[index])),
-                reward=0.0,
-                value=state_value(params, state),
-            )
-            if index == len(select_ids):
-                records.append(record)
-                break
-            state, reward, _ = step(state, PolicyAction(select_ids[index]), spec)
-            record.reward = reward
+            record = StepRecord(inputs, value_input, index, float(np.log(probs[index])), 0.0, value)
             records.append(record)
+            if index == len(select_ids):
+                break
+            state, record.reward, _ = step(state, PolicyAction(select_ids[index]), spec)
         group = tuple(sorted((focal,) + state.selected))
         assigned.update(group)
         groups.append(group)
@@ -367,8 +331,7 @@ def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig):
         advantage = rec.return_ - rec.value
         inputs = rec.select_inputs
         k = inputs.shape[0]
-        hidden = np.tanh(inputs @ params.w_hidden + params.b_hidden) if k else np.zeros((0, params.hidden_width))
-        logits = np.append(hidden @ params.w_logit + float(params.b_logit), float(params.stop_logit))
+        hidden, logits, value_hidden, value = _score(params, inputs, rec.value_input)
         shifted = logits - logits.max()
         log_z = math.log(np.exp(shifted).sum())
         log_probs = shifted - log_z
@@ -380,11 +343,7 @@ def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig):
         clipped = min(max(ratio, 1.0 - eps), 1.0 + eps) * advantage
         surrogate = min(unclipped, clipped)
         entropy = float(-(probs * log_probs).sum())
-
-        value_hidden = np.tanh(rec.value_input @ params.w_hidden + params.b_hidden)
-        value = float(value_hidden @ params.w_value + float(params.b_value))
         value_error = value - rec.return_
-
         total += surrogate + cfg.entropy_coeff * entropy - VALUE_LOSS_COEFF * value_error**2
 
         # d(surrogate)/d(logits): flows only while the unclipped branch is active
@@ -456,13 +415,11 @@ def train(graph, features, spec, capacity=2, cfg=None, n_updates=100, hidden=64)
     history = []
     for update in range(n_updates):
         episodes = []
-        returns = []
         for r in range(cfg.rollouts_per_update):
             result = rollout(graph, features, params, spec, capacity, seed=[cfg.seed, update, r])
             episodes.extend(result.episodes)
-            returns.extend(result.episode_returns(cfg.gamma))
         params = ppo_update(params, episodes, cfg)
-        history.append(float(np.mean(returns)) if returns else 0.0)
+        history.append(float(np.mean([episode[0].return_ for episode in episodes])))
     return params, history
 
 

@@ -20,7 +20,7 @@ from .geo import GeoPoint, METERS_PER_DEGREE, build_grid_network
 from .metrics import CostFactors
 from .policy import PPOConfig
 from .shareability import Objective, PairingConstraints, make_trip
-from .tolerance import ToleranceProfile
+from .tolerance import ToleranceProfile, format_s
 
 
 class ConfigError(ValueError):
@@ -168,12 +168,6 @@ def _split(raw):
     return raw.replace(",", " ").split()
 
 
-def _format_s(s):
-    """Shortest `:g` spelling when it reads back exactly, else the full repr."""
-    short = f"{s:g}"
-    return short if float(short) == s else repr(s)
-
-
 # (parse, format) pairs; parse raises ValueError on a malformed value.
 _INT = (int, str)
 _FLOAT = (float, repr)
@@ -182,7 +176,7 @@ _BOOL = (_parse_bool, lambda v: str(v).lower())
 _OBJECTIVE = (Objective.from_string, lambda o: o.value)
 _S_VALUES = (
     lambda raw: tuple(float(v) for v in _split(raw)),
-    lambda values: ", ".join(_format_s(s) for s in values),
+    lambda values: ", ".join(format_s(s) for s in values),
 )
 _OBJECTIVES = (
     lambda raw: tuple(Objective.from_string(v) for v in _split(raw)),
@@ -239,17 +233,38 @@ _ROWS = {(section, key): (path, parse) for section, key, path, (parse, _) in _SC
 _SECTIONS = {section for section, *_ in _SCHEMA}
 
 
+def _syntax_error(exc: configparser.Error, source) -> ConfigError:
+    """`<source>:<line>: <reason>` for an error configparser raised while reading."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno, reason = exc.lineno, f"no [section] header before {exc.line.strip()!r}"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        lineno, reason = exc.lineno, f"duplicate key {exc.section}.{exc.option}"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        lineno, reason = exc.lineno, f"duplicate section [{exc.section}]"
+    elif isinstance(exc, configparser.ParsingError):
+        lineno, line = exc.errors[0]
+        reason = f"cannot parse line {line}"
+    else:
+        lineno, reason = "?", exc.message
+    return ConfigError(f"{source}:{lineno}: {reason}")
+
+
 def load_config(path=None, text=None) -> ScenarioConfig:
     """Parse the key=value section file; unknown sections or keys are errors.
 
-    Absent keys keep their dataclass defaults.
+    Absent keys keep their dataclass defaults.  A file configparser cannot
+    read is a ConfigError naming the file and line.
     """
     parser = configparser.ConfigParser()
-    if text is not None:
-        parser.read_string(text)
-    else:
-        with open(path) as fh:
-            parser.read_file(fh)
+    source = "<string>" if text is not None else str(path)
+    try:
+        if text is not None:
+            parser.read_string(text, source)
+        else:
+            with open(path) as fh:
+                parser.read_file(fh, source)
+    except configparser.Error as exc:
+        raise _syntax_error(exc, source) from exc
     top, nested = {}, {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -260,7 +275,7 @@ def load_config(path=None, text=None) -> ScenarioConfig:
             field_path, parse = _ROWS[section, key]
             try:
                 value = parse(parser.get(section, key))
-            except ValueError as exc:
+            except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from exc
             attr, _, sub = field_path.partition(".")
             if sub:

@@ -126,36 +126,25 @@ def temporal_feasible(a: TripRequest, b: TripRequest, max_departure_gap=DEFAULT_
     return abs(a.desired_departure - b.desired_departure) <= max_departure_gap
 
 
-def _evaluate_order(net: RoadNetwork, trips_by_id, ordering) -> SharedRoute:
-    """Route a stop sequence leg by leg and derive per-rider delay/detour."""
+def _evaluate_order(trips_by_id, ordering, legs) -> SharedRoute:
+    """Totals and per-rider delay/detour of a stop sequence, given the
+    (distance, time) of each leg between consecutive stops, summed left to
+    right from 0.0."""
     start = max(t.desired_departure for t in trips_by_id.values())
     cum_d = 0.0
     cum_t = 0.0
-    at_pickup = {}
+    at_pickup = {ordering[0][1]: 0.0}
     delay = {}
     detour = {}
-
-    def stop_node(stop):
-        kind, tid = stop
-        trip = trips_by_id[tid]
-        return trip.origin if kind == "P" else trip.dest
-
-    prev = ordering[0]
-    kind, tid = prev
-    at_pickup[tid] = (0.0, 0.0)
-    for stop in ordering[1:]:
-        d, t = net.distance_time(stop_node(prev), stop_node(stop))
+    for (kind, tid), (d, t) in zip(ordering[1:], legs):
         cum_d += d
         cum_t += t
-        kind, tid = stop
         if kind == "P":
-            at_pickup[tid] = (cum_d, cum_t)
+            at_pickup[tid] = cum_d
         else:
             trip = trips_by_id[tid]
-            pick_d, _pick_t = at_pickup[tid]
-            detour[tid] = (cum_d - pick_d) - trip.solo_route.distance
+            detour[tid] = (cum_d - at_pickup[tid]) - trip.solo_route.distance
             delay[tid] = (start + cum_t) - trip.desired_departure - trip.solo_route.time
-        prev = stop
     return SharedRoute(
         ordering=tuple(ordering),
         total_distance=cum_d,
@@ -179,10 +168,12 @@ def best_shared_route(net: RoadNetwork, a: TripRequest, b: TripRequest) -> Share
     """Minimum-total-distance shared route over the four pair stop orders."""
     trips = {a.trip_id: a, b.trip_id: b}
     ids = (a.trip_id, b.trip_id)
+    nodes = {("P", t.trip_id): t.origin for t in (a, b)} | {("D", t.trip_id): t.dest for t in (a, b)}
     best = None
     for template in _PAIR_ORDER_TEMPLATES:
         ordering = tuple((kind, ids[slot]) for kind, slot in template)
-        candidate = _evaluate_order(net, trips, ordering)
+        legs = [net.distance_time(nodes[u], nodes[v]) for u, v in zip(ordering, ordering[1:])]
+        candidate = _evaluate_order(trips, ordering, legs)
         if best is None or candidate.total_distance < best.total_distance:
             best = candidate
     return best
@@ -232,8 +223,9 @@ def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
     Pairs use the four shared orders.  Larger groups take the minimum-distance
     order among those with each pickup before its own dropoff, found by an
     exact search over a stop-to-stop leg matrix (``_cheapest_order``) with
-    the stops listed as pickups by trip id, then dropoffs by trip id.
-    Singletons reduce to the solo route.
+    the stops listed as pickups by trip id, then dropoffs by trip id; the
+    winner's legs are read back from the same matrix.  Singletons reduce to
+    the solo route.
     """
     trips = sorted(trips, key=lambda t: t.trip_id)
     if len(trips) == 1:
@@ -255,11 +247,15 @@ def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
     # Every leg but D_i -> P_i lies on some valid order, so this raises
     # NoRouteError exactly when some valid order cannot be driven.
     legs = [
-        [0.0 if i == j or i == j + k else net.distance_time(u, v)[0] for j, v in enumerate(nodes)]
+        [(0.0, 0.0) if i == j or i == j + k else net.distance_time(u, v) for j, v in enumerate(nodes)]
         for i, u in enumerate(nodes)
     ]
-    order = _cheapest_order(legs, k)
-    return _evaluate_order(net, {t.trip_id: t for t in trips}, tuple(stops[i] for i in order))
+    order = _cheapest_order([[d for d, _ in row] for row in legs], k)
+    return _evaluate_order(
+        {t.trip_id: t for t in trips},
+        tuple(stops[i] for i in order),
+        [legs[i][j] for i, j in zip(order, order[1:])],
+    )
 
 
 def edge_weight(shared: SharedRoute, a: TripRequest, b: TripRequest, objective: Objective) -> float:

@@ -154,12 +154,19 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
     return cells
 
 
+def format_s(s):
+    """Shortest `:g` spelling of a sensitivity when it reads back exactly,
+    else the full repr."""
+    short = f"{s:g}"
+    return short if float(short) == s else repr(s)
+
+
 def write_sweep(cells, path):
     """`S <objective> <s> <metric> <mean> <stddev>` rows, one per metric per cell."""
     with open(path, "w") as fh:
         for cell in cells:
             for name, (mean, std) in cell.stats.items():
-                fh.write(f"S {cell.objective.value} {cell.s:g} {name} {mean:.9g} {std:.9g}\n")
+                fh.write(f"S {cell.objective.value} {format_s(cell.s)} {name} {mean:.9g} {std:.9g}\n")
 
 
 def read_sweep(path) -> list:

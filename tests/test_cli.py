@@ -155,6 +155,31 @@ class TestConfigParsing:
         assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_missing_section_header_names_line(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^<string>:1: no \[section\] header before 'rows = 5'$"):
+            load_config(text="rows = 5\n")
+        path = tmp_path / "run.ini"
+        path.write_text("rows = 5\n")
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {path}:1: no [section] header" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_names_line(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^<string>:3: duplicate key run.seed$"):
+            load_config(text="[run]\nseed = 1\nseed = 2\n")
+        path = tmp_path / "run.ini"
+        path.write_text("[network]\nrows = 5\n\n[run]\nseed = 1\nseed = 2\n")
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {path}:6: duplicate key run.seed" in capsys.readouterr().err
+
+    def test_repeated_section_and_bad_line_name_line(self):
+        with pytest.raises(ConfigError, match=r"^<string>:3: duplicate section \[run\]$"):
+            load_config(text="[run]\nseed = 1\n[run]\n")
+        with pytest.raises(ConfigError, match=r"^<string>:2: cannot parse line 'seed\\n'$"):
+            load_config(text="[run]\nseed\n")
+        with pytest.raises(ConfigError, match=r"^run.seed: '%' must be followed"):
+            load_config(text="[run]\nseed = 5%\n")
+
     def test_schema_names_every_leaf_field_once(self):
         default = ScenarioConfig()
         leaves = []

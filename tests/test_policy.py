@@ -1,5 +1,11 @@
+import copy
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridepool.baselines import brute_force_optimal, check_partition
 from ridepool.policy import (
@@ -11,7 +17,6 @@ from ridepool.policy import (
     PolicyParams,
     RewardSpec,
     StepRecord,
-    action_distribution,
     candidate_actions,
     fill_returns,
     init_policy_params,
@@ -24,6 +29,7 @@ from ridepool.policy import (
     surrogate_objective,
     train,
     write_policy,
+    _score,
     _softmax,
 )
 from ridepool.geo import NoRouteError
@@ -65,12 +71,7 @@ def random_step_records(rng, params, n_steps):
     for _ in range(n_steps):
         k = int(rng.integers(0, 4))
         inputs = rng.normal(0.0, 1.0, size=(k, input_dim))
-        hidden = (
-            np.tanh(inputs @ params.w_hidden + params.b_hidden)
-            if k
-            else np.zeros((0, params.hidden_width))
-        )
-        logits = np.append(hidden @ params.w_logit + float(params.b_logit), float(params.stop_logit))
+        _, logits, _, _ = _score(params, inputs, np.zeros(input_dim))
         probs = _softmax(logits)
         index = int(rng.integers(0, k + 1))
         records.append(
@@ -170,49 +171,106 @@ class TestCandidateActions:
             candidate_actions(state)
 
 
-class TestActionDistribution:
-    def test_zero_heads_give_uniform(self):
-        _, _, graph, features, _ = routed_setup()
-        focal = next(t for t in sorted(graph.trips) if graph.neighbors(t))
-        params = zero_head_params(len(next(iter(features.values()))))
-        state = initial_state(graph, features, focal=focal)
-        candidates = candidate_actions(state)
-        dist = action_distribution(params, state, candidates)
-        assert all(p == pytest.approx(1.0 / len(candidates)) for p in dist.values())
+@functools.lru_cache(maxsize=None)
+def dense_setup(seed):
+    """Ten routed trips with enough edges for 3- and 4-rider groups."""
+    _, _, graph, features, spec = routed_setup(seed=seed, n_trips=10)
+    return graph, features, spec
 
-    def test_single_stop_candidate(self):
-        graph = weighted_graph({(1, 2): 5.0}, n_trips=3)
-        features = {i: np.zeros(3) for i in range(3)}
-        params = zero_head_params(3)
-        state = initial_state(graph, features, focal=0)
-        dist = action_distribution(params, state, [STOP])
-        assert dist == {STOP: 1.0}
 
-    def test_non_candidates_have_probability_zero(self):
-        _, _, graph, features, _ = routed_setup()
-        params = zero_head_params(len(next(iter(features.values()))))
-        focal = next(t for t in sorted(graph.trips) if graph.neighbors(t))
-        state = initial_state(graph, features, focal=focal)
-        dist = action_distribution(params, state, candidate_actions(state))
-        non_candidate = max(graph.trips) + 99
-        assert dist.get(PolicyAction(non_candidate), 0.0) == 0.0
+def with_blocked_groups(graph, blocked):
+    """Shallow copy of `graph` on which every group of three or more that
+    contains a `blocked` trip has no route."""
+    blocked_graph = copy.copy(graph)
 
-    def test_probabilities_sum_to_one(self):
-        _, _, graph, features, _ = routed_setup(seed=8, n_trips=10)
-        rng = np.random.default_rng(0)
-        params = randomized_params(rng, feature_dim=len(next(iter(features.values()))) , hidden=6)
+    def group_route(group):
+        if len(group) > 2 and blocked.intersection(group):
+            raise NoRouteError(f"blocked group {group}")
+        return graph.group_route(group)
+
+    blocked_graph.group_route = group_route
+    return blocked_graph
+
+
+def assert_step_raises_exactly_off_candidates(state, spec):
+    candidates = candidate_actions(state)
+    for v in sorted(state.graph.trips) + [max(state.graph.trips) + 1]:
+        action = PolicyAction(v)
+        try:
+            step(state, action, spec)
+        except InfeasibleActionError:
+            assert action not in candidates, v
+        else:
+            assert action in candidates, v
+
+
+def all_records(result):
+    return [rec for episode in result.episodes for rec in episode]
+
+
+class TestLegality:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.sampled_from((5, 7)),
+        capacity=st.integers(2, 4),
+        focal_index=st.integers(0, 9),
+        unavailable=st.frozensets(st.integers(0, 9), max_size=4),
+        blocked=st.frozensets(st.integers(0, 9), max_size=3),
+        picks=st.lists(st.integers(0, 9), max_size=3),
+    )
+    def test_step_raises_exactly_when_not_a_candidate(
+        self, seed, capacity, focal_index, unavailable, blocked, picks
+    ):
+        graph, features, spec = dense_setup(seed)
+        graph = with_blocked_groups(graph, blocked)
+        focal = sorted(graph.trips)[focal_index]
+        state = initial_state(graph, features, focal, unavailable - {focal}, capacity)
+        assert_step_raises_exactly_off_candidates(state, spec)
+        for pick in picks:
+            selects = candidate_actions(state)[:-1]
+            if not selects:
+                break
+            state, _, _ = step(state, selects[pick % len(selects)], spec)
+            assert_step_raises_exactly_off_candidates(state, spec)
+
+    def test_every_focal_and_group_size(self):
+        # deterministic sweep: each focal trip at capacity 4, co-riders added
+        # lowest id first, checked at every group size along the way
+        graph, features, spec = dense_setup(7)
+        sizes = set()
         for focal in sorted(graph.trips):
-            state = initial_state(graph, features, focal=focal)
-            dist = action_distribution(params, state, candidate_actions(state))
-            assert abs(sum(dist.values()) - 1.0) < 1e-9
+            state = initial_state(graph, features, focal, frozenset({(focal + 3) % 10}), capacity=4)
+            while True:
+                assert_step_raises_exactly_off_candidates(state, spec)
+                sizes.add(len(state.selected))
+                selects = candidate_actions(state)[:-1]
+                if not selects:
+                    break
+                state, _, _ = step(state, selects[0], spec)
+        assert sizes == {0, 1, 2, 3}
 
-    def test_requires_stop_in_candidates(self):
-        graph = weighted_graph({(0, 1): 5.0})
-        features = {i: np.zeros(3) for i in range(2)}
-        params = zero_head_params(3)
-        state = initial_state(graph, features, focal=0)
-        with pytest.raises(ValueError):
-            action_distribution(params, state, [PolicyAction(1)])
+
+class TestScore:
+    def test_rescoring_reproduces_rollout_records(self):
+        graph, features, spec = dense_setup(7)
+        params = randomized_params(np.random.default_rng(3), feature_dim=len(features[0]), hidden=6)
+        records = all_records(rollout(graph, features, params, spec, capacity=3, seed=2))
+        assert any(rec.select_inputs.shape[0] > 1 for rec in records)
+        for rec in records:
+            _, logits, _, value = _score(params, rec.select_inputs, rec.value_input)
+            shifted = logits - logits.max()
+            log_probs = shifted - math.log(np.exp(shifted).sum())
+            assert value == rec.value
+            assert abs(log_probs[rec.action_index] - rec.log_prob) <= 1e-12
+
+    def test_zero_heads_give_uniform_log_probs(self):
+        graph, features, spec = dense_setup(5)
+        params = zero_head_params(len(features[0]))
+        records = all_records(rollout(graph, features, params, spec, capacity=4, seed=1))
+        assert {rec.select_inputs.shape[0] for rec in records} > {0, 1}
+        for rec in records:
+            k = rec.select_inputs.shape[0]
+            assert abs(rec.log_prob + math.log(k + 1)) <= 1e-12
 
 
 class TestStep:

@@ -291,6 +291,23 @@ class TestGroupRouting:
         trips = [trip_on(net, tid, o, d, departure=dep) for tid, o, d, dep in riders]
         assert_same_group_route(net, trips)
 
+    def test_fresh_group_routes_each_leg_once(self, monkeypatch):
+        # 8 x 8 stop pairs minus 8 self-legs and the 4 dropoff -> own pickup
+        # legs; the winning order is read back from the leg matrix
+        net = build_grid_network(4, 4, 1000.0, 10.0)
+        trips = [trip_on(net, 0, 0, 15), trip_on(net, 1, 1, 14), trip_on(net, 2, 4, 11), trip_on(net, 3, 5, 9)]
+        expected = group_route_oracle(net, trips)
+        calls = []
+        distance_time = net.distance_time
+
+        def counted(origin, dest):
+            calls.append((origin, dest))
+            return distance_time(origin, dest)
+
+        monkeypatch.setattr(net, "distance_time", counted)
+        assert route_for_group(net, trips) == expected
+        assert len(calls) == 52
+
     def test_no_route_raised_like_brute_force(self):
         nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
         net = RoadNetwork(nodes, [(0, 1, 1000.0, 100.0), (1, 2, 1000.0, 100.0), (3, 4, 1000.0, 100.0)])

@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ridepool.baselines import check_partition, greedy_matching
+from ridepool.metrics import METRIC_NAMES
 from ridepool.scenario import DemandConfig, NetworkConfig, ScenarioConfig
 from ridepool.shareability import Objective
 from ridepool.tolerance import (
+    SweepCell,
     ToleranceProfile,
     filter_with_draws,
     read_sweep,
@@ -130,6 +132,22 @@ class TestSweep:
         for cell in cells:
             for name, (mean, _) in cell.stats.items():
                 assert by_key[(cell.objective.value, cell.s, name)] == pytest.approx(mean, rel=1e-8)
+
+    def test_s_values_written_losslessly(self, tmp_path):
+        s_values = [0.0, 0.123456789, 0.1234561, 0.1234562, 1.0]
+        stats = {name: (1.0, 0.0) for name in METRIC_NAMES}
+        path = tmp_path / "sweep.txt"
+        write_sweep([SweepCell(Objective.DISTANCE, s, stats) for s in s_values], path)
+        rows = read_sweep(path)
+        assert [r[1] for r in rows[:: len(METRIC_NAMES)]] == s_values
+        assert len(set(rows)) == len(rows)
+        assert [line.split()[2] for line in path.read_text().splitlines()[:: len(METRIC_NAMES)]] == [
+            "0",
+            "0.123456789",
+            "0.1234561",
+            "0.1234562",
+            "1",
+        ]
 
     def test_sensitivity_zero_with_off_profile_matches_unfiltered_pipeline(self):
         from ridepool import pipeline
