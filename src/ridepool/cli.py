@@ -60,6 +60,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable or not UTF-8
+        reason = (exc.strerror or exc) if isinstance(exc, OSError) else exc
+        print(f"config error: {args.config}: {reason}", file=sys.stderr)
+        return 1
     stages = pipeline.STAGES if args.command == "all" else (args.command,)
     try:
         pipeline.run_pipeline(cfg, args.out, stages)

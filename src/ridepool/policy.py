@@ -12,9 +12,15 @@ Selects are legal is decided in one place, `_selectable`; discounted returns
 are formed in one place, `fill_returns`.  Updates use the clipped
 probability-ratio surrogate with exact hand-rolled backprop, which keeps the
 gradients finite-difference checkable.
-"""
 
-import math
+The update is batched: `surrogate_objective` packs SURROGATE_BLOCK recorded
+steps at a time into one segmented logit vector (each step's select rows,
+then its Stop).  Per block `_score` runs one matmul and one tanh over all
+select rows and one over all value inputs, the softmax, log-softmax and
+entropy are `np.maximum.reduceat`/`np.add.reduceat` segment reductions, the
+clip is an elementwise mask, and each gradient is a matmul or sum per head.
+The fixed block size bounds the temporary memory of an update.
+"""
 
 from dataclasses import dataclass, replace
 
@@ -28,6 +34,7 @@ from .tolerance import ToleranceProfile, rejection_cost
 MAX_CAPACITY = 4
 WEIGHT_INPUT_SCALE = 1e-3  # meters/seconds -> O(1) inputs
 VALUE_LOSS_COEFF = 0.5
+SURROGATE_BLOCK = 64  # steps per packed surrogate block; bounds the update's temporary memory
 
 
 class InfeasibleActionError(Exception):
@@ -181,15 +188,15 @@ def candidate_actions(state: MatchState):
 
 def _select_inputs(state: MatchState, select_ids) -> np.ndarray:
     """One row per candidate: focal context + candidate context + scaled edge
-    weight + normalized group size."""
-    fill = len(state.selected) / MAX_CAPACITY
-    rows = []
-    for v in select_ids:
-        edge = state.graph.edge(state.focal, v)
-        candidate_context = state.features[state.graph.trips[v].user_id]
-        weight = edge.weight * WEIGHT_INPUT_SCALE
-        rows.append(np.concatenate([state.context, candidate_context, [weight], [fill]]))
-    return np.array(rows).reshape(len(rows), 2 * len(state.context) + 2)
+    weight + normalized group size, written into one preallocated block."""
+    width = len(state.context)
+    inputs = np.empty((len(select_ids), 2 * width + 2))
+    inputs[:, :width] = state.context
+    for i, v in enumerate(select_ids):
+        inputs[i, width:-2] = state.features[state.graph.trips[v].user_id]
+    inputs[:, -2] = [state.graph.edge(state.focal, v).weight * WEIGHT_INPUT_SCALE for v in select_ids]
+    inputs[:, -1] = len(state.selected) / MAX_CAPACITY
+    return inputs
 
 
 def _value_input(state: MatchState) -> np.ndarray:
@@ -197,17 +204,22 @@ def _value_input(state: MatchState) -> np.ndarray:
     return np.concatenate([state.context, np.zeros_like(state.context), [0.0], [fill]])
 
 
-def _score(params: PolicyParams, select_inputs: np.ndarray, value_input: np.ndarray):
-    """The network's forward pass for one decision.
+def _score(params: PolicyParams, select_inputs: np.ndarray, value_inputs: np.ndarray):
+    """The network's forward pass, over one decision's rows or a packed block.
 
-    Returns the candidates' hidden rows, the logits (one per select row in
-    row order, then Stop), the value input's hidden row and the state value.
+    Returns the candidate rows' hidden layer and logits (in row order; the
+    Stop logit is `params.stop_logit`, placed by the caller), and the value
+    inputs' hidden layer and state values.
     """
-    hidden = np.tanh(select_inputs @ params.w_hidden + params.b_hidden)
-    logits = np.append(hidden @ params.w_logit + float(params.b_logit), float(params.stop_logit))
-    value_hidden = np.tanh(value_input @ params.w_hidden + params.b_hidden)
-    value = float(value_hidden @ params.w_value + float(params.b_value))
-    return hidden, logits, value_hidden, value
+    hidden = select_inputs @ params.w_hidden
+    hidden += params.b_hidden
+    np.tanh(hidden, out=hidden)
+    value_hidden = value_inputs @ params.w_hidden
+    value_hidden += params.b_hidden
+    np.tanh(value_hidden, out=value_hidden)
+    select_logits = hidden @ params.w_logit + float(params.b_logit)
+    values = value_hidden @ params.w_value + float(params.b_value)
+    return hidden, select_logits, value_hidden, values
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -285,10 +297,10 @@ def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
             select_ids = [a.trip_id for a in candidate_actions(state)[:-1]]
             inputs = _select_inputs(state, select_ids)
             value_input = _value_input(state)
-            _, logits, _, value = _score(params, inputs, value_input)
-            probs = _softmax(logits)
+            _, select_logits, _, value = _score(params, inputs, value_input)
+            probs = _softmax(np.append(select_logits, float(params.stop_logit)))
             index = pick(probs)
-            record = StepRecord(inputs, value_input, index, float(np.log(probs[index])), 0.0, value)
+            record = StepRecord(inputs, value_input, index, float(np.log(probs[index])), 0.0, float(value))
             records.append(record)
             if index == len(select_ids):
                 break
@@ -323,59 +335,86 @@ def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
 def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig):
     """Mean clipped-surrogate objective with entropy bonus and value penalty,
     plus its exact gradient.  Maximized by ppo_update; finite-difference
-    checkable as one scalar function of the parameters."""
+    checkable as one scalar function of the parameters.
+
+    The steps are packed SURROGATE_BLOCK at a time (see _surrogate_block), so
+    the numpy work runs once per block, not once per step."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     total = 0.0
-    eps = cfg.clip_epsilon
-    for rec in steps:
-        advantage = rec.return_ - rec.value
-        inputs = rec.select_inputs
-        k = inputs.shape[0]
-        hidden, logits, value_hidden, value = _score(params, inputs, rec.value_input)
-        shifted = logits - logits.max()
-        log_z = math.log(np.exp(shifted).sum())
-        log_probs = shifted - log_z
-        probs = np.exp(log_probs)
-        idx = rec.action_index
-
-        ratio = math.exp(log_probs[idx] - rec.log_prob)
-        unclipped = ratio * advantage
-        clipped = min(max(ratio, 1.0 - eps), 1.0 + eps) * advantage
-        surrogate = min(unclipped, clipped)
-        entropy = float(-(probs * log_probs).sum())
-        value_error = value - rec.return_
-        total += surrogate + cfg.entropy_coeff * entropy - VALUE_LOSS_COEFF * value_error**2
-
-        # d(surrogate)/d(logits): flows only while the unclipped branch is active
-        g_logits = np.zeros(k + 1)
-        if unclipped <= clipped:
-            one_hot = np.zeros(k + 1)
-            one_hot[idx] = 1.0
-            g_logits += ratio * advantage * (one_hot - probs)
-        g_logits += cfg.entropy_coeff * (-probs * (log_probs + entropy))
-
-        grads["stop_logit"] += g_logits[-1]
-        g_select = g_logits[:-1]
-        if k:
-            grads["w_logit"] += hidden.T @ g_select
-            grads["b_logit"] += g_select.sum()
-            d_hidden = np.outer(g_select, params.w_logit)
-            d_pre = d_hidden * (1.0 - hidden**2)
-            grads["w_hidden"] += inputs.T @ d_pre
-            grads["b_hidden"] += d_pre.sum(axis=0)
-
-        d_value = -VALUE_LOSS_COEFF * 2.0 * value_error
-        grads["w_value"] += d_value * value_hidden
-        grads["b_value"] += d_value
-        d_value_hidden = d_value * params.w_value
-        d_value_pre = d_value_hidden * (1.0 - value_hidden**2)
-        grads["w_hidden"] += np.outer(rec.value_input, d_value_pre)
-        grads["b_hidden"] += d_value_pre
-
+    for start in range(0, len(steps), SURROGATE_BLOCK):
+        total += _surrogate_block(params, steps[start : start + SURROGATE_BLOCK], cfg, grads)
     n = len(steps)
     for name in grads:
         grads[name] /= n
     return total / n, grads
+
+
+def _surrogate_block(params: PolicyParams, block, cfg: PPOConfig, grads) -> float:
+    """Summed surrogate of a block of steps; adds its gradient to `grads`.
+
+    Each step is one segment of the packed logits: its select rows in row
+    order, then Stop.  The select rows of all steps are stacked into one
+    matrix and their value inputs into another, so `_score` runs once per
+    block, and the softmax, log-softmax and entropy are segment reductions
+    (`reduceat` over the segment starts).
+    """
+    sizes = np.array([rec.select_inputs.shape[0] + 1 for rec in block])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    stops = ends - 1
+    selects = np.ones(ends[-1], dtype=bool)
+    selects[stops] = False
+    action_index, old_log_prob, returns, old_value = np.array(
+        [(rec.action_index, rec.log_prob, rec.return_, rec.value) for rec in block]
+    ).T
+    chosen = starts + action_index.astype(np.intp)
+
+    select_rows = np.concatenate([rec.select_inputs for rec in block])
+    value_rows = np.array([rec.value_input for rec in block])
+    select_hidden, select_logits, value_hidden, values = _score(params, select_rows, value_rows)
+    logits = np.empty(ends[-1])
+    logits[selects] = select_logits
+    logits[stops] = float(params.stop_logit)
+
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), sizes)
+    log_probs = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), sizes)
+    probs = np.exp(log_probs)
+    entropy = -np.add.reduceat(probs * log_probs, starts)
+    ratio = np.exp(log_probs[chosen] - old_log_prob)
+    advantage = returns - old_value
+    unclipped = ratio * advantage
+    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantage
+    value_error = values - returns
+    total = float(
+        (np.minimum(unclipped, clipped) + cfg.entropy_coeff * entropy - VALUE_LOSS_COEFF * value_error**2).sum()
+    )
+
+    # d(surrogate)/d(logits): flows only while the unclipped branch is active
+    one_hot = np.zeros(ends[-1])
+    one_hot[chosen] = 1.0
+    gain = np.where(unclipped <= clipped, unclipped, 0.0)
+    g_logits = np.repeat(gain, sizes) * (one_hot - probs)
+    g_logits += cfg.entropy_coeff * (-probs * (log_probs + np.repeat(entropy, sizes)))
+    g_select = g_logits[selects]
+    grads["stop_logit"] += g_logits[stops].sum()
+    grads["w_logit"] += select_hidden.T @ g_select
+    grads["b_logit"] += g_select.sum()
+
+    d_value = -VALUE_LOSS_COEFF * 2.0 * value_error
+    grads["w_value"] += value_hidden.T @ d_value
+    grads["b_value"] += d_value.sum()
+
+    # back through each head into the shared layer; (1 - h^2) is written over h
+    for rows, h, upstream, head in (
+        (select_rows, select_hidden, g_select, params.w_logit),
+        (value_rows, value_hidden, d_value, params.w_value),
+    ):
+        d_pre = np.subtract(1.0, np.square(h, out=h), out=h)
+        d_pre *= upstream[:, None]
+        d_pre *= head
+        grads["w_hidden"] += rows.T @ d_pre
+        grads["b_hidden"] += d_pre.sum(axis=0)
+    return total
 
 
 def fill_returns(episodes, gamma):

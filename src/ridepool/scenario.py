@@ -261,7 +261,7 @@ def load_config(path=None, text=None) -> ScenarioConfig:
         if text is not None:
             parser.read_string(text, source)
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh, source)
     except configparser.Error as exc:
         raise _syntax_error(exc, source) from exc

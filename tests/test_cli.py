@@ -271,6 +271,18 @@ class TestPipeline:
         missing = tmp_path / "nope.ini"
         assert run_cli(["gen", "--config", str(missing), "--out", str(tmp_path / "x")]) == 1
 
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert run_cli(["gen", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[run]\nseed = \xff\n")
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {path}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_gen_and_graph(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(SMALL_CONFIG)

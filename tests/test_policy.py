@@ -2,6 +2,8 @@ import copy
 import functools
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,11 @@ from hypothesis import strategies as st
 
 from ridepool.baselines import brute_force_optimal, check_partition
 from ridepool.policy import (
+    MAX_CAPACITY,
     STOP,
+    SURROGATE_BLOCK,
+    VALUE_LOSS_COEFF,
+    WEIGHT_INPUT_SCALE,
     InfeasibleActionError,
     MatchState,
     PPOConfig,
@@ -71,7 +77,7 @@ def random_step_records(rng, params, n_steps):
     for _ in range(n_steps):
         k = int(rng.integers(0, 4))
         inputs = rng.normal(0.0, 1.0, size=(k, input_dim))
-        _, logits, _, _ = _score(params, inputs, np.zeros(input_dim))
+        _, logits, _, _ = score_one(params, inputs, np.zeros(input_dim))
         probs = _softmax(logits)
         index = int(rng.integers(0, k + 1))
         records.append(
@@ -88,6 +94,121 @@ def random_step_records(rng, params, n_steps):
     return records
 
 
+def score_one(params, select_inputs, value_input):
+    """Oracle forward pass for one decision: hidden rows, logits (the select
+    rows in row order, then Stop), value hidden row and state value."""
+    hidden = np.tanh(select_inputs @ params.w_hidden + params.b_hidden)
+    logits = np.append(hidden @ params.w_logit + float(params.b_logit), float(params.stop_logit))
+    value_hidden = np.tanh(value_input @ params.w_hidden + params.b_hidden)
+    value = float(value_hidden @ params.w_value + float(params.b_value))
+    return hidden, logits, value_hidden, value
+
+
+def surrogate_objective_per_step(params: PolicyParams, steps, cfg: PPOConfig):
+    """Oracle: the clipped surrogate and its gradient, one step at a time."""
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    total = 0.0
+    eps = cfg.clip_epsilon
+    for rec in steps:
+        advantage = rec.return_ - rec.value
+        inputs = rec.select_inputs
+        k = inputs.shape[0]
+        hidden, logits, value_hidden, value = score_one(params, inputs, rec.value_input)
+        shifted = logits - logits.max()
+        log_z = math.log(np.exp(shifted).sum())
+        log_probs = shifted - log_z
+        probs = np.exp(log_probs)
+        idx = rec.action_index
+
+        ratio = math.exp(log_probs[idx] - rec.log_prob)
+        unclipped = ratio * advantage
+        clipped = min(max(ratio, 1.0 - eps), 1.0 + eps) * advantage
+        surrogate = min(unclipped, clipped)
+        entropy = float(-(probs * log_probs).sum())
+        value_error = value - rec.return_
+        total += surrogate + cfg.entropy_coeff * entropy - VALUE_LOSS_COEFF * value_error**2
+
+        # d(surrogate)/d(logits): flows only while the unclipped branch is active
+        g_logits = np.zeros(k + 1)
+        if unclipped <= clipped:
+            one_hot = np.zeros(k + 1)
+            one_hot[idx] = 1.0
+            g_logits += ratio * advantage * (one_hot - probs)
+        g_logits += cfg.entropy_coeff * (-probs * (log_probs + entropy))
+
+        grads["stop_logit"] += g_logits[-1]
+        g_select = g_logits[:-1]
+        if k:
+            grads["w_logit"] += hidden.T @ g_select
+            grads["b_logit"] += g_select.sum()
+            d_hidden = np.outer(g_select, params.w_logit)
+            d_pre = d_hidden * (1.0 - hidden**2)
+            grads["w_hidden"] += inputs.T @ d_pre
+            grads["b_hidden"] += d_pre.sum(axis=0)
+
+        d_value = -VALUE_LOSS_COEFF * 2.0 * value_error
+        grads["w_value"] += d_value * value_hidden
+        grads["b_value"] += d_value
+        d_value_hidden = d_value * params.w_value
+        d_value_pre = d_value_hidden * (1.0 - value_hidden**2)
+        grads["w_hidden"] += np.outer(rec.value_input, d_value_pre)
+        grads["b_hidden"] += d_value_pre
+
+    n = len(steps)
+    for name in grads:
+        grads[name] /= n
+    return total / n, grads
+
+
+def assert_matches_per_step(params, steps, cfg):
+    """rtol 1e-12; entries that cancel to near zero, where summation order
+    alone moves the last bits, get an absolute floor of 1e-12 times the
+    largest magnitude in the result."""
+    total, grads = surrogate_objective(params, steps, cfg)
+    ref_total, ref_grads = surrogate_objective_per_step(params, steps, cfg)
+    atol = 1e-12 * max([abs(ref_total)] + [np.abs(g).max() for g in ref_grads.values()])
+    np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=atol)
+    for name in PolicyParams.ARRAY_NAMES:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=atol, err_msg=name)
+
+
+def select_inputs_rowwise(state, select_ids):
+    """Oracle: the candidate block built one concatenated row at a time."""
+    fill = len(state.selected) / MAX_CAPACITY
+    rows = []
+    for v in select_ids:
+        edge = state.graph.edge(state.focal, v)
+        candidate_context = state.features[state.graph.trips[v].user_id]
+        weight = edge.weight * WEIGHT_INPUT_SCALE
+        rows.append(np.concatenate([state.context, candidate_context, [weight], [fill]]))
+    return np.array(rows).reshape(len(rows), 2 * len(state.context) + 2)
+
+
+def perturbed(params, rng, scale):
+    theta = flatten_params(params)
+    return unflatten_params(theta + rng.normal(0.0, scale, size=theta.size), params)
+
+
+@functools.lru_cache(maxsize=None)
+def setup_150():
+    """A routed 150-trip instance dense enough for 3- and 4-rider groups."""
+    _, trips, graph = scenario_instance(
+        seed=11, n_trips=150, rows=6, cols=6, user_mod=60, departure_span=900.0
+    )
+    features = features_for(trips)
+    params = randomized_params(np.random.default_rng(4), feature_dim=len(features[0]), hidden=8)
+    return graph, features, RewardSpec(objective=graph.objective), params
+
+
+@functools.lru_cache(maxsize=None)
+def rollout_150(capacity, seed=1):
+    """Sampled pass over `setup_150` with its returns filled in."""
+    graph, features, spec, params = setup_150()
+    result = rollout(graph, features, params, spec, capacity=capacity, seed=seed)
+    fill_returns(result.episodes, 1.0)
+    return result
+
+
 def randomized_params(rng, feature_dim=3, hidden=5):
     params = init_policy_params(feature_dim, hidden=hidden, seed=int(rng.integers(1 << 30)))
     params.w_logit[:] = rng.normal(0.0, 0.5, size=hidden)
@@ -98,17 +219,11 @@ def randomized_params(rng, feature_dim=3, hidden=5):
     return params
 
 
-def gradient_check(draw_seed, h=1e-5):
-    """Worst relative error between backprop and central differences on one
-    random parameter/trajectory draw."""
-    rng = np.random.default_rng(draw_seed)
-    params = randomized_params(rng)
-    records = random_step_records(rng, params, n_steps=4)
-    # evaluate near (not at) the rollout parameters so ratios stray from 1
-    theta = flatten_params(params) + rng.normal(0.0, 0.01, size=flatten_params(params).size)
-    eval_params = unflatten_params(theta, params)
-    cfg = PPOConfig(entropy_coeff=0.01)
-    _, grads = surrogate_objective(eval_params, records, cfg)
+def worst_fd_error(params, records, cfg, h=1e-5):
+    """Worst relative error between backprop and central differences of the
+    surrogate at `params`, over every parameter."""
+    theta = flatten_params(params)
+    _, grads = surrogate_objective(params, records, cfg)
     analytic = np.concatenate([np.asarray(grads[n]).ravel() for n in PolicyParams.ARRAY_NAMES])
     worst = 0.0
     for i in range(theta.size):
@@ -120,6 +235,64 @@ def gradient_check(draw_seed, h=1e-5):
         fd = (j_up - j_down) / (2.0 * h)
         worst = max(worst, abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6))
     return worst
+
+
+def gradient_check(draw_seed, h=1e-5):
+    """Worst relative error between backprop and central differences on one
+    random parameter/trajectory draw."""
+    rng = np.random.default_rng(draw_seed)
+    params = randomized_params(rng)
+    records = random_step_records(rng, params, n_steps=4)
+    # evaluate near (not at) the rollout parameters so ratios stray from 1
+    theta = flatten_params(params) + rng.normal(0.0, 0.01, size=flatten_params(params).size)
+    return worst_fd_error(unflatten_params(theta, params), records, PPOConfig(entropy_coeff=0.01), h)
+
+
+def clip_branches(params, steps, eps):
+    """Per step: (advantage > 0, unclipped branch active)."""
+    branches = []
+    for rec in steps:
+        _, logits, _, _ = score_one(params, rec.select_inputs, rec.value_input)
+        shifted = logits - logits.max()
+        ratio = math.exp(shifted[rec.action_index] - math.log(np.exp(shifted).sum()) - rec.log_prob)
+        advantage = rec.return_ - rec.value
+        active = ratio * advantage <= min(max(ratio, 1.0 - eps), 1.0 + eps) * advantage
+        branches.append((advantage > 0, active))
+    return set(branches)
+
+
+def drawn_steps(rng, params, n_steps, stop_only, offset, eps):
+    """Synthetic decisions whose ratios at `params` are placed so that step i
+    is case (i + offset) % 4 of (advantage sign) x (clip branch)."""
+    records = []
+    for i in range(n_steps):
+        k = 0 if stop_only else int(rng.integers(0, 5))
+        inputs = rng.normal(0.0, 1.0, size=(k, params.input_dim))
+        value_input = rng.normal(0.0, 1.0, size=params.input_dim)
+        _, logits, _, _ = score_one(params, inputs, value_input)
+        shifted = logits - logits.max()
+        log_probs = shifted - math.log(np.exp(shifted).sum())
+        index = int(rng.integers(0, k + 1))
+        positive, clipped = divmod((i + offset) % 4, 2)
+        # the clipped branch is the min past 1 + eps for A > 0, below 1 - eps for A < 0
+        if positive:
+            ratio = rng.uniform(1.0 + eps, 2.0) if clipped else rng.uniform(0.3, 1.0 + eps)
+        else:
+            ratio = rng.uniform(0.3, 1.0 - eps) if clipped else rng.uniform(1.0 - eps, 2.0)
+        advantage = rng.uniform(0.1, 3.0) * (1.0 if positive else -1.0)
+        value = float(rng.normal())
+        records.append(
+            StepRecord(
+                select_inputs=inputs,
+                value_input=value_input,
+                action_index=index,
+                log_prob=float(log_probs[index] - math.log(ratio)),
+                reward=0.0,
+                value=value,
+                return_=value + advantage,
+            )
+        )
+    return records
 
 
 class TestCandidateActions:
@@ -257,11 +430,19 @@ class TestScore:
         records = all_records(rollout(graph, features, params, spec, capacity=3, seed=2))
         assert any(rec.select_inputs.shape[0] > 1 for rec in records)
         for rec in records:
-            _, logits, _, value = _score(params, rec.select_inputs, rec.value_input)
+            _, select_logits, _, value = _score(params, rec.select_inputs, rec.value_input)
+            logits = np.append(select_logits, float(params.stop_logit))
             shifted = logits - logits.max()
             log_probs = shifted - math.log(np.exp(shifted).sum())
             assert value == rec.value
             assert abs(log_probs[rec.action_index] - rec.log_prob) <= 1e-12
+        # the same forward pass over all records packed at once
+        packed = _score(
+            params,
+            np.concatenate([rec.select_inputs for rec in records]),
+            np.array([rec.value_input for rec in records]),
+        )
+        np.testing.assert_allclose(packed[3], [rec.value for rec in records], rtol=1e-12)
 
     def test_zero_heads_give_uniform_log_probs(self):
         graph, features, spec = dense_setup(5)
@@ -391,6 +572,27 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(graph, features, params, RewardSpec(objective=Objective.TIME), seed=0)
 
+    @pytest.mark.parametrize("capacity", (2, 3, 4))
+    def test_select_inputs_match_row_wise_build(self, capacity):
+        # replay each episode of the rollout and rebuild every candidate block row by row
+        graph, features, spec, _ = setup_150()
+        episodes = iter(rollout_150(capacity).episodes)
+        assigned = set()
+        for focal in sorted(graph.trips):
+            if focal in assigned:
+                continue
+            state = initial_state(graph, features, focal, frozenset(assigned), capacity)
+            for rec in next(episodes):
+                select_ids = [a.trip_id for a in candidate_actions(state)[:-1]]
+                expected = select_inputs_rowwise(state, select_ids)
+                assert rec.select_inputs.dtype == expected.dtype
+                assert rec.select_inputs.shape == expected.shape
+                assert rec.select_inputs.tobytes() == expected.tobytes()
+                if rec.action_index < len(select_ids):
+                    state, _, _ = step(state, PolicyAction(select_ids[rec.action_index]), spec)
+            assigned.update((focal,) + state.selected)
+        assert next(episodes, None) is None
+
 
 class TestPPOUpdate:
     def test_zero_advantages_leave_params_unchanged(self):
@@ -442,6 +644,51 @@ class TestPPOUpdate:
         ]
         fill_returns([recs], gamma=0.5)
         assert [r.return_ for r in recs] == [1.0 + 0.5 * (2.0 + 0.5 * 4.0), 2.0 + 0.5 * 4.0, 4.0]
+
+
+class TestBatchedSurrogate:
+    """`surrogate_objective` packs steps into blocks; it must agree with the
+    per-step oracle to rounding and stay finite-difference exact."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.sampled_from((1, 2, SURROGATE_BLOCK - 1, SURROGATE_BLOCK, SURROGATE_BLOCK + 1)),
+        stop_only=st.booleans(),
+        offset=st.integers(0, 3),
+        entropy_coeff=st.sampled_from((0.0, 0.01, 0.5)),
+    )
+    def test_matches_per_step_oracle(self, seed, n_steps, stop_only, offset, entropy_coeff):
+        rng = np.random.default_rng(seed)
+        params = randomized_params(rng)
+        cfg = PPOConfig(entropy_coeff=entropy_coeff)
+        steps = drawn_steps(rng, params, n_steps, stop_only, offset, cfg.clip_epsilon)
+        cases = {((i + offset) % 4 >= 2, (i + offset) % 2 == 0) for i in range(n_steps)}
+        assert clip_branches(params, steps, cfg.clip_epsilon) == cases
+        assert_matches_per_step(params, steps, cfg)
+
+    @pytest.mark.parametrize("capacity", (2, 3, 4))
+    def test_matches_per_step_oracle_on_rollout_records(self, capacity):
+        _, _, _, params = setup_150()
+        steps = all_records(rollout_150(capacity, seed=1)) + all_records(rollout_150(capacity, seed=2))
+        assert len(steps) > SURROGATE_BLOCK
+        assert {rec.select_inputs.shape[0] for rec in steps} > {0, 1, 10}
+        assert_matches_per_step(perturbed(params, np.random.default_rng(capacity), 0.05), steps, PPOConfig())
+
+    def test_gradient_matches_finite_differences_on_rollout_records(self):
+        # returns in km, not m: at |J| ~ 1e6 the differences' rounding, not
+        # the gradient, would decide the relative error of small components
+        _, _, _, params = setup_150()
+        steps = [
+            replace(rec, return_=rec.return_ * WEIGHT_INPUT_SCALE)
+            for seed in (1, 2, 3)
+            for rec in all_records(rollout_150(3, seed))
+        ]
+        assert len(steps) > 2 * SURROGATE_BLOCK
+        eval_params = perturbed(params, np.random.default_rng(8), 0.2)
+        cfg = PPOConfig()
+        assert len(clip_branches(eval_params, steps, cfg.clip_epsilon)) == 4
+        assert worst_fd_error(eval_params, steps, cfg) < 1e-4
 
 
 class TestMatchAll:
