@@ -2,11 +2,14 @@
 
 Locations are grid-encoded; visiting a cell links the user to it.  Feature
 vectors come from layered propagation over the degree-normalized bipartite
-adjacency:
+adjacency L (users first, then cells):
 
-    E_l = act((L + I) @ E_{l-1} @ W1_l + (L @ E_{l-1}) * (E_{l-1} @ W2_l))
+    E_l = act((L @ E_{l-1} + E_{l-1}) @ W1_l + (L @ E_{l-1}) * (E_{l-1} @ W2_l))
 
-with `*` element-wise.  Per-layer user rows are concatenated into the final
+with `*` element-wise.  L is zero outside its user x cell block, so it is kept
+as that block alone (`BipartiteLaplacian`, the sparse propagation of
+LightGCN, He et al. 2020): memory grows with users x cells, not with
+(users + cells)^2.  Per-layer user rows are concatenated into the final
 context vector, layer 0 included.  No supervised training happens here:
 weights are seeded random and fixed, which keeps runs reproducible; plugging
 in a trained initializer is an extension point, not a requirement.
@@ -84,7 +87,6 @@ class EmbeddingConfig:
     activation: str = "relu"
     init_seed: int = 0
     init_scale: float = 0.1
-    convergence_eps: float = 0.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -107,43 +109,59 @@ def build_interaction_matrix(trips, grid: GridIndex) -> InteractionMatrix:
     return InteractionMatrix(user_ids=user_ids, matrix=A, grid=grid)
 
 
-def build_laplacian(interactions: InteractionMatrix) -> np.ndarray:
-    """Symmetric degree-normalized bipartite adjacency D^-1/2 B D^-1/2.
-
-    B stacks users then cells; zero-degree rows stay zero instead of dividing
-    by zero.
+@dataclass(frozen=True, eq=False)
+class BipartiteLaplacian:
+    """The symmetric normalized adjacency D^-1/2 B D^-1/2 of the bipartite
+    graph B (users, then cells), held as its only nonzero block
+    `D_u^-1/2 A D_c^-1/2` (users x cells).  `lap @ E` multiplies as the full
+    (users + cells)^2 matrix would.
     """
-    A = interactions.matrix.astype(np.float64)
-    n_users, n_cells = A.shape
-    n = n_users + n_cells
-    B = np.zeros((n, n), dtype=np.float64)
-    B[:n_users, n_users:] = A
-    B[n_users:, :n_users] = A.T
-    degree = B.sum(axis=1)
+
+    block: np.ndarray
+
+    @property
+    def shape(self):
+        n = sum(self.block.shape)
+        return (n, n)
+
+    @property
+    def nbytes(self):
+        return self.block.nbytes
+
+    def __matmul__(self, other):
+        n_users = self.block.shape[0]
+        return np.vstack((self.block @ other[n_users:], self.block.T @ other[:n_users]))
+
+
+def _inv_sqrt(degree):
     with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(degree > 0.0, 1.0 / np.sqrt(degree), 0.0)
-    return inv_sqrt[:, None] * B * inv_sqrt[None, :]
+        return np.where(degree > 0.0, 1.0 / np.sqrt(degree), 0.0)
 
 
-def propagate(prev: np.ndarray, lap: np.ndarray, w1: np.ndarray, w2: np.ndarray, activation="relu") -> np.ndarray:
-    """One propagation layer; `activation` is a name from relu/sigmoid/linear."""
+def build_laplacian(interactions: InteractionMatrix) -> BipartiteLaplacian:
+    """Degree-normalized user x cell block; zero-degree users and cells keep
+    zero rows and columns instead of dividing by zero."""
+    A = interactions.matrix.astype(np.float64)
+    return BipartiteLaplacian(_inv_sqrt(A.sum(axis=1))[:, None] * A * _inv_sqrt(A.sum(axis=0))[None, :])
+
+
+def propagate(prev: np.ndarray, lap, w1: np.ndarray, w2: np.ndarray, activation="relu") -> np.ndarray:
+    """One propagation layer; `lap` is a dense matrix or a `BipartiteLaplacian`
+    and `activation` a name from relu/sigmoid/linear."""
     n, d = prev.shape
     if lap.shape != (n, n):
         raise ValueError(f"laplacian shape {lap.shape} does not match embeddings {prev.shape}")
     if w1.shape != (d, d) or w2.shape != (d, d):
         raise ValueError(f"weight shapes {w1.shape}/{w2.shape} do not match dim {d}")
     act = _ACTIVATIONS[activation] if isinstance(activation, str) else activation
-    identity_term = (lap + np.eye(n)) @ prev @ w1
-    interaction_term = (lap @ prev) * (prev @ w2)
-    return act(identity_term + interaction_term)
+    lp = lap @ prev
+    return act((lp + prev) @ w1 + lp * (prev @ w2))
 
 
 def compute_user_features(trips, grid: GridIndex, cfg: EmbeddingConfig) -> dict:
     """Seeded propagation over the trips' interaction graph.
 
-    Returns user_id -> concatenated per-layer rows.  Stops early once the
-    max-abs change between consecutive layers drops below convergence_eps
-    (the default 0.0 never triggers, so all `layers` iterations run).
+    Returns user_id -> concatenated per-layer rows.
     """
     interactions = build_interaction_matrix(trips, grid)
     lap = build_laplacian(interactions)
@@ -153,11 +171,7 @@ def compute_user_features(trips, grid: GridIndex, cfg: EmbeddingConfig) -> dict:
     for _ in range(cfg.layers):
         w1 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.dim, cfg.dim))
         w2 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.dim, cfg.dim))
-        nxt = propagate(layers[-1], lap, w1, w2, cfg.activation)
-        delta = float(np.max(np.abs(nxt - layers[-1])))
-        layers.append(nxt)
-        if delta < cfg.convergence_eps:
-            break
+        layers.append(propagate(layers[-1], lap, w1, w2, cfg.activation))
     stacked = np.concatenate(layers, axis=1)
     return {uid: stacked[i].copy() for i, uid in enumerate(interactions.user_ids)}
 

@@ -4,8 +4,17 @@ Each stage reads the flat-file artifacts of earlier stages and writes its
 own, so `gen -> graph -> embed -> train -> match -> evaluate` is fully
 file-driven; `sweep` runs in memory.  All stages rewrite the run manifest
 (config echo + version + seed) and are byte-deterministic for a fixed config.
+
+One `run_pipeline` call parses each input artifact at most once: its
+`RunArtifacts` parses `network.txt`, `trips.txt`, `graph.txt` and
+`features.txt` the first time a stage asks and hands the same objects to
+every later stage, so one `RoadNetwork` (and its shortest-path cache) serves
+the whole call.  Every artifact is written by one stage that precedes all of
+its readers in `STAGES`, so a parse is never stale.  Separate stage calls
+(`ridepool graph`, then `ridepool embed`, ...) each parse their inputs anew.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -120,49 +129,62 @@ def read_matching(path):
     return groups
 
 
-def stage_gen(cfg: ScenarioConfig, out_dir):
+class RunArtifacts:
+    """The parsed input artifacts of one `run_pipeline` call.
+
+    Each is parsed from `out_dir` the first time a stage asks for it and kept
+    for the rest of the call; nothing outlives the call.  Stages share the
+    parsed objects, so they read them and never modify them.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, out_dir):
+        self.cfg = cfg
+        self.out_dir = out_dir
+
+    @functools.cached_property
+    def net(self):
+        return read_network(_artifact(self.out_dir, NETWORK_FILE, "gen"))
+
+    @functools.cached_property
+    def trips(self):
+        return read_trips(_artifact(self.out_dir, TRIPS_FILE, "gen"), self.net)
+
+    @functools.cached_property
+    def graph(self):
+        return read_graph(_artifact(self.out_dir, GRAPH_FILE, "graph"), self.net, self.trips, self.cfg.objective)
+
+    @functools.cached_property
+    def features(self):
+        features = embedding_mod.read_features(_artifact(self.out_dir, FEATURES_FILE, "embed"))
+        missing = sorted({t.user_id for t in self.trips} - set(features))
+        if missing:
+            raise ValueError(f"features file does not cover users {missing}")
+        return features
+
+
+def stage_gen(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     net, trips = generate_scenario(cfg)
     write_network(net, os.path.join(out_dir, NETWORK_FILE))
     write_trips(trips, os.path.join(out_dir, TRIPS_FILE))
 
 
-def _load_net_trips(cfg, out_dir):
-    net = read_network(_artifact(out_dir, NETWORK_FILE, "gen"))
-    trips = read_trips(_artifact(out_dir, TRIPS_FILE, "gen"), net)
-    return net, trips
-
-
-def stage_graph(cfg: ScenarioConfig, out_dir):
-    net, trips = _load_net_trips(cfg, out_dir)
-    graph = build_shareability_graph(net, trips, cfg.objective, cfg.constraints)
+def stage_graph(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
+    graph = build_shareability_graph(artifacts.net, artifacts.trips, cfg.objective, cfg.constraints)
     write_graph(graph, os.path.join(out_dir, GRAPH_FILE))
 
 
-def stage_embed(cfg: ScenarioConfig, out_dir):
-    net, trips = _load_net_trips(cfg, out_dir)
-    features = embed_trips(trips, cfg)
+def stage_embed(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
+    features = embed_trips(artifacts.trips, cfg)
     embedding_mod.write_features(features, os.path.join(out_dir, FEATURES_FILE))
 
 
-def _load_graph_features(cfg, out_dir):
-    net, trips = _load_net_trips(cfg, out_dir)
-    graph = read_graph(_artifact(out_dir, GRAPH_FILE, "graph"), net, trips, cfg.objective)
-    features = embedding_mod.read_features(_artifact(out_dir, FEATURES_FILE, "embed"))
-    users = {t.user_id for t in trips}
-    missing = sorted(users - set(features))
-    if missing:
-        raise ValueError(f"features file does not cover users {missing}")
-    return net, trips, graph, features
-
-
-def stage_train(cfg: ScenarioConfig, out_dir):
-    _, _, graph, features = _load_graph_features(cfg, out_dir)
-    params, _ = train_scenario(graph, features, cfg)
+def stage_train(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
+    params, _ = train_scenario(artifacts.graph, artifacts.features, cfg)
     policy_mod.write_policy(params, os.path.join(out_dir, POLICY_FILE))
 
 
-def stage_match(cfg: ScenarioConfig, out_dir):
-    _, _, graph, features = _load_graph_features(cfg, out_dir)
+def stage_match(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
+    graph, features = artifacts.graph, artifacts.features
     params = policy_mod.read_policy(_artifact(out_dir, POLICY_FILE, "train"))
     spec = reward_spec(cfg)
     solution = policy_mod.match_all(graph, features, params, spec, capacity=cfg.capacity)
@@ -173,10 +195,10 @@ def stage_match(cfg: ScenarioConfig, out_dir):
     write_matching(solution, os.path.join(out_dir, MATCHING_FILE))
 
 
-def stage_evaluate(cfg: ScenarioConfig, out_dir):
-    net, trips = _load_net_trips(cfg, out_dir)
+def stage_evaluate(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
+    artifacts.trips  # a missing trips file is named before a missing matching
     groups = read_matching(_artifact(out_dir, MATCHING_FILE, "match"))
-    graph = read_graph(_artifact(out_dir, GRAPH_FILE, "graph"), net, trips, cfg.objective)
+    graph = artifacts.graph
     groups = baselines.canonical_groups(groups)
     baselines.check_partition(graph, groups, capacity=cfg.capacity)
     routes = {g: graph.group_route(g) for g in groups}
@@ -192,7 +214,7 @@ def stage_evaluate(cfg: ScenarioConfig, out_dir):
     return report
 
 
-def stage_sweep(cfg: ScenarioConfig, out_dir):
+def stage_sweep(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     cells = tolerance_mod.sensitivity_sweep(
         cfg,
         s_values=cfg.sweep_s_values,
@@ -216,15 +238,17 @@ _STAGE_FUNCS = {
 
 
 def run_pipeline(cfg: ScenarioConfig, out_dir, stages):
-    """Run the named stages in pipeline order, writing the manifest once."""
+    """Run the named stages in pipeline order, writing the manifest once and
+    parsing each input artifact at most once."""
     validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     write_manifest(cfg, out_dir)
     order = [s for s in STAGES if s in stages]
     if not order:
         raise ValueError(f"no valid stages in {stages}")
+    artifacts = RunArtifacts(cfg, out_dir)
     for name in order:
-        _STAGE_FUNCS[name](cfg, out_dir)
+        _STAGE_FUNCS[name](cfg, out_dir, artifacts)
 
 
 def objective_report(cfg: ScenarioConfig, objectives=None):

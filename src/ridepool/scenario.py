@@ -208,7 +208,6 @@ _SCHEMA = (
     ("embedding", "layers", "embedding.layers", _INT),
     ("embedding", "activation", "embedding.activation", _STR),
     ("embedding", "init_scale", "embedding.init_scale", _FLOAT),
-    ("embedding", "convergence_eps", "embedding.convergence_eps", _FLOAT),
     ("embedding", "cell_size_deg", "grid_cell_deg", _FLOAT),
     ("ppo", "clip_epsilon", "ppo.clip_epsilon", _FLOAT),
     ("ppo", "learning_rate", "ppo.learning_rate", _FLOAT),

@@ -1,3 +1,4 @@
+import collections
 import configparser
 import os
 import subprocess
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ridepool import pipeline
+from ridepool import embedding, pipeline
 from ridepool.cli import main
-from ridepool.geo import read_network
+from ridepool.geo import RoadNetwork, read_network
 from ridepool.metrics import METRIC_NAMES, read_report_csv, read_report_json
 from ridepool.scenario import (
     _SCHEMA,
@@ -331,6 +332,68 @@ class TestPipeline:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / pipeline.NETWORK_FILE).exists()
+
+
+CAPACITY3_TOLERANCE_CONFIG = SMALL_CONFIG.replace("[run]\n", "[run]\ncapacity = 3\n") + (
+    "\n[tolerance]\nenabled = true\ntau0_s = 900\n"
+)
+
+
+def read_dir(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+class TestRunArtifacts:
+    @pytest.mark.parametrize(
+        "text", [SMALL_CONFIG, CAPACITY3_TOLERANCE_CONFIG], ids=["capacity2", "capacity3-tolerance"]
+    )
+    def test_all_matches_separate_stage_calls_and_stale_directory(self, text, tmp_path):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text)
+        common = ["--config", str(cfg_path), "--out"]
+        assert run_cli(["all", *common, str(tmp_path / "all")]) == 0
+        for stage in pipeline.STAGES:
+            assert run_cli([stage, *common, str(tmp_path / "stages")]) == 0
+        assert run_cli(["all", "--seed", "8", *common, str(tmp_path / "stale")]) == 0
+        other_seed = read_dir(tmp_path / "stale")
+        assert run_cli(["all", *common, str(tmp_path / "stale")]) == 0
+        expected = read_dir(tmp_path / "all")
+        assert read_dir(tmp_path / "stages") == expected
+        assert read_dir(tmp_path / "stale") == expected
+        assert other_seed[pipeline.TRIPS_FILE] != expected[pipeline.TRIPS_FILE]
+
+    def test_one_run_parses_each_artifact_once(self, small_cfg, tmp_path, monkeypatch):
+        calls = collections.Counter()
+        parsed_networks = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def reader(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if name == "read_network":
+                    parsed_networks.append(result)
+                return result
+
+            monkeypatch.setattr(module, name, reader)
+
+        for name in ("read_network", "read_trips", "read_graph"):
+            counted(pipeline, name)
+        counted(embedding, "read_features")
+
+        dijkstra_runs = collections.Counter()
+        single_source = RoadNetwork._single_source
+
+        def counted_single_source(net, origin):
+            if origin not in net._sssp and any(net is parsed for parsed in parsed_networks):
+                dijkstra_runs[origin] += 1
+            return single_source(net, origin)
+
+        monkeypatch.setattr(RoadNetwork, "_single_source", counted_single_source)
+        pipeline.run_pipeline(small_cfg, str(tmp_path / "run"), pipeline.STAGES)
+        assert calls == {"read_network": 1, "read_trips": 1, "read_graph": 1, "read_features": 1}
+        assert dijkstra_runs and max(dijkstra_runs.values()) == 1
 
 
 class TestObjectiveReport:

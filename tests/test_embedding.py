@@ -131,25 +131,67 @@ class TestInteractionMatrix:
         assert (im.matrix.sum(axis=1) >= 1).all()
 
 
+def dense_laplacian(A):
+    """The full (users + cells)^2 matrix D^-1/2 B D^-1/2, straight from the formula."""
+    A = np.asarray(A, dtype=np.float64)
+    n_users, n_cells = A.shape
+    B = np.zeros((n_users + n_cells, n_users + n_cells))
+    B[:n_users, n_users:] = A
+    B[n_users:, :n_users] = A.T
+    degree = B.sum(axis=1)
+    inv_sqrt = np.array([1.0 / math.sqrt(d) if d > 0 else 0.0 for d in degree])
+    return inv_sqrt[:, None] * B * inv_sqrt[None, :]
+
+
+def materialized(lap):
+    return lap @ np.eye(lap.shape[0])
+
+
 class TestLaplacian:
     def test_single_entry(self):
         lap = build_laplacian(interactions_from([[1]]))
-        assert (lap == np.array([[0.0, 1.0], [1.0, 0.0]])).all()
+        assert (materialized(lap) == np.array([[0.0, 1.0], [1.0, 0.0]])).all()
 
     @given(binary_matrices)
     def test_symmetric_with_spectrum_bounded_by_one(self, A):
         # symmetric degree normalization bounds the spectral radius by 1
         # (row abs sums can exceed 1: A = [[1, 1]] yields a sqrt(2) row)
-        lap = build_laplacian(interactions_from(A))
+        lap = materialized(build_laplacian(interactions_from(A)))
         assert (lap == lap.T).all()
         assert np.isfinite(lap).all()
         eigenvalues = np.linalg.eigvalsh(lap)
         assert np.abs(eigenvalues).max() <= 1.0 + 1e-9
 
     def test_zero_degree_rows_stay_zero(self):
-        lap = build_laplacian(interactions_from([[1, 0], [0, 0]]))
+        lap = materialized(build_laplacian(interactions_from([[1, 0], [0, 0]])))
         assert not lap[1].any()  # user 1 visited nothing
         assert not lap[:, 3].any()  # cell 1 never visited
+
+    @given(binary_matrices)
+    def test_keeps_only_the_user_cell_block(self, A):
+        lap = build_laplacian(interactions_from(A))
+        n_users, n_cells = A.shape
+        assert lap.shape == (n_users + n_cells, n_users + n_cells)
+        assert lap.nbytes == n_users * n_cells * 8
+
+    @given(
+        binary_matrices,
+        st.integers(1, 5),
+        st.sampled_from(["relu", "sigmoid", "linear"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_operator_propagate_matches_dense(self, A, d, activation, seed):
+        # one idle user and one unvisited cell, so both kinds of zero degree occur
+        A = np.pad(A, ((0, 1), (0, 1)))
+        n = sum(A.shape)
+        rng = np.random.default_rng(seed)
+        prev = rng.normal(size=(n, d))
+        w1 = rng.normal(size=(d, d))
+        w2 = rng.normal(size=(d, d))
+        lap = build_laplacian(interactions_from(A))
+        out = propagate(prev, lap, w1, w2, activation)
+        expected = propagate(prev, dense_laplacian(A), w1, w2, activation)
+        assert np.abs(out - expected).max() <= 1e-12
 
 
 class TestPropagate:
@@ -200,11 +242,6 @@ class TestUserFeatures:
         assert set(f1) == set(f2)
         for uid in f1:
             assert (f1[uid] == f2[uid]).all()
-
-    def test_infinite_eps_keeps_one_propagated_layer(self):
-        features, cfg = self._features(layers=5, convergence_eps=math.inf)
-        for vec in features.values():
-            assert vec.shape == (2 * cfg.dim,)
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_all_finite(self, activation):

@@ -60,7 +60,7 @@ GOLDEN = {
     "capacity2": {
         "features.txt": "d129c7d0eceef00d6e2d48ed2a1c1dae6776adbc57149d831750d9f080a8015c",
         "graph.txt": "adb548c84c72dc85122ca464e6ebe51c86c7fe3be9e2ffff943fff98303282a8",
-        "manifest.txt": "5a93282620c027ec1023a52464ca93fecbb57fbe5903e19be1944fc6001dc168",
+        "manifest.txt": "3e47619af28cfc800a1fa8808f6db1d88963e5090262cbf3ebc886ae33f7123f",
         "matching.txt": "5d027084aa8ffd9f31d5f98b3b05d5d052cd3870958ea14660391a931f8350ac",
         "metrics.csv": "06b50b4663ae5243ca41b9302c367fb690c022dfd8dc4b62635ef369981dd6ef",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
@@ -72,7 +72,7 @@ GOLDEN = {
     "capacity3-tolerance": {
         "features.txt": "d129c7d0eceef00d6e2d48ed2a1c1dae6776adbc57149d831750d9f080a8015c",
         "graph.txt": "adb548c84c72dc85122ca464e6ebe51c86c7fe3be9e2ffff943fff98303282a8",
-        "manifest.txt": "ffa79f370ff88650b807dfe8ceef325a3a24984570a838edf4a4fce71d1741bc",
+        "manifest.txt": "9d005167c4f200189de000edaf0709cccb06faa037c5a2131bef89e991597dfb",
         "matching.txt": "2bd495261240d0db1fa53985a3bc1f16878bdc4053e915a5f57b61e81d2aa16f",
         "metrics.csv": "16a6a6aedbeef4c1ba241bbc66e797a77700049bc0e0272799b102c27ea6ec32",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
@@ -84,7 +84,7 @@ GOLDEN = {
     "time": {
         "features.txt": "d129c7d0eceef00d6e2d48ed2a1c1dae6776adbc57149d831750d9f080a8015c",
         "graph.txt": "51ca83cd2d7e7118cd8ffe780be18135375bee07bea81a52f7cecada8358b00a",
-        "manifest.txt": "0be3198c589d4b1d2dab8f4052362fb1a43e9fb99649f4211a2ca43717cc7998",
+        "manifest.txt": "c65c06f1f1c024f2516fea860eb5a52ee09b2e20b8cb3da6c5358a3b527b7a81",
         "matching.txt": "deddb103f68453d40f46252a2acdda373224ca32beac7d378d2624d223766359",
         "metrics.csv": "da1dbbc064b4af5e65d70a2db784b8de8816da24d647c2a6cc870cdb4664e574",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
