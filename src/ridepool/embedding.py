@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import GeoPoint
+from .geo import GeoPoint, read_records
 
 _ACTIVATIONS = {
     "relu": lambda z: np.maximum(z, 0.0),
@@ -185,14 +185,21 @@ def write_features(features: dict, path):
 
 
 def read_features(path) -> dict:
+    """User vectors by id; every user appears once and every row has the
+    width of the first."""
     features = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] != "U" or len(fields) < 3:
-                raise ValueError(f"{path}:{lineno}: unrecognized feature record {line!r}")
-            features[int(fields[1])] = np.array([float(v) for v in fields[2:]], dtype=np.float64)
+
+    def parse(fields):
+        _, uid, *values = fields
+        uid = int(uid)
+        width = len(next(iter(features.values()), values))  # the first row's
+        if uid in features:
+            raise ValueError(f"a second row for user {uid}")
+        if not values:
+            raise ValueError(f"user {uid} has no values")
+        if len(values) != width:
+            raise ValueError(f"user {uid} has {len(values)} values, the first row {width}")
+        features[uid] = np.array([float(v) for v in values], dtype=np.float64)
+
+    read_records(path, "feature", {"U": None}, parse)
     return features

@@ -200,19 +200,39 @@ def write_network(net: RoadNetwork, path):
             fh.write(f"E {u} {v} {length:.6f} {time:.6f}\n")
 
 
-def read_network(path, directed=False) -> RoadNetwork:
-    nodes = {}
-    edges = []
+def read_records(path, kind, widths, parse) -> list:
+    """`parse(fields)` of each record of a flat-file artifact, in file order.
+
+    Blank lines and `#` lines are skipped.  `widths` maps each record tag to
+    its field count (tag included), or to None for a variable count.  Any
+    other line, and a ValueError or KeyError from `parse`, raise a ValueError
+    that starts with `<path>:<line>:`.
+    """
+    records = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = line.split()
-            if fields[0] == "N" and len(fields) == 4:
-                nodes[int(fields[1])] = GeoPoint(float(fields[2]), float(fields[3]))
-            elif fields[0] == "E" and len(fields) == 5:
-                edges.append((int(fields[1]), int(fields[2]), float(fields[3]), float(fields[4])))
-            else:
-                raise ValueError(f"{path}:{lineno}: unrecognized network record {line!r}")
-    return RoadNetwork(nodes, edges, directed=directed)
+            if fields[0] not in widths or widths[fields[0]] not in (None, len(fields)):
+                raise ValueError(f"{path}:{lineno}: unrecognized {kind} record {raw.strip()!r}")
+            try:
+                records.append(parse(fields))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: {kind} record names an unknown id {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+    return records
+
+
+def read_network(path) -> RoadNetwork:
+    nodes, edges = {}, []
+
+    def parse(fields):
+        if fields[0] == "N":
+            nodes[int(fields[1])] = GeoPoint(float(fields[2]), float(fields[3]))
+        else:
+            edges.append((int(fields[1]), int(fields[2]), float(fields[3]), float(fields[4])))
+
+    read_records(path, "network", {"N": 4, "E": 5}, parse)
+    return RoadNetwork(nodes, edges)

@@ -25,7 +25,7 @@ from . import embedding as embedding_mod
 from . import metrics as metrics_mod
 from . import policy as policy_mod
 from . import tolerance as tolerance_mod
-from .geo import read_network, write_network
+from .geo import read_network, read_records, write_network
 from .scenario import ScenarioConfig, config_to_ini, generate_scenario, validate_config
 from .shareability import (
     Objective,
@@ -116,17 +116,7 @@ def write_matching(solution, path):
 
 
 def read_matching(path):
-    groups = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] != "M" or len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: unrecognized matching record {line!r}")
-            groups.append(tuple(int(t) for t in fields[2].split(",")))
-    return groups
+    return read_records(path, "matching", {"M": 5}, lambda f: tuple(int(t) for t in f[2].split(",")))
 
 
 class RunArtifacts:

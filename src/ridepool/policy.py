@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import MatchingSolution, canonical_groups, matching_value
-from .geo import NoRouteError
+from .geo import NoRouteError, read_records
 from .shareability import Objective, ShareabilityGraph
 from .tolerance import ToleranceProfile, rejection_cost
 
@@ -473,20 +473,13 @@ def write_policy(params: PolicyParams, path):
 
 
 def read_policy(path) -> PolicyParams:
-    arrays = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] != "P" or len(fields) < 3:
-                raise ValueError(f"{path}:{lineno}: unrecognized policy record {line!r}")
-            name = fields[1]
-            ndim = int(fields[2])
-            shape = tuple(int(v) for v in fields[3 : 3 + ndim])
-            values = np.array([float(v) for v in fields[3 + ndim :]], dtype=np.float64)
-            arrays[name] = values.reshape(shape)
+    def parse(fields):
+        _, name, ndim, *rest = fields
+        ndim = int(ndim)
+        values = np.array([float(v) for v in rest[ndim:]], dtype=np.float64)
+        return name, values.reshape(tuple(int(v) for v in rest[:ndim]))
+
+    arrays = dict(read_records(path, "policy", {"P": None}, parse))
     missing = [name for name in PolicyParams.ARRAY_NAMES if name not in arrays]
     if missing:
         raise ValueError(f"{path}: checkpoint is missing arrays {missing}")

@@ -19,7 +19,7 @@ from .embedding import EmbeddingConfig
 from .geo import GeoPoint, METERS_PER_DEGREE, build_grid_network
 from .metrics import CostFactors
 from .policy import PPOConfig
-from .shareability import Objective, PairingConstraints, make_trip
+from .shareability import Objective, PairingConstraints, TripRequest
 from .tolerance import ToleranceProfile, format_s
 
 
@@ -139,20 +139,20 @@ def generate_scenario(cfg: ScenarioConfig):
     for trip_id in range(dem.n_trips):
         user_id = int(rng.integers(dem.n_users))
         origin_point = draw_point()
-        origin_node = net.snap_to_node(origin_point)
-        dest_point = None
+        origin = net.snap_to_node(origin_point)
         for _ in range(100):
-            candidate = draw_point()
-            if net.snap_to_node(candidate) != origin_node:
-                dest_point = candidate
+            dest_point = draw_point()
+            dest = net.snap_to_node(dest_point)
+            if dest != origin:
                 break
-        if dest_point is None:
+        else:
             raise ConfigError(
                 "demand generation cannot find a destination distinct from the origin; "
                 "add hotspots or spread"
             )
         departure = float(rng.uniform(0.0, dem.departure_window_s))
-        trips.append(make_trip(net, trip_id, user_id, origin_point, dest_point, departure))
+        route = net.shortest_path(origin, dest)
+        trips.append(TripRequest(trip_id, user_id, origin, dest, origin_point, dest_point, departure, route))
     return net, trips
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geo import GeoPoint, NoRouteError, RoadNetwork, Route, great_circle_distance
+from .geo import GeoPoint, NoRouteError, RoadNetwork, Route, great_circle_distance, read_records
 
 log = logging.getLogger(__name__)
 
@@ -67,15 +67,13 @@ class TripRequest:
 
     def __post_init__(self):
         if self.origin == self.dest:
-            raise ValueError(f"trip {self.trip_id}: origin and destination are the same node")
+            raise ValueError(f"trip {self.trip_id}: both endpoints are node {self.origin}")
 
 
 def make_trip(net: RoadNetwork, trip_id, user_id, origin_point, dest_point, desired_departure):
     """Snap the request endpoints to the network and route the solo trip."""
     origin = net.snap_to_node(origin_point)
     dest = net.snap_to_node(dest_point)
-    if origin == dest:
-        raise ValueError(f"trip {trip_id}: endpoints snap to the same node {origin}")
     return TripRequest(
         trip_id=trip_id,
         user_id=user_id,
@@ -379,26 +377,13 @@ def write_trips(trips, path):
 
 def read_trips(path, net: RoadNetwork):
     """Parse trip records and re-snap/re-route them on `net`."""
-    trips = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] != "T" or len(fields) != 8:
-                raise ValueError(f"{path}:{lineno}: unrecognized trip record {line!r}")
-            trips.append(
-                make_trip(
-                    net,
-                    trip_id=int(fields[1]),
-                    user_id=int(fields[2]),
-                    origin_point=GeoPoint(float(fields[3]), float(fields[4])),
-                    dest_point=GeoPoint(float(fields[5]), float(fields[6])),
-                    desired_departure=float(fields[7]),
-                )
-            )
-    return trips
+
+    def parse(fields):
+        origin = GeoPoint(float(fields[3]), float(fields[4]))
+        dest = GeoPoint(float(fields[5]), float(fields[6]))
+        return make_trip(net, int(fields[1]), int(fields[2]), origin, dest, float(fields[7]))
+
+    return read_records(path, "trip", {"T": 8}, parse)
 
 
 def write_graph(graph: ShareabilityGraph, path):
@@ -417,16 +402,9 @@ def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> Shareabil
     totals); the exported weight is kept as the edge weight.
     """
     by_id = {t.trip_id: t for t in trips}
-    edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] != "G" or len(fields) != 6:
-                raise ValueError(f"{path}:{lineno}: unrecognized graph record {line!r}")
-            a, b = int(fields[1]), int(fields[2])
-            shared = best_shared_route(net, by_id[a], by_id[b])
-            edges.append(ShareabilityEdge(a, b, float(fields[3]), shared))
-    return ShareabilityGraph(net, trips, edges, objective)
+
+    def parse(fields):
+        a, b = int(fields[1]), int(fields[2])
+        return ShareabilityEdge(a, b, float(fields[3]), best_shared_route(net, by_id[a], by_id[b]))
+
+    return ShareabilityGraph(net, trips, read_records(path, "graph", {"G": 6}, parse), objective)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .baselines import MatchingSolution, matching_value
+from .geo import read_records
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,4 @@ def write_sweep(cells, path):
 
 
 def read_sweep(path) -> list:
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] != "S" or len(fields) != 6:
-                raise ValueError(f"{path}:{lineno}: unrecognized sweep record {line!r}")
-            rows.append((fields[1], float(fields[2]), fields[3], float(fields[4]), float(fields[5])))
-    return rows
+    return read_records(path, "sweep", {"S": 6}, lambda f: (f[1], float(f[2]), f[3], float(f[4]), float(f[5])))

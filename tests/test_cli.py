@@ -102,6 +102,19 @@ class TestScenarioGeneration:
         _, trips = generate_scenario(small_cfg)
         assert all(t.origin != t.dest for t in trips)
 
+    def test_each_drawn_point_is_snapped_once(self, small_cfg, monkeypatch):
+        snapped = collections.Counter()
+        snap = RoadNetwork.snap_to_node
+
+        def counted(net, point):
+            snapped[point] += 1
+            return snap(net, point)
+
+        monkeypatch.setattr(RoadNetwork, "snap_to_node", counted)
+        _, trips = generate_scenario(small_cfg)
+        assert {p for t in trips for p in (t.origin_point, t.dest_point)} <= set(snapped)
+        assert max(snapped.values()) == 1
+
 
 class TestConfigParsing:
     def test_defaults_without_file(self):
@@ -337,6 +350,28 @@ class TestPipeline:
 CAPACITY3_TOLERANCE_CONFIG = SMALL_CONFIG.replace("[run]\n", "[run]\ncapacity = 3\n") + (
     "\n[tolerance]\nenabled = true\ntau0_s = 900\n"
 )
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize(
+        "name, lineno, edit, command",
+        [
+            (pipeline.TRIPS_FILE, 3, lambda f: " ".join(f[:2] + ["x1"] + f[3:]), "graph"),
+            (pipeline.POLICY_FILE, 1, lambda f: " ".join(f[:-1]), "match"),
+            (pipeline.GRAPH_FILE, 2, lambda f: " ".join(f[:2] + ["99"] + f[3:]), "match"),
+        ],
+        ids=["trip-user-id", "truncated-policy", "graph-unknown-trip"],
+    )
+    def test_bad_record_exits_2_naming_file_and_line(self, name, lineno, edit, command, tmp_path, capsys):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(SMALL_CONFIG)
+        out = tmp_path / "run"
+        pipeline.run_pipeline(load_config(cfg_path), str(out), ("gen", "graph", "embed", "train"))
+        lines = (out / name).read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1].split())
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert run_cli([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"{name}:{lineno}: " in capsys.readouterr().err
 
 
 def read_dir(path):

@@ -272,6 +272,13 @@ class TestFeatureIO:
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "features.txt"
-        path.write_text("U 0\n")
-        with pytest.raises(ValueError):
-            read_features(path)
+        cases = [
+            ("U 0\n", 1),  # no values
+            ("U 0 1 2\nU 1 3 4\nU 0 5 6\n", 3),  # a second row for user 0
+            ("U 0 1 2\n# note\nU 1 3\n", 3),  # narrower than the first row
+            ("U 0 1 2\nU 1 3 4 5\n", 2),  # wider than the first row
+        ]
+        for text, lineno in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"features.txt:{lineno}: "):
+                read_features(path)

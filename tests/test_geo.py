@@ -233,8 +233,8 @@ class TestNetworkIO:
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "net.txt"
-        path.write_text("N 0 0.0 0.0\nX what\n")
-        with pytest.raises(ValueError):
+        path.write_text("# comment\n\nN 0 0.0 0.0\nX what\n")
+        with pytest.raises(ValueError, match="net.txt:4: unrecognized network record 'X what'"):
             read_network(path)
 
     def test_bad_edges_rejected(self):
