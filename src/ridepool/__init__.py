@@ -4,48 +4,3 @@ efficiency/environmental evaluation with a social-distancing tolerance model.
 """
 
 __version__ = "0.1.0"
-
-from .geo import (
-    GeoPoint,
-    NoRouteError,
-    RoadNetwork,
-    Route,
-    build_grid_network,
-    great_circle_distance,
-)
-from .shareability import (
-    Objective,
-    PairingConstraints,
-    ShareabilityEdge,
-    ShareabilityGraph,
-    SharedRoute,
-    TripRequest,
-    best_shared_route,
-    build_shareability_graph,
-    edge_weight,
-    make_trip,
-    social_feasible,
-    temporal_feasible,
-)
-
-__all__ = [
-    "GeoPoint",
-    "NoRouteError",
-    "RoadNetwork",
-    "Route",
-    "build_grid_network",
-    "great_circle_distance",
-    "Objective",
-    "PairingConstraints",
-    "ShareabilityEdge",
-    "ShareabilityGraph",
-    "SharedRoute",
-    "TripRequest",
-    "best_shared_route",
-    "build_shareability_graph",
-    "edge_weight",
-    "make_trip",
-    "social_feasible",
-    "temporal_feasible",
-    "__version__",
-]

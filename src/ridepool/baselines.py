@@ -14,8 +14,8 @@ class MatchingSolution:
     """A partition of the trips into vehicle groups.
 
     objective_value sums in-group pair weights at capacity 2 and group
-    marginal savings for larger groups.  `routes` (group tuple -> SharedRoute)
-    is attached by the matchers that route their groups.
+    marginal savings for larger groups.  `routes` maps each group tuple to its
+    SharedRoute; `solution_for` fills it.
     """
 
     groups: tuple
@@ -29,6 +29,13 @@ def canonical_groups(groups):
 
 def matching_value(graph: ShareabilityGraph, groups) -> float:
     return sum(graph.group_value(g) for g in sorted(groups))
+
+
+def solution_for(graph: ShareabilityGraph, groups) -> MatchingSolution:
+    """The partition `groups` in canonical order, each group routed and the
+    whole valued on `graph`; every matcher builds its solution here."""
+    groups = canonical_groups(groups)
+    return MatchingSolution(groups, matching_value(graph, groups), {g: graph.group_route(g) for g in groups})
 
 
 def check_partition(graph: ShareabilityGraph, groups, capacity=None):
@@ -97,9 +104,7 @@ def brute_force_optimal(graph: ShareabilityGraph, capacity=2) -> MatchingSolutio
             recurse(left, groups + [group])
 
     recurse(ids, [])
-    groups = best["groups"]
-    routes = {g: graph.group_route(g) for g in groups}
-    return MatchingSolution(groups=groups, objective_value=best["value"], routes=routes)
+    return solution_for(graph, best["groups"])
 
 
 def greedy_matching(graph: ShareabilityGraph) -> MatchingSolution:
@@ -114,6 +119,4 @@ def greedy_matching(graph: ShareabilityGraph) -> MatchingSolution:
     for tid in sorted(graph.trips):
         if tid not in matched:
             groups.append((tid,))
-    groups = canonical_groups(groups)
-    routes = {g: graph.group_route(g) for g in groups}
-    return MatchingSolution(groups=groups, objective_value=matching_value(graph, groups), routes=routes)
+    return solution_for(graph, groups)

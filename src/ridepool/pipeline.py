@@ -17,6 +17,8 @@ its readers in `STAGES`, so a parse is never stale.  Separate stage calls
 import functools
 import os
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import __version__
@@ -71,19 +73,12 @@ def embed_trips(trips, cfg: ScenarioConfig):
     return embedding_mod.compute_user_features(trips, grid, cfg.embedding)
 
 
-def reward_spec(cfg: ScenarioConfig, objective=None, profile=None) -> policy_mod.RewardSpec:
-    objective = objective or cfg.objective
-    if cfg.social_penalty_weight > 0.0:
-        return policy_mod.RewardSpec(
-            objective=objective,
-            social_penalty_weight=cfg.social_penalty_weight,
-            profile=profile or cfg.active_tolerance(),
-        )
-    return policy_mod.RewardSpec(objective=objective)
+def reward_spec(cfg: ScenarioConfig) -> policy_mod.RewardSpec:
+    return policy_mod.RewardSpec(cfg.social_penalty_weight, cfg.active_tolerance())
 
 
-def train_scenario(graph, features, cfg: ScenarioConfig, objective=None, profile=None):
-    spec = reward_spec(cfg, objective=objective, profile=profile)
+def train_scenario(graph, features, cfg: ScenarioConfig):
+    spec = reward_spec(cfg)
     params, history = policy_mod.train(
         graph,
         features,
@@ -96,13 +91,11 @@ def train_scenario(graph, features, cfg: ScenarioConfig, objective=None, profile
     return params, history
 
 
-def match_scenario(net, trips, features, cfg: ScenarioConfig, objective=None, profile=None):
+def match_scenario(net, trips, features, cfg: ScenarioConfig):
     """Build the graph, train per config, and greedy-decode a matching."""
-    objective = objective or cfg.objective
-    graph = build_shareability_graph(net, trips, objective, cfg.constraints)
-    params, _ = train_scenario(graph, features, cfg, objective=objective, profile=profile)
-    spec = reward_spec(cfg, objective=objective, profile=profile)
-    solution = policy_mod.match_all(graph, features, params, spec, capacity=cfg.capacity)
+    graph = build_shareability_graph(net, trips, cfg.objective, cfg.constraints)
+    params, _ = train_scenario(graph, features, cfg)
+    solution = policy_mod.match_all(graph, features, params, reward_spec(cfg), capacity=cfg.capacity)
     return graph, solution
 
 
@@ -145,10 +138,11 @@ class RunArtifacts:
 
     @functools.cached_property
     def features(self):
-        features = embedding_mod.read_features(_artifact(self.out_dir, FEATURES_FILE, "embed"))
+        path = _artifact(self.out_dir, FEATURES_FILE, "embed")
+        features = embedding_mod.read_features(path)
         missing = sorted({t.user_id for t in self.trips} - set(features))
         if missing:
-            raise ValueError(f"features file does not cover users {missing}")
+            raise ValueError(f"{path}: no row for users {missing}")
         return features
 
 
@@ -191,12 +185,7 @@ def stage_evaluate(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     graph = artifacts.graph
     groups = baselines.canonical_groups(groups)
     baselines.check_partition(graph, groups, capacity=cfg.capacity)
-    routes = {g: graph.group_route(g) for g in groups}
-    solution = baselines.MatchingSolution(
-        groups=groups,
-        objective_value=baselines.matching_value(graph, groups),
-        routes=routes,
-    )
+    solution = baselines.solution_for(graph, groups)
     outcomes = metrics_mod.build_outcomes(solution, graph.trips, cfg.factors)
     report = metrics_mod.compute_report(solution, outcomes, cfg.factors)
     metrics_mod.write_report_csv(report, os.path.join(out_dir, REPORT_CSV_FILE))
@@ -249,7 +238,7 @@ def objective_report(cfg: ScenarioConfig, objectives=None):
     features = embed_trips(trips, cfg)
     reports = {}
     for objective in objectives:
-        graph, solution = match_scenario(net, trips, features, cfg, objective=objective)
+        graph, solution = match_scenario(net, trips, features, replace(cfg, objective=objective))
         outcomes = metrics_mod.build_outcomes(solution, graph.trips, cfg.factors)
         reports[objective] = metrics_mod.compute_report(solution, outcomes, cfg.factors)
     return reports

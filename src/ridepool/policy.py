@@ -4,7 +4,8 @@ policy gradients.
 Each focal trip runs an episode over the state (context vector, graph,
 selected co-riders): the policy scores every still-available neighbor plus a
 Stop action, samples one, and is rewarded with the marginal pooling savings
-of the pick.  A two-layer perceptron scores candidates row by row (the
+of the pick under the graph's objective.  An action is the picked trip's id,
+or None for Stop.  A two-layer perceptron scores candidates row by row (the
 candidate set varies per state), with a learned scalar Stop logit and a value
 head sharing the hidden layer.  That network is evaluated in one place,
 `_score`, by the rollout, the greedy decode and the update alike; which
@@ -26,9 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import MatchingSolution, canonical_groups, matching_value
+from .baselines import MatchingSolution, canonical_groups, solution_for
 from .geo import NoRouteError, read_records
-from .shareability import Objective, ShareabilityGraph
+from .shareability import ShareabilityGraph
 from .tolerance import ToleranceProfile, rejection_cost
 
 MAX_CAPACITY = 4
@@ -39,20 +40,6 @@ SURROGATE_BLOCK = 64  # steps per packed surrogate block; bounds the update's te
 
 class InfeasibleActionError(Exception):
     """The requested action is not in the state's candidate set."""
-
-
-@dataclass(frozen=True)
-class PolicyAction:
-    """Select a co-rider trip, or stop (trip_id None) to close the group."""
-
-    trip_id: int = None
-
-    @property
-    def is_stop(self):
-        return self.trip_id is None
-
-
-STOP = PolicyAction(None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +62,11 @@ class MatchState:
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """What a Select is paid: marginal objective savings, minus an optional
-    penalty proportional to the expected number of tolerance rejections."""
+    """What a Select is paid beyond the marginal savings under the graph's
+    objective: minus `social_penalty_weight` times the marginal expected
+    number of riders who reject their delay under `profile`.  The profile is
+    read only when the weight is positive."""
 
-    objective: Objective
     social_penalty_weight: float = 0.0
     profile: ToleranceProfile = None
 
@@ -181,9 +169,9 @@ def _selectable(state: MatchState, v) -> bool:
 
 
 def candidate_actions(state: MatchState):
-    """Select(v) for every selectable neighbor of the focal trip, plus Stop,
-    sorted selects-first by trip id."""
-    return [PolicyAction(v) for v in state.graph.neighbors(state.focal) if _selectable(state, v)] + [STOP]
+    """The trip ids the focal trip may Select next, in ascending order.  Stop
+    is always legal and is not listed; it scores as the last logit."""
+    return [v for v in state.graph.neighbors(state.focal) if _selectable(state, v)]
 
 
 def _select_inputs(state: MatchState, select_ids) -> np.ndarray:
@@ -228,23 +216,24 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def step(state: MatchState, action: PolicyAction, spec: RewardSpec):
-    """Apply one action: Stop terminates with reward 0; Select(v) extends the
-    group and pays the marginal savings (minus the marginal expected-rejection
-    penalty when configured).  Context and graph carry over unchanged."""
-    if action.is_stop:
+def step(state: MatchState, action, spec: RewardSpec):
+    """Apply one action, a trip id to Select or None to Stop.  Stop ends the
+    episode with reward 0; Select(v) extends the group and pays its marginal
+    savings under the graph's objective (minus the marginal expected-rejection
+    penalty when `spec` sets one).  Context and graph carry over unchanged."""
+    if action is None:
         return state, 0.0, True
-    if not _selectable(state, action.trip_id):
-        raise InfeasibleActionError(f"trip {action.trip_id} is not selectable from this state")
+    if not _selectable(state, action):
+        raise InfeasibleActionError(f"trip {action} is not selectable from this state")
     prev_group = (state.focal,) + state.selected
-    next_group = prev_group + (action.trip_id,)
+    next_group = prev_group + (action,)
     reward = state.graph.group_value(next_group) - state.graph.group_value(prev_group)
     if spec.social_penalty_weight > 0.0:
         reward -= spec.social_penalty_weight * (
             _group_rejection_cost(state.graph, next_group, spec.profile)
             - _group_rejection_cost(state.graph, prev_group, spec.profile)
         )
-    return replace(state, selected=state.selected + (action.trip_id,)), reward, False
+    return replace(state, selected=state.selected + (action,)), reward, False
 
 
 def _group_rejection_cost(graph, group, profile) -> float:
@@ -281,10 +270,6 @@ class RolloutResult:
 
 def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
     """Shared driver: focal trips in ascending id, assigned trips excluded."""
-    if spec.objective is not graph.objective:
-        raise ValueError(
-            f"reward objective {spec.objective.value} does not match graph objective {graph.objective.value}"
-        )
     assigned = set()
     episodes = []
     groups = []
@@ -294,7 +279,7 @@ def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
         state = initial_state(graph, features, focal, unavailable=frozenset(assigned), capacity=capacity)
         records = []
         while len(state.selected) < capacity - 1:
-            select_ids = [a.trip_id for a in candidate_actions(state)[:-1]]
+            select_ids = candidate_actions(state)
             inputs = _select_inputs(state, select_ids)
             value_input = _value_input(state)
             _, select_logits, _, value = _score(params, inputs, value_input)
@@ -304,7 +289,7 @@ def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
             records.append(record)
             if index == len(select_ids):
                 break
-            state, record.reward, _ = step(state, PolicyAction(select_ids[index]), spec)
+            state, record.reward, _ = step(state, select_ids[index], spec)
         group = tuple(sorted((focal,) + state.selected))
         assigned.update(group)
         groups.append(group)
@@ -324,12 +309,7 @@ def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     """Greedy decode (argmax action, ties to the lowest trip id) into a full
     matching solution with routed groups."""
     result = _run_policy(graph, features, params, spec, capacity, pick=lambda p: int(np.argmax(p)))
-    routes = {g: graph.group_route(g) for g in result.groups}
-    return MatchingSolution(
-        groups=result.groups,
-        objective_value=matching_value(graph, result.groups),
-        routes=routes,
-    )
+    return solution_for(graph, result.groups)
 
 
 def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig):
@@ -473,13 +453,19 @@ def write_policy(params: PolicyParams, path):
 
 
 def read_policy(path) -> PolicyParams:
+    arrays = {}
+
     def parse(fields):
         _, name, ndim, *rest = fields
+        if name not in PolicyParams.ARRAY_NAMES:
+            raise ValueError(f"unknown array {name!r}")
+        if name in arrays:
+            raise ValueError(f"a second record for array {name!r}")
         ndim = int(ndim)
         values = np.array([float(v) for v in rest[ndim:]], dtype=np.float64)
-        return name, values.reshape(tuple(int(v) for v in rest[:ndim]))
+        arrays[name] = values.reshape(tuple(int(v) for v in rest[:ndim]))
 
-    arrays = dict(read_records(path, "policy", {"P": None}, parse))
+    read_records(path, "policy", {"P": None}, parse)
     missing = [name for name in PolicyParams.ARRAY_NAMES if name not in arrays]
     if missing:
         raise ValueError(f"{path}: checkpoint is missing arrays {missing}")

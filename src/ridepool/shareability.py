@@ -376,12 +376,18 @@ def write_trips(trips, path):
 
 
 def read_trips(path, net: RoadNetwork):
-    """Parse trip records and re-snap/re-route them on `net`."""
+    """Parse trip records and re-snap/re-route them on `net`; a trip id may
+    appear once."""
+    seen = set()
 
     def parse(fields):
+        trip_id = int(fields[1])
+        if trip_id in seen:
+            raise ValueError(f"a second record for trip {trip_id}")
+        seen.add(trip_id)
         origin = GeoPoint(float(fields[3]), float(fields[4]))
         dest = GeoPoint(float(fields[5]), float(fields[6]))
-        return make_trip(net, int(fields[1]), int(fields[2]), origin, dest, float(fields[7]))
+        return make_trip(net, trip_id, int(fields[2]), origin, dest, float(fields[7]))
 
     return read_records(path, "trip", {"T": 8}, parse)
 
@@ -399,12 +405,18 @@ def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> Shareabil
     """Rebuild a graph from exported edges.
 
     Shared routes are re-derived on the network (the export keeps only the
-    totals); the exported weight is kept as the edge weight.
+    totals); the exported weight is kept as the edge weight.  A pair may
+    appear once, in either order.
     """
     by_id = {t.trip_id: t for t in trips}
+    seen = set()
 
     def parse(fields):
         a, b = int(fields[1]), int(fields[2])
+        pair = (min(a, b), max(a, b))
+        if pair in seen:
+            raise ValueError(f"a second record for the pair {a} {b}")
+        seen.add(pair)
         return ShareabilityEdge(a, b, float(fields[3]), best_shared_route(net, by_id[a], by_id[b]))
 
     return ShareabilityGraph(net, trips, read_records(path, "graph", {"G": 6}, parse), objective)

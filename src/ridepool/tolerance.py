@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics as metrics_mod
-from .baselines import MatchingSolution, matching_value
+from .baselines import MatchingSolution, solution_for
 from .geo import read_records
 
 
@@ -61,29 +61,19 @@ def filter_with_draws(solution, graph, profile: ToleranceProfile, draws) -> Matc
     `draws` maps trip_id -> a fixed uniform(0,1) value, so acceptance is
     monotone in the acceptance probability: common draws across sensitivity
     levels make the carpooling trend in s noise-free.  A group survives only
-    if every rider's draw falls below their tolerance.
+    if every rider's draw falls below their tolerance.  Delays are read from
+    `graph`, the graph `solution` was matched on.
     """
     groups = []
-    routes = {}
     for group in solution.groups:
-        route = solution.routes[group] if solution.routes else graph.group_route(group)
-        keep = len(group) == 1 or all(
+        route = graph.group_route(group)
+        if len(group) == 1 or all(
             draws[tid] < tolerance(max(0.0, route.per_rider_delay[tid]), profile) for tid in group
-        )
-        if keep:
+        ):
             groups.append(group)
-            routes[group] = route
         else:
-            for tid in group:
-                singleton = (tid,)
-                groups.append(singleton)
-                routes[singleton] = graph.group_route(singleton)
-    groups = tuple(sorted(groups))
-    return MatchingSolution(
-        groups=groups,
-        objective_value=matching_value(graph, groups),
-        routes=routes,
-    )
+            groups.extend((tid,) for tid in group)
+    return solution_for(graph, groups)
 
 
 @dataclass(frozen=True)
@@ -121,20 +111,13 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
         draws = {
             t.trip_id: float(np.random.default_rng([seed, run, t.trip_id]).random()) for t in trips
         }
-        for obj_index, obj in enumerate(objectives):
-            graph = solution = None
-            if scenario.social_penalty_weight <= 0.0:
-                graph, solution = pipeline.match_scenario(net, trips, features, run_cfg, objective=obj)
-            for s_index, s in enumerate(s_values):
+        for obj in objectives:
+            graph = solution = None  # drops the last objective's graph before the next is built
+            for s in s_values:
                 profile = scenario.tolerance.with_sensitivity(s)
-                if scenario.social_penalty_weight > 0.0:
-                    cell_seed = int(
-                        np.random.SeedSequence([seed, run, obj_index, s_index]).generate_state(1)[0]
-                    )
-                    cell_cfg = replace(run_cfg, seed=cell_seed)
-                    graph, solution = pipeline.match_scenario(
-                        net, trips, features, cell_cfg, objective=obj, profile=profile
-                    )
+                if solution is None or scenario.social_penalty_weight > 0.0:
+                    cell_cfg = replace(run_cfg, objective=obj, tolerance=profile, tolerance_enabled=True)
+                    graph, solution = pipeline.match_scenario(net, trips, features, cell_cfg)
                 filtered = filter_with_draws(solution, graph, profile, draws)
                 report = metrics_mod.compute_report(
                     filtered,

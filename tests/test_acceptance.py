@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from ridepool import pipeline
-from ridepool.baselines import brute_force_optimal, check_partition, greedy_matching
+from ridepool.baselines import brute_force_optimal, check_partition, greedy_matching, solution_for
 from ridepool.embedding import EmbeddingConfig, propagate
 from ridepool.geo import great_circle_distance
 from ridepool.metrics import (
@@ -38,7 +38,6 @@ from ridepool.tolerance import ToleranceProfile, sensitivity_sweep
 
 from conftest import features_for, random_weighted_graph, scenario_instance
 from test_embedding import propagate_oracle
-from test_metrics import solution_for
 from test_policy import gradient_check
 from test_shareability import pair_route_oracle
 
@@ -73,7 +72,7 @@ def test_criterion_02_policy_reaches_90pct_of_optimal():
     started = time.time()
     net, trips, graph = scenario_instance(seed=POLICY_INSTANCE_SEED, n_trips=8)
     features = features_for(trips)
-    spec = RewardSpec(objective=Objective.DISTANCE)
+    spec = RewardSpec()
     params, _ = train(
         graph, features, spec, capacity=2, cfg=PPOConfig(seed=0), n_updates=200, hidden=32
     )

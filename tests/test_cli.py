@@ -363,15 +363,47 @@ class TestMalformedArtifacts:
         ids=["trip-user-id", "truncated-policy", "graph-unknown-trip"],
     )
     def test_bad_record_exits_2_naming_file_and_line(self, name, lineno, edit, command, tmp_path, capsys):
-        cfg_path = tmp_path / "run.ini"
-        cfg_path.write_text(SMALL_CONFIG)
-        out = tmp_path / "run"
-        pipeline.run_pipeline(load_config(cfg_path), str(out), ("gen", "graph", "embed", "train"))
+        cfg_path, out = self.trained_run(tmp_path)
         lines = (out / name).read_text().splitlines()
         lines[lineno - 1] = edit(lines[lineno - 1].split())
         (out / name).write_text("\n".join(lines) + "\n")
         assert run_cli([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"{name}:{lineno}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, extra, command",
+        [
+            (pipeline.TRIPS_FILE, lambda f: f, "graph"),
+            (pipeline.GRAPH_FILE, lambda f: f, "match"),
+            (pipeline.GRAPH_FILE, lambda f: [f[0], f[2], f[1]] + f[3:], "match"),
+            (pipeline.POLICY_FILE, lambda f: f, "match"),
+            (pipeline.POLICY_FILE, lambda f: ["P", "foo", "0", "1.0"], "match"),
+        ],
+        ids=["repeated-trip", "repeated-edge", "repeated-edge-reversed", "repeated-array", "unknown-array"],
+    )
+    def test_extra_record_exits_2_naming_file_and_line(self, name, extra, command, tmp_path, capsys):
+        # `extra` turns the file's first record into the record appended at its end
+        cfg_path, out = self.trained_run(tmp_path)
+        lines = (out / name).read_text().splitlines()
+        lines.append(" ".join(extra(lines[0].split())))
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert run_cli([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"{name}:{len(lines)}: " in capsys.readouterr().err
+
+    def test_features_missing_a_user_names_the_file(self, tmp_path, capsys):
+        cfg_path, out = self.trained_run(tmp_path)
+        path = out / pipeline.FEATURES_FILE
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        assert run_cli(["match", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: {path}: no row for users [" in capsys.readouterr().err
+
+    @staticmethod
+    def trained_run(tmp_path):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(SMALL_CONFIG)
+        out = tmp_path / "run"
+        pipeline.run_pipeline(load_config(cfg_path), str(out), ("gen", "graph", "embed", "train"))
+        return cfg_path, out
 
 
 def read_dir(path):

@@ -1,4 +1,4 @@
-"""Byte-exact artifacts of `ridepool all` for three small pinned configs.
+"""Byte-exact artifacts of `ridepool all` for four small pinned configs.
 
 Every artifact"s sha256 is pinned.  A change that alters any byte fails
 here; it must update the digests in the same commit and say in CHANGES.md
@@ -54,6 +54,11 @@ CONFIGS = {
     "capacity3-tolerance": _BASE.format(capacity=3, objective="distance")
     + "\n[tolerance]\nenabled = true\ntau0_s = 900\n",
     "time": _BASE.format(capacity=2, objective="time"),
+    # social_penalty_weight > 0: training pays the expected rejections and the
+    # sweep retrains per (objective, s) cell; on this instance the penalty moves
+    # policy.txt but no decode (test_tolerance checks the cells themselves)
+    "capacity3-penalty": _BASE.format(capacity=3, objective="distance")
+    + "\n[tolerance]\nenabled = true\nsocial_penalty_weight = 50\n",
 }
 
 GOLDEN = {
@@ -67,6 +72,18 @@ GOLDEN = {
         "policy.txt": "a7c6d35e3265c315ea0a4d952e85f342e4c3e60c9b2c072b08fccae1d9e37885",
         "report.json": "54bf512cc12b8de056965f57c93651f7533c9ae18b253e9db929942307334656",
         "sweep.txt": "f5c5114a5a972fb0eb628946b23dec12e85cee6623f9be8a1f73f8313574e07e",
+        "trips.txt": "7aadee94478df6b264a725a7fd2a73092ef4baf96f853fbfc7721bf9709b7eac",
+    },
+    "capacity3-penalty": {
+        "features.txt": "d129c7d0eceef00d6e2d48ed2a1c1dae6776adbc57149d831750d9f080a8015c",
+        "graph.txt": "adb548c84c72dc85122ca464e6ebe51c86c7fe3be9e2ffff943fff98303282a8",
+        "manifest.txt": "5b77a8024956abfd36c41b0804bc0e70f655acb39ac3c418e80711cbc6a2c192",
+        "matching.txt": "2bd495261240d0db1fa53985a3bc1f16878bdc4053e915a5f57b61e81d2aa16f",
+        "metrics.csv": "16a6a6aedbeef4c1ba241bbc66e797a77700049bc0e0272799b102c27ea6ec32",
+        "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
+        "policy.txt": "7221fae01bb23133c83592e7e7f7d0754afe5e9fd54179f008d0f3cd6ead8d1e",
+        "report.json": "26d48d804772fd695f40e7a5df3f9d6c8c5d6d6869c2338ba8901776582f38c2",
+        "sweep.txt": "2220df3c5868078e3243d3fdb94a87bd767de028681b9033838ae1cb3972c60a",
         "trips.txt": "7aadee94478df6b264a725a7fd2a73092ef4baf96f853fbfc7721bf9709b7eac",
     },
     "capacity3-tolerance": {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridepool.baselines import MatchingSolution, greedy_matching, matching_value
+from ridepool.baselines import greedy_matching, solution_for
 from ridepool.metrics import (
     METRIC_NAMES,
     CostFactors,
@@ -16,12 +16,6 @@ from ridepool.metrics import (
 from ridepool.shareability import Objective, build_shareability_graph, make_trip
 
 from conftest import scenario_instance, trip_on
-
-
-def solution_for(graph, groups):
-    groups = tuple(sorted(tuple(sorted(g)) for g in groups))
-    routes = {g: graph.group_route(g) for g in groups}
-    return MatchingSolution(groups, matching_value(graph, groups), routes)
 
 
 @pytest.fixture

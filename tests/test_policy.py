@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from ridepool.baselines import brute_force_optimal, check_partition
 from ridepool.policy import (
     MAX_CAPACITY,
-    STOP,
     SURROGATE_BLOCK,
     VALUE_LOSS_COEFF,
     WEIGHT_INPUT_SCALE,
     InfeasibleActionError,
     MatchState,
     PPOConfig,
-    PolicyAction,
     PolicyParams,
     RewardSpec,
     StepRecord,
@@ -47,7 +45,7 @@ from conftest import features_for, scenario_instance, weighted_graph
 def routed_setup(seed=3, n_trips=8, **kwargs):
     net, trips, graph = scenario_instance(seed=seed, n_trips=n_trips, **kwargs)
     features = features_for(trips)
-    spec = RewardSpec(objective=graph.objective)
+    spec = RewardSpec()
     return net, trips, graph, features, spec
 
 
@@ -197,7 +195,7 @@ def setup_150():
     )
     features = features_for(trips)
     params = randomized_params(np.random.default_rng(4), feature_dim=len(features[0]), hidden=8)
-    return graph, features, RewardSpec(objective=graph.objective), params
+    return graph, features, RewardSpec(), params
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,7 +298,7 @@ class TestCandidateActions:
         graph = weighted_graph({(1, 2): 5.0}, n_trips=4)
         features = {i: np.zeros(3) for i in range(4)}
         state = initial_state(graph, features, focal=0)
-        assert candidate_actions(state) == [STOP]
+        assert candidate_actions(state) == []
 
     def test_capacity_bound_only_stop(self):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0})
@@ -308,19 +306,19 @@ class TestCandidateActions:
         state = MatchState(
             focal=0, context=features[0], graph=graph, selected=(1,), features=features, capacity=2
         )
-        assert candidate_actions(state) == [STOP]
+        assert candidate_actions(state) == []
 
     def test_two_free_neighbors(self):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0})
         features = {i: np.zeros(3) for i in range(3)}
         state = initial_state(graph, features, focal=0)
-        assert candidate_actions(state) == [PolicyAction(1), PolicyAction(2), STOP]
+        assert candidate_actions(state) == [1, 2]
 
     def test_assigned_neighbors_excluded(self):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0})
         features = {i: np.zeros(3) for i in range(3)}
         state = initial_state(graph, features, focal=0, unavailable=frozenset({1}))
-        assert candidate_actions(state) == [PolicyAction(2), STOP]
+        assert candidate_actions(state) == [2]
 
     def test_unroutable_neighbor_excluded_but_other_errors_raised(self, monkeypatch):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0, (0, 3): 5.0})
@@ -334,7 +332,7 @@ class TestCandidateActions:
                 raise NoRouteError("no route")
 
         monkeypatch.setattr(graph, "group_route", no_route_via_2)
-        assert candidate_actions(state) == [PolicyAction(3), STOP]
+        assert candidate_actions(state) == [3]
 
         def broken(group):
             raise KeyError(group)
@@ -368,13 +366,12 @@ def with_blocked_groups(graph, blocked):
 def assert_step_raises_exactly_off_candidates(state, spec):
     candidates = candidate_actions(state)
     for v in sorted(state.graph.trips) + [max(state.graph.trips) + 1]:
-        action = PolicyAction(v)
         try:
-            step(state, action, spec)
+            step(state, v, spec)
         except InfeasibleActionError:
-            assert action not in candidates, v
+            assert v not in candidates, v
         else:
-            assert action in candidates, v
+            assert v in candidates, v
 
 
 def all_records(result):
@@ -400,7 +397,7 @@ class TestLegality:
         state = initial_state(graph, features, focal, unavailable - {focal}, capacity)
         assert_step_raises_exactly_off_candidates(state, spec)
         for pick in picks:
-            selects = candidate_actions(state)[:-1]
+            selects = candidate_actions(state)
             if not selects:
                 break
             state, _, _ = step(state, selects[pick % len(selects)], spec)
@@ -416,7 +413,7 @@ class TestLegality:
             while True:
                 assert_step_raises_exactly_off_candidates(state, spec)
                 sizes.add(len(state.selected))
-                selects = candidate_actions(state)[:-1]
+                selects = candidate_actions(state)
                 if not selects:
                     break
                 state, _, _ = step(state, selects[0], spec)
@@ -458,14 +455,14 @@ class TestStep:
     def test_stop_is_terminal_zero_reward(self):
         _, _, graph, features, spec = routed_setup()
         state = initial_state(graph, features, focal=0)
-        next_state, reward, done = step(state, STOP, spec)
+        next_state, reward, done = step(state, None, spec)
         assert done and reward == 0.0 and next_state is state
 
     def test_first_select_pays_edge_weight(self):
         _, _, graph, features, spec = routed_setup()
         (a, b), edge = next(iter(sorted(graph.edges.items())))
         state = initial_state(graph, features, focal=a)
-        next_state, reward, done = step(state, PolicyAction(b), spec)
+        next_state, reward, done = step(state, b, spec)
         assert reward == edge.weight
         assert not done
         assert next_state.selected == (b,)
@@ -475,7 +472,7 @@ class TestStep:
         _, _, graph, features, spec = routed_setup()
         (a, b), _ = next(iter(sorted(graph.edges.items())))
         state = initial_state(graph, features, focal=a)
-        next_state, _, _ = step(state, PolicyAction(b), spec)
+        next_state, _, _ = step(state, b, spec)
         assert next_state.context is state.context
         assert next_state.graph is state.graph
         assert next_state.focal == state.focal
@@ -489,19 +486,19 @@ class TestStep:
         )
         state = initial_state(graph, features, focal=focal)
         with pytest.raises(InfeasibleActionError):
-            step(state, PolicyAction(non_neighbor), spec)
+            step(state, non_neighbor, spec)
 
     def test_three_rider_marginal_matches_reroute(self):
         net, trips, graph = scenario_instance(seed=2, n_trips=6, rows=3, cols=3, spacing=1000.0)
         features = features_for(trips)
-        spec = RewardSpec(objective=Objective.DISTANCE)
+        spec = RewardSpec()
         focal = next(
             t for t in sorted(graph.trips) if len(graph.neighbors(t)) >= 2
         )
         n1, n2 = graph.neighbors(focal)[:2]
         state = initial_state(graph, features, focal=focal, capacity=3)
-        state, first_reward, _ = step(state, PolicyAction(n1), spec)
-        state2, reward, _ = step(state, PolicyAction(n2), spec)
+        state, first_reward, _ = step(state, n1, spec)
+        state2, reward, _ = step(state, n2, spec)
         by_id = graph.trips
         from ridepool.shareability import route_for_group
 
@@ -522,15 +519,14 @@ class TestStep:
             if max(e.shared.per_rider_delay.values()) > 0.0
         )
         (a, b), edge = pair
-        plain = RewardSpec(objective=graph.objective)
+        plain = RewardSpec()
         penalized = RewardSpec(
-            objective=graph.objective,
             social_penalty_weight=10.0,
             profile=ToleranceProfile(tau0=300.0, kappa=2.0, s=1.0),
         )
         state = initial_state(graph, features, focal=a)
-        _, base_reward, _ = step(state, PolicyAction(b), plain)
-        _, cut_reward, _ = step(state, PolicyAction(b), penalized)
+        _, base_reward, _ = step(state, b, plain)
+        _, cut_reward, _ = step(state, b, penalized)
         assert cut_reward < base_reward
 
 
@@ -539,7 +535,7 @@ class TestRollout:
         graph = weighted_graph({}, n_trips=4)
         features = {i: np.zeros(3) for i in range(4)}
         params = zero_head_params(3)
-        spec = RewardSpec(objective=Objective.DISTANCE)
+        spec = RewardSpec()
         result = rollout(graph, features, params, spec, seed=0)
         assert result.groups == ((0,), (1,), (2,), (3,))
         for episode in result.episodes:
@@ -561,16 +557,10 @@ class TestRollout:
         graph = weighted_graph({(a, b): 5.0 for a in range(4) for b in range(a + 1, 4)})
         features = {i: np.zeros(3) for i in range(4)}
         params = zero_head_params(3)
-        spec = RewardSpec(objective=Objective.DISTANCE)
+        spec = RewardSpec()
         for seed in range(10):
             result = rollout(graph, features, params, spec, capacity=2, seed=seed)
             check_partition(graph, result.groups, capacity=2)
-
-    def test_objective_mismatch_rejected(self):
-        _, _, graph, features, _ = routed_setup()
-        params = zero_head_params(len(next(iter(features.values()))))
-        with pytest.raises(ValueError):
-            rollout(graph, features, params, RewardSpec(objective=Objective.TIME), seed=0)
 
     @pytest.mark.parametrize("capacity", (2, 3, 4))
     def test_select_inputs_match_row_wise_build(self, capacity):
@@ -583,13 +573,13 @@ class TestRollout:
                 continue
             state = initial_state(graph, features, focal, frozenset(assigned), capacity)
             for rec in next(episodes):
-                select_ids = [a.trip_id for a in candidate_actions(state)[:-1]]
+                select_ids = candidate_actions(state)
                 expected = select_inputs_rowwise(state, select_ids)
                 assert rec.select_inputs.dtype == expected.dtype
                 assert rec.select_inputs.shape == expected.shape
                 assert rec.select_inputs.tobytes() == expected.tobytes()
                 if rec.action_index < len(select_ids):
-                    state, _, _ = step(state, PolicyAction(select_ids[rec.action_index]), spec)
+                    state, _, _ = step(state, select_ids[rec.action_index], spec)
             assigned.update((focal,) + state.selected)
         assert next(episodes, None) is None
 
@@ -601,7 +591,7 @@ class TestPPOUpdate:
         graph = weighted_graph({}, n_trips=3)
         features = {i: np.zeros(3) for i in range(3)}
         params = zero_head_params(3)
-        spec = RewardSpec(objective=Objective.DISTANCE)
+        spec = RewardSpec()
         result = rollout(graph, features, params, spec, seed=0)
         cfg = PPOConfig(entropy_coeff=0.0)
         updated = ppo_update(params, result.episodes, cfg)
@@ -696,7 +686,7 @@ class TestMatchAll:
         graph = weighted_graph({}, n_trips=4)
         features = {i: np.zeros(3) for i in range(4)}
         params = zero_head_params(3)
-        spec = RewardSpec(objective=Objective.DISTANCE)
+        spec = RewardSpec()
         solution = match_all(graph, features, params, spec)
         assert solution.groups == ((0,), (1,), (2,), (3,))
         assert solution.objective_value == 0.0
@@ -717,7 +707,7 @@ class TestMatchAll:
         ]
         graph = build_shareability_graph(line_net, trips, Objective.DISTANCE)
         features = features_for(trips)
-        spec = RewardSpec(objective=Objective.DISTANCE)
+        spec = RewardSpec()
         params, _ = train(graph, features, spec, cfg=PPOConfig(seed=1), n_updates=30, hidden=16)
         solution = match_all(graph, features, params, spec)
         assert solution.groups == ((0, 1),)

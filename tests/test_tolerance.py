@@ -158,10 +158,10 @@ class TestSweep:
         run_cfg_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
         from dataclasses import replace
 
-        run_cfg = replace(cfg, seed=run_cfg_seed)
+        run_cfg = replace(cfg, seed=run_cfg_seed, objective=Objective.DISTANCE)
         net, trips = pipeline.generate_scenario(run_cfg)
         features = pipeline.embed_trips(trips, run_cfg)
-        graph, solution = pipeline.match_scenario(net, trips, features, run_cfg, objective=Objective.DISTANCE)
+        graph, solution = pipeline.match_scenario(net, trips, features, run_cfg)
         from ridepool import metrics as metrics_mod
 
         report = metrics_mod.compute_report(
@@ -170,6 +170,38 @@ class TestSweep:
         cell = cells[0]
         for name in metrics_mod.METRIC_NAMES:
             assert cell.stats[name][0] == pytest.approx(getattr(report, name), rel=1e-12)
+
+    def test_penalty_retrains_each_cell_under_its_sensitivity(self):
+        # with a social penalty the policy behind cell (objective, s) is trained
+        # and decoded under the profile at s; rebuild each cell from the policy API
+        from dataclasses import replace
+
+        from ridepool import metrics as metrics_mod
+        from ridepool import pipeline
+        from ridepool.policy import RewardSpec, match_all, train
+        from ridepool.shareability import build_shareability_graph
+
+        cfg = small_sweep_config(train_updates=2, social_penalty_weight=1000.0, capacity=3)
+        cells = sensitivity_sweep(cfg, [0.0, 1.0], [Objective.DISTANCE], runs_per_cell=1, seed=1)
+        run_cfg = replace(cfg, seed=int(np.random.SeedSequence([1, 0]).generate_state(1)[0]))
+        net, trips = pipeline.generate_scenario(run_cfg)
+        features = pipeline.embed_trips(trips, run_cfg)
+        draws = {t.trip_id: float(np.random.default_rng([1, 0, t.trip_id]).random()) for t in trips}
+        decoded = []
+        for cell in cells:
+            profile = cfg.tolerance.with_sensitivity(cell.s)
+            spec = RewardSpec(cfg.social_penalty_weight, profile)
+            graph = build_shareability_graph(net, trips, Objective.DISTANCE, cfg.constraints)
+            params, _ = train(graph, features, spec, 3, cfg.ppo, cfg.train_updates, cfg.policy_hidden)
+            solution = match_all(graph, features, params, spec, capacity=3)
+            decoded.append(solution.groups)
+            filtered = filter_with_draws(solution, graph, profile, draws)
+            report = metrics_mod.compute_report(
+                filtered, metrics_mod.build_outcomes(filtered, graph.trips, cfg.factors), cfg.factors
+            )
+            for name in METRIC_NAMES:
+                assert cell.stats[name][0] == pytest.approx(getattr(report, name), rel=1e-12), (cell.s, name)
+        assert decoded[0] != decoded[1]  # s reaches the decode, so the cells can tell a missed retrain
 
     def test_carpooling_rate_non_increasing_in_s(self):
         cfg = small_sweep_config()
