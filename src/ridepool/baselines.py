@@ -55,9 +55,9 @@ def brute_force_optimal(graph: ShareabilityGraph, capacity=2) -> MatchingSolutio
     """Exhaustive maximum-value matching; ties pick the lexicographically
     smallest canonical group list.
 
-    Capacity 2 enumerates pair matchings (trips <= 12).  Larger capacities
-    enumerate set partitions restricted to groups where some member is
-    adjacent to all the others (trips <= 8).
+    Enumerates set partitions into groups of at most `capacity` trips where
+    some member is adjacent to all the others (at capacity 2, a pair joined
+    by an edge): trips <= 12 at capacity 2, trips <= 8 above.
     """
     ids = tuple(sorted(graph.trips))
     limit = 12 if capacity == 2 else 8
@@ -83,11 +83,6 @@ def brute_force_optimal(graph: ShareabilityGraph, capacity=2) -> MatchingSolutio
     def extensions(head, rest):
         """Groups containing `head` drawn from `rest`, sizes 1..capacity."""
         yield (head,)
-        if capacity == 2:
-            for other in rest:
-                if other in graph.neighbors(head):
-                    yield (head, other)
-            return
         for size in range(1, capacity):
             for combo in itertools.combinations(rest, size):
                 group = (head,) + combo

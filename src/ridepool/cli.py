@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from . import pipeline
+from .geo import NoRouteError
 from .scenario import ConfigError, ScenarioConfig, load_config, with_overrides
 
 _COMMANDS = pipeline.STAGES + ("all",)
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except (OSError, ValueError, NoRouteError) as exc:  # bad or missing artifacts, unroutable trips
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

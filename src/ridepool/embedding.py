@@ -77,7 +77,6 @@ class InteractionMatrix:
 
     user_ids: tuple
     matrix: np.ndarray
-    grid: GridIndex
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def build_interaction_matrix(trips, grid: GridIndex) -> InteractionMatrix:
         row = index[t.user_id]
         A[row, encode_location(grid, t.origin_point)] = 1
         A[row, encode_location(grid, t.dest_point)] = 1
-    return InteractionMatrix(user_ids=user_ids, matrix=A, grid=grid)
+    return InteractionMatrix(user_ids=user_ids, matrix=A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +152,8 @@ def propagate(prev: np.ndarray, lap, w1: np.ndarray, w2: np.ndarray, activation=
         raise ValueError(f"laplacian shape {lap.shape} does not match embeddings {prev.shape}")
     if w1.shape != (d, d) or w2.shape != (d, d):
         raise ValueError(f"weight shapes {w1.shape}/{w2.shape} do not match dim {d}")
-    act = _ACTIVATIONS[activation] if isinstance(activation, str) else activation
     lp = lap @ prev
-    return act((lp + prev) @ w1 + lp * (prev @ w2))
+    return _ACTIVATIONS[activation]((lp + prev) @ w1 + lp * (prev @ w2))
 
 
 def compute_user_features(trips, grid: GridIndex, cfg: EmbeddingConfig) -> dict:

@@ -34,9 +34,8 @@ class GeoPoint:
 
 @dataclass(frozen=True)
 class Route:
-    """A path through the network; distance and time are sums over its edges."""
+    """A shortest path as its length (m) and the travel time (s) along it."""
 
-    nodes: tuple
     distance: float
     time: float
 
@@ -61,7 +60,6 @@ class RoadNetwork:
 
     def __init__(self, nodes, edges, directed=False):
         self.nodes = dict(sorted(nodes.items()))
-        self.directed = directed
         self.edges = []
         adjacency = {nid: [] for nid in self.nodes}
         for u, v, length, time in edges:
@@ -82,9 +80,6 @@ class RoadNetwork:
         self._node_lat = np.array([q.lat for q in self.nodes.values()], dtype=float)
         self._node_lon = np.array([q.lon for q in self.nodes.values()], dtype=float)
         self._node_cos_lat = np.cos(np.radians(self._node_lat))
-
-    def __len__(self):
-        return len(self.nodes)
 
     def neighbors(self, node_id):
         return self._adjacency[node_id]
@@ -120,44 +115,35 @@ class RoadNetwork:
             raise KeyError(f"unknown node {origin}")
         dist = {origin: 0.0}
         time = {origin: 0.0}
-        pred = {origin: origin}
-        done = set()
         heap = [(0.0, origin)]
         while heap:
             d, u = heapq.heappop(heap)
-            if u in done:
+            if d > dist[u]:  # a stale entry; edge lengths > 0, so u is settled
                 continue
-            done.add(u)
             for v, length, t in self._adjacency[u]:
                 nd = d + length
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
                     time[v] = time[u] + t
-                    pred[v] = u
                     heapq.heappush(heap, (nd, v))
-        result = (dist, time, pred)
+        result = (dist, time)
         self._sssp[origin] = result
         return result
 
     def distance_time(self, origin, dest):
-        """Shortest-path (distance_m, time_s) without path reconstruction."""
-        dist, time, _ = self._single_source(origin)
+        """(distance_m, time_s) of the minimum-distance path; time is summed
+        along that path, not minimized."""
+        dist, time = self._single_source(origin)
         if dest not in dist:
             raise NoRouteError(f"no route from node {origin} to node {dest}")
         return dist[dest], time[dest]
 
     def shortest_path(self, origin, dest) -> Route:
-        """Minimum-distance route; origin == dest yields a zero-length route."""
+        """`distance_time` as a `Route`; origin == dest yields a zero-length
+        route, and an unknown node raises KeyError."""
         if dest not in self.nodes:
             raise KeyError(f"unknown node {dest}")
-        dist, time, pred = self._single_source(origin)
-        if dest not in dist:
-            raise NoRouteError(f"no route from node {origin} to node {dest}")
-        seq = [dest]
-        while seq[-1] != origin:
-            seq.append(pred[seq[-1]])
-        seq.reverse()
-        return Route(tuple(seq), dist[dest], time[dest])
+        return Route(*self.distance_time(origin, dest))
 
 
 def build_grid_network(rows, cols, spacing, speed, anchor=GeoPoint(0.0, 0.0)) -> RoadNetwork:

@@ -151,26 +151,7 @@ def write_report_csv(report: MetricsReport, path):
             fh.write(f"{name},{getattr(report, name):.9g}\n")
 
 
-def read_report_csv(path) -> dict:
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, value = line.partition(",")
-            if not value:
-                raise ValueError(f"{path}:{lineno}: unrecognized report record {line!r}")
-            values[name] = float(value)
-    return values
-
-
 def write_report_json(report: MetricsReport, path):
     with open(path, "w") as fh:
         json.dump(report.as_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_report_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

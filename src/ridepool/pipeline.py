@@ -17,8 +17,6 @@ its readers in `STAGES`, so a parse is never stale.  Separate stage calls
 import functools
 import os
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import __version__
@@ -91,12 +89,10 @@ def train_scenario(graph, features, cfg: ScenarioConfig):
     return params, history
 
 
-def match_scenario(net, trips, features, cfg: ScenarioConfig):
-    """Build the graph, train per config, and greedy-decode a matching."""
-    graph = build_shareability_graph(net, trips, cfg.objective, cfg.constraints)
+def match_scenario(graph, features, cfg: ScenarioConfig):
+    """Train per config on `graph` and greedy-decode a matching of it."""
     params, _ = train_scenario(graph, features, cfg)
-    solution = policy_mod.match_all(graph, features, params, reward_spec(cfg), capacity=cfg.capacity)
-    return graph, solution
+    return policy_mod.match_all(graph, features, params, reward_spec(cfg), capacity=cfg.capacity)
 
 
 def write_matching(solution, path):
@@ -238,7 +234,8 @@ def objective_report(cfg: ScenarioConfig, objectives=None):
     features = embed_trips(trips, cfg)
     reports = {}
     for objective in objectives:
-        graph, solution = match_scenario(net, trips, features, replace(cfg, objective=objective))
+        graph = build_shareability_graph(net, trips, objective, cfg.constraints)
+        solution = match_scenario(graph, features, cfg)
         outcomes = metrics_mod.build_outcomes(solution, graph.trips, cfg.factors)
         reports[objective] = metrics_mod.compute_report(solution, outcomes, cfg.factors)
     return reports

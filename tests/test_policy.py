@@ -70,7 +70,7 @@ def unflatten_params(vector, template):
 
 def random_step_records(rng, params, n_steps):
     """Synthetic decisions with O(1) rewards; old log-probs from `params`."""
-    input_dim = params.input_dim
+    input_dim = params.w_hidden.shape[0]
     records = []
     for _ in range(n_steps):
         k = int(rng.integers(0, 4))
@@ -265,8 +265,8 @@ def drawn_steps(rng, params, n_steps, stop_only, offset, eps):
     records = []
     for i in range(n_steps):
         k = 0 if stop_only else int(rng.integers(0, 5))
-        inputs = rng.normal(0.0, 1.0, size=(k, params.input_dim))
-        value_input = rng.normal(0.0, 1.0, size=params.input_dim)
+        inputs = rng.normal(0.0, 1.0, size=(k, params.w_hidden.shape[0]))
+        value_input = rng.normal(0.0, 1.0, size=params.w_hidden.shape[0])
         _, logits, _, _ = score_one(params, inputs, value_input)
         shifted = logits - logits.max()
         log_probs = shifted - math.log(np.exp(shifted).sum())

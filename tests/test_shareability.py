@@ -373,7 +373,7 @@ def graph_edges_oracle(net, trips, objective, constraints):
 class TestGraphBuild:
     def test_single_trip(self, line_net):
         graph = build_shareability_graph(line_net, [trip_on(line_net, 0, 0, 2)])
-        assert len(graph) == 1
+        assert len(graph.trips) == 1
         assert not graph.edges
 
     def test_two_identical_trips(self, line_net):

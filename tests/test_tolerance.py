@@ -161,7 +161,8 @@ class TestSweep:
         run_cfg = replace(cfg, seed=run_cfg_seed, objective=Objective.DISTANCE)
         net, trips = pipeline.generate_scenario(run_cfg)
         features = pipeline.embed_trips(trips, run_cfg)
-        graph, solution = pipeline.match_scenario(net, trips, features, run_cfg)
+        graph = pipeline.build_shareability_graph(net, trips, run_cfg.objective, run_cfg.constraints)
+        solution = pipeline.match_scenario(graph, features, run_cfg)
         from ridepool import metrics as metrics_mod
 
         report = metrics_mod.compute_report(
@@ -202,6 +203,22 @@ class TestSweep:
             for name in METRIC_NAMES:
                 assert cell.stats[name][0] == pytest.approx(getattr(report, name), rel=1e-12), (cell.s, name)
         assert decoded[0] != decoded[1]  # s reaches the decode, so the cells can tell a missed retrain
+
+    def test_penalty_sweep_builds_one_graph_per_objective(self, monkeypatch):
+        # the graph depends on the objective only, so retraining per s reuses it
+        from ridepool import pipeline
+
+        build = pipeline.build_shareability_graph
+        built = []
+
+        def counted(net, trips, objective, constraints):
+            built.append(objective)
+            return build(net, trips, objective, constraints)
+
+        monkeypatch.setattr(pipeline, "build_shareability_graph", counted)
+        cfg = small_sweep_config(social_penalty_weight=1000.0)
+        sensitivity_sweep(cfg, [0.0, 0.5, 1.0], [Objective.DISTANCE, Objective.VEHICLE], runs_per_cell=1, seed=3)
+        assert built == [Objective.DISTANCE, Objective.VEHICLE]
 
     def test_carpooling_rate_non_increasing_in_s(self):
         cfg = small_sweep_config()
