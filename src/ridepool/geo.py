@@ -65,10 +65,10 @@ class RoadNetwork:
         for u, v, length, time in edges:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
-            if length <= 0.0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive length {length}")
-            if time <= 0.0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive travel time {time}")
+            if not 0.0 < length < math.inf:
+                raise ValueError(f"edge ({u}, {v}) has length {length}; expected a finite positive number")
+            if not 0.0 < time < math.inf:
+                raise ValueError(f"edge ({u}, {v}) has travel time {time}; expected a finite positive number")
             length, time = float(length), float(time)
             self.edges.append((u, v, length, time))
             adjacency[u].append((v, length, time))

@@ -8,6 +8,11 @@ depend on the build objective:
 * ``vehicle``  - every kept edge weighs 2 (one pooled ride covers two trips);
 * ``distance`` - meters saved: solo_a + solo_b - shared;
 * ``time``     - seconds saved, same shape.
+
+A pair and a group of 3 or 4 riders are routed by one rule: the shortest stop
+order in which each pickup comes before its own dropoff and the vehicle never
+runs empty between the first pickup and the last dropoff; ties go to the first
+such order in lexicographic stop order (pickups by trip id, then dropoffs).
 """
 
 import itertools
@@ -68,6 +73,8 @@ class TripRequest:
     def __post_init__(self):
         if self.origin == self.dest:
             raise ValueError(f"trip {self.trip_id}: both endpoints are node {self.origin}")
+        if not math.isfinite(self.desired_departure):
+            raise ValueError(f"trip {self.trip_id}: departure {self.desired_departure} is not finite")
 
 
 def make_trip(net: RoadNetwork, trip_id, user_id, origin_point, dest_point, desired_departure):
@@ -90,11 +97,13 @@ def make_trip(net: RoadNetwork, trip_id, user_id, origin_point, dest_point, desi
 class SharedRoute:
     """A vehicle route serving several riders' pickups and dropoffs.
 
-    ``ordering`` holds ("P"|"D", trip_id) stops.  The vehicle leaves the first
-    stop at the latest desired departure among its riders, so the earlier
-    riders' wait shows up as delay.  Detour is in-vehicle distance minus the
-    rider's solo distance; delay is door-to-door time (from their own desired
-    departure) minus their solo time.
+    ``ordering`` holds ("P"|"D", trip_id) stops, for several riders in the
+    shortest order with each pickup before its own dropoff and the vehicle
+    never empty in between, ties to the first in lexicographic stop order.
+    The vehicle leaves the first stop at the latest desired departure among
+    its riders, so the earlier riders' wait shows up as delay.  Detour is
+    in-vehicle distance minus the rider's solo distance; delay is door-to-door
+    time (from their own desired departure) minus their solo time.
     """
 
     ordering: tuple
@@ -152,79 +161,76 @@ def _evaluate_order(trips_by_id, ordering, legs) -> SharedRoute:
     )
 
 
-# The four genuinely-shared stop orders for a pair: both riders are on board
-# together for some leg (pickups happen before either dropoff).
-_PAIR_ORDER_TEMPLATES = (
-    (("P", 0), ("P", 1), ("D", 0), ("D", 1)),
-    (("P", 0), ("P", 1), ("D", 1), ("D", 0)),
-    (("P", 1), ("P", 0), ("D", 1), ("D", 0)),
-    (("P", 1), ("P", 0), ("D", 0), ("D", 1)),
-)
-
-
 def best_shared_route(net: RoadNetwork, a: TripRequest, b: TripRequest) -> SharedRoute:
-    """Minimum-total-distance shared route over the four pair stop orders."""
-    trips = {a.trip_id: a, b.trip_id: b}
-    ids = (a.trip_id, b.trip_id)
-    nodes = {("P", t.trip_id): t.origin for t in (a, b)} | {("D", t.trip_id): t.dest for t in (a, b)}
-    best = None
-    for template in _PAIR_ORDER_TEMPLATES:
-        ordering = tuple((kind, ids[slot]) for kind, slot in template)
-        legs = [net.distance_time(nodes[u], nodes[v]) for u, v in zip(ordering, ordering[1:])]
-        candidate = _evaluate_order(trips, ordering, legs)
-        if best is None or candidate.total_distance < best.total_distance:
-            best = candidate
-    return best
+    """Shortest of the four orders that pick both riders up before either is
+    dropped off (the ``_cheapest_order`` rule), whichever trip comes first."""
+    return _cheapest_order(net, sorted((a, b), key=lambda t: t.trip_id))
 
 
-def _cheapest_order(legs, k):
-    """Stop indices of the shortest order that puts each pickup before its dropoff.
+def _cheapest_order(net: RoadNetwork, trips) -> SharedRoute:
+    """Route of 2..4 riders, sorted by trip id, in the shortest stop order in
+    which each pickup comes before its own dropoff and the vehicle never runs
+    empty between the first pickup and the last dropoff.
 
-    Stop i < k is rider i's pickup and stop k + i its dropoff; ``legs[i][j]``
-    is the i -> j leg distance.  Orders are visited in lexicographic index
-    order (the order ``itertools.permutations`` yields) and each total is
+    Stop i < k is rider i's pickup and stop k + i its dropoff.  Orders are
+    searched depth first over a stop-to-stop leg matrix in lexicographic
+    index order (the order ``itertools.permutations`` yields), each total
     summed left to right from 0.0, the same float ``_evaluate_order`` gets.
     A prefix is dropped once its distance reaches the best total (legs are
     >= 0, so it cannot end strictly shorter) and only a strictly shorter
-    total replaces the best, so ties go to the first order visited.
+    total replaces the best, so ties go to the first order visited.  The
+    winner's legs are read back from the matrix.
     """
+    k = len(trips)
     n = 2 * k
+    stops = [("P", t.trip_id) for t in trips] + [("D", t.trip_id) for t in trips]
+    nodes = [t.origin for t in trips] + [t.dest for t in trips]
+    # Route only the legs some allowed order drives: not i -> i, not D_i -> P_i
+    # and, for a pair, no dropoff -> pickup (the vehicle would run empty).  So
+    # this raises NoRouteError exactly when some allowed order cannot be driven.
+    legs = [
+        [
+            (0.0, 0.0) if i == j or (j < k <= i and (k == 2 or i == j + k)) else net.distance_time(u, v)
+            for j, v in enumerate(nodes)
+        ]
+        for i, u in enumerate(nodes)
+    ]
+    dist = [[d for d, _ in row] for row in legs]
     best_cost = math.inf
     best_order = None
     order = []
     placed = [False] * n
 
-    def extend(row, cost):
+    def extend(row, cost, on_board):
         nonlocal best_cost, best_order
         if len(order) == n:
             best_cost, best_order = cost, tuple(order)
             return
         for stop in range(n):
-            if placed[stop] or (stop >= k and not placed[stop - k]):
+            if placed[stop]:
+                continue
+            if stop >= k and (not placed[stop - k] or (on_board == 1 and len(order) < n - 1)):
                 continue
             total = cost + row[stop]
             if total >= best_cost:
                 continue
             placed[stop] = True
             order.append(stop)
-            extend(legs[stop], total)
+            extend(dist[stop], total, on_board + (1 if stop < k else -1))
             order.pop()
             placed[stop] = False
 
-    extend([0.0] * n, 0.0)
-    return best_order
+    extend([0.0] * n, 0.0, 0)
+    return _evaluate_order(
+        {t.trip_id: t for t in trips},
+        tuple(stops[i] for i in best_order),
+        [legs[i][j] for i, j in zip(best_order, best_order[1:])],
+    )
 
 
 def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
-    """Best vehicle route for 1..4 riders.
-
-    Pairs use the four shared orders.  Larger groups take the minimum-distance
-    order among those with each pickup before its own dropoff, found by an
-    exact search over a stop-to-stop leg matrix (``_cheapest_order``) with
-    the stops listed as pickups by trip id, then dropoffs by trip id; the
-    winner's legs are read back from the same matrix.  Singletons reduce to
-    the solo route.
-    """
+    """Best vehicle route for 1..4 riders: a singleton's solo route, else the
+    ``_cheapest_order`` route of the riders sorted by trip id."""
     trips = sorted(trips, key=lambda t: t.trip_id)
     if len(trips) == 1:
         t = trips[0]
@@ -235,25 +241,9 @@ def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
             per_rider_delay={t.trip_id: 0.0},
             per_rider_detour={t.trip_id: 0.0},
         )
-    if len(trips) == 2:
-        return best_shared_route(net, trips[0], trips[1])
     if len(trips) > 4:
         raise ValueError(f"group routing supports at most 4 riders, got {len(trips)}")
-    k = len(trips)
-    stops = [("P", t.trip_id) for t in trips] + [("D", t.trip_id) for t in trips]
-    nodes = [t.origin for t in trips] + [t.dest for t in trips]
-    # Every leg but D_i -> P_i lies on some valid order, so this raises
-    # NoRouteError exactly when some valid order cannot be driven.
-    legs = [
-        [(0.0, 0.0) if i == j or i == j + k else net.distance_time(u, v) for j, v in enumerate(nodes)]
-        for i, u in enumerate(nodes)
-    ]
-    order = _cheapest_order([[d for d, _ in row] for row in legs], k)
-    return _evaluate_order(
-        {t.trip_id: t for t in trips},
-        tuple(stops[i] for i in order),
-        [legs[i][j] for i, j in zip(order, order[1:])],
-    )
+    return _cheapest_order(net, trips)
 
 
 def edge_weight(shared: SharedRoute, a: TripRequest, b: TripRequest, objective: Objective) -> float:

@@ -371,8 +371,10 @@ class TestMalformedArtifacts:
             (pipeline.TRIPS_FILE, 3, lambda f: " ".join(f[:2] + ["x1"] + f[3:]), "graph"),
             (pipeline.POLICY_FILE, 1, lambda f: " ".join(f[:-1]), "match"),
             (pipeline.GRAPH_FILE, 2, lambda f: " ".join(f[:2] + ["99"] + f[3:]), "match"),
+            (pipeline.TRIPS_FILE, 4, lambda f: " ".join(f[:7] + ["nan"]), "graph"),
+            (pipeline.TRIPS_FILE, 5, lambda f: " ".join(f[:7] + ["inf"]), "graph"),
         ],
-        ids=["trip-user-id", "truncated-policy", "graph-unknown-trip"],
+        ids=["trip-user-id", "truncated-policy", "graph-unknown-trip", "nan-departure", "inf-departure"],
     )
     def test_bad_record_exits_2_naming_file_and_line(self, name, lineno, edit, command, tmp_path, capsys):
         cfg_path, out = self.trained_run(tmp_path)
@@ -401,6 +403,17 @@ class TestMalformedArtifacts:
         (out / name).write_text("\n".join(lines) + "\n")
         assert run_cli([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"{name}:{len(lines)}: " in capsys.readouterr().err
+
+    def test_nan_edge_length_exits_2_naming_the_edge(self, tmp_path, capsys):
+        cfg_path, out = self.trained_run(tmp_path)
+        path = out / pipeline.NETWORK_FILE
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("E "))
+        tag, u, v, _, time = lines[at].split()
+        lines[at] = f"{tag} {u} {v} nan {time}"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["graph", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"edge ({u}, {v}) has length nan" in capsys.readouterr().err
 
     def test_features_missing_a_user_names_the_file(self, tmp_path, capsys):
         cfg_path, out = self.trained_run(tmp_path)

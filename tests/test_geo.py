@@ -281,3 +281,11 @@ class TestNetworkIO:
             RoadNetwork(nodes, [(0, 1, -5.0, 10.0)])
         with pytest.raises(ValueError):
             RoadNetwork(nodes, [(0, 1, 100.0, 0.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["length", "time"])
+    def test_non_finite_edges_rejected(self, field, bad):
+        nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.01)}
+        edge = (0, 1, bad, 10.0) if field == "length" else (0, 1, 100.0, bad)
+        with pytest.raises(ValueError, match=rf"edge \(0, 1\) has (travel )?{field} {bad}"):
+            RoadNetwork(nodes, [edge])

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,10 @@ _SHARED_LINE_NET = build_grid_network(1, 4, 1000.0, 10.0)
 
 
 def pair_route_oracle(net, a, b):
-    """Independent brute force over the four shared stop orders."""
+    """Independent brute force over the four shared stop orders: the first
+    strictly shortest, with the orders listed lexicographically (pickups by
+    trip id, then dropoffs by trip id)."""
+    a, b = sorted((a, b), key=lambda t: t.trip_id)
     stops = {
         ("P", a.trip_id): a.origin,
         ("D", a.trip_id): a.dest,
@@ -45,8 +47,8 @@ def pair_route_oracle(net, a, b):
     orders = [
         (("P", a.trip_id), ("P", b.trip_id), ("D", a.trip_id), ("D", b.trip_id)),
         (("P", a.trip_id), ("P", b.trip_id), ("D", b.trip_id), ("D", a.trip_id)),
-        (("P", b.trip_id), ("P", a.trip_id), ("D", b.trip_id), ("D", a.trip_id)),
         (("P", b.trip_id), ("P", a.trip_id), ("D", a.trip_id), ("D", b.trip_id)),
+        (("P", b.trip_id), ("P", a.trip_id), ("D", b.trip_id), ("D", a.trip_id)),
     ]
     best = None
     for order in orders:
@@ -63,20 +65,25 @@ def pair_route_oracle(net, a, b):
 
 def group_route_oracle(net, trips):
     """Independent brute force over every stop permutation: the first
-    strictly shortest one with each pickup before its own dropoff."""
+    strictly shortest one with each pickup before its own dropoff and someone
+    on board from the first stop to the last."""
     trips = sorted(trips, key=lambda t: t.trip_id)
     by_id = {t.trip_id: t for t in trips}
     start = max(t.desired_departure for t in trips)
     stops = [("P", t.trip_id) for t in trips] + [("D", t.trip_id) for t in trips]
     best = None
     for perm in itertools.permutations(stops):
-        picked = set()
+        on_board = set()
         valid = True
-        for kind, tid in perm:
+        for i, (kind, tid) in enumerate(perm):
             if kind == "P":
-                picked.add(tid)
-            elif tid not in picked:
+                on_board.add(tid)
+            elif tid not in on_board:
                 valid = False
+            else:
+                on_board.remove(tid)
+                valid = bool(on_board) or i == len(perm) - 1
+            if not valid:
                 break
         if not valid:
             continue
@@ -226,6 +233,22 @@ class TestBestSharedRoute:
             assert shared.total_distance == oracle_d
             assert shared.total_time == oracle_t
 
+    def test_same_route_in_either_argument_order(self):
+        net, trips, _ = scenario_instance(seed=5, n_trips=20)
+        for a, b in itertools.combinations(trips, 2):
+            assert best_shared_route(net, a, b) == best_shared_route(net, b, a)
+
+    def test_pair_needs_no_dropoff_to_pickup_leg(self):
+        # pickups 0 <-> 1, dropoffs 3 <-> 4, one way from the pickups to the
+        # dropoffs: every shared order can be driven, no dropoff -> pickup leg can
+        net = _directed_net([(1, 0, 1000.0, 100.0), (4, 3, 1000.0, 100.0)])
+        a, b = trip_on(net, 0, 0, 3), trip_on(net, 1, 1, 4)
+        with pytest.raises(NoRouteError):
+            net.distance_time(a.dest, b.origin)
+        shared = best_shared_route(net, a, b)
+        assert shared.ordering == (("P", 0), ("P", 1), ("D", 0), ("D", 1))
+        assert shared.total_distance == 4000.0
+
     def test_delay_and_detour_nonnegative(self):
         net, trips, _ = scenario_instance(seed=11, n_trips=10, departure_span=900.0)
         for a, b in itertools.combinations(trips, 2):
@@ -238,34 +261,16 @@ class TestBestSharedRoute:
 class TestGroupRouting:
     def test_three_riders_vs_exhaustive(self, line_net):
         trips = [trip_on(line_net, 0, 0, 2), trip_on(line_net, 1, 1, 3), trip_on(line_net, 2, 0, 3)]
-        route = route_for_group(line_net, trips)
-        # pickups precede dropoffs in the chosen order
-        seen = set()
-        for kind, tid in route.ordering:
-            if kind == "P":
-                seen.add(tid)
-            else:
-                assert tid in seen
-        # exhaustive re-check over all valid permutations
-        stops = {("P", t.trip_id): t.origin for t in trips}
-        stops.update({("D", t.trip_id): t.dest for t in trips})
-        best = math.inf
-        for perm in itertools.permutations(stops):
-            seen = set()
-            ok = True
-            for kind, tid in perm:
-                if kind == "P":
-                    seen.add(tid)
-                elif tid not in seen:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            total = sum(
-                line_net.distance_time(stops[s1], stops[s2])[0] for s1, s2 in zip(perm, perm[1:])
-            )
-            best = min(best, total)
-        assert route.total_distance == best
+        assert route_for_group(line_net, trips) == group_route_oracle(line_net, trips)
+
+    def test_vehicle_never_runs_empty_between_riders(self):
+        # dropping rider 0 first (P0 D0 P1 P2 D1 D2, 6 000 m) empties the
+        # vehicle between riders, so the group rides together for 8 000 m
+        trips = [trip_on(_TIE_LATTICE, 0, 0, 6), trip_on(_TIE_LATTICE, 1, 4, 2), trip_on(_TIE_LATTICE, 2, 4, 2)]
+        route = route_for_group(_TIE_LATTICE, trips)
+        assert route.ordering == (("P", 0), ("P", 1), ("P", 2), ("D", 0), ("D", 1), ("D", 2))
+        assert route.total_distance == 8000.0
+        assert route == group_route_oracle(_TIE_LATTICE, trips)
 
     def test_singleton_reduces_to_solo(self, line_net):
         t = trip_on(line_net, 0, 0, 3)
@@ -292,11 +297,14 @@ class TestGroupRouting:
         assert_same_group_route(net, trips)
 
     def test_fresh_group_routes_each_leg_once(self, monkeypatch):
-        # 8 x 8 stop pairs minus 8 self-legs and the 4 dropoff -> own pickup
-        # legs; the winning order is read back from the leg matrix
+        # a pair: 4 x 4 stop pairs minus 4 self-legs and the 4 dropoff -> pickup
+        # legs, which would leave the vehicle empty between the riders; four
+        # riders: 8 x 8 minus 8 self-legs and the 4 dropoff -> own pickup legs.
+        # The winning order is read back from the leg matrix.
         net = build_grid_network(4, 4, 1000.0, 10.0)
-        trips = [trip_on(net, 0, 0, 15), trip_on(net, 1, 1, 14), trip_on(net, 2, 4, 11), trip_on(net, 3, 5, 9)]
-        expected = group_route_oracle(net, trips)
+        pair = [trip_on(net, 0, 0, 15), trip_on(net, 1, 1, 14)]
+        four = pair + [trip_on(net, 2, 4, 11), trip_on(net, 3, 5, 9)]
+        expected = {2: group_route_oracle(net, pair), 4: group_route_oracle(net, four)}
         calls = []
         distance_time = net.distance_time
 
@@ -305,8 +313,10 @@ class TestGroupRouting:
             return distance_time(origin, dest)
 
         monkeypatch.setattr(net, "distance_time", counted)
-        assert route_for_group(net, trips) == expected
-        assert len(calls) == 52
+        for trips, legs in ((pair, 8), (four, 52)):
+            calls.clear()
+            assert route_for_group(net, trips) == expected[len(trips)]
+            assert len(calls) == legs
 
     def test_no_route_raised_like_brute_force(self):
         nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
@@ -442,6 +452,17 @@ class TestTripAndGraphIO:
         for key, edge in graph.edges.items():
             assert loaded.edges[key].weight == pytest.approx(edge.weight, abs=1e-6)
             assert loaded.edges[key].shared.total_distance == edge.shared.total_distance
+
+    def test_graph_with_reversed_pairs_reads_the_same_routes(self, tmp_path):
+        net, trips, graph = scenario_instance(seed=5, n_trips=20)
+        path = tmp_path / "graph.txt"
+        write_graph(graph, path)
+        records = [line.split() for line in path.read_text().splitlines()]
+        path.write_text("".join(" ".join([f[0], f[2], f[1]] + f[3:]) + "\n" for f in records))
+        loaded = read_graph(path, net, trips, graph.objective)
+        assert {key: e.shared for key, e in loaded.edges.items()} == {
+            key: e.shared for key, e in graph.edges.items()
+        }
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "trips.txt"
