@@ -50,6 +50,13 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+def _check_edge_cost(u, v, length, time):
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"edge ({u}, {v}) has length {length}; expected a finite positive number")
+    if not 0.0 < time < math.inf:
+        raise ValueError(f"edge ({u}, {v}) has travel time {time}; expected a finite positive number")
+
+
 class RoadNetwork:
     """Geographic graph with per-edge length (m) and travel time (s).
 
@@ -65,10 +72,7 @@ class RoadNetwork:
         for u, v, length, time in edges:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
-            if not 0.0 < length < math.inf:
-                raise ValueError(f"edge ({u}, {v}) has length {length}; expected a finite positive number")
-            if not 0.0 < time < math.inf:
-                raise ValueError(f"edge ({u}, {v}) has travel time {time}; expected a finite positive number")
+            _check_edge_cost(u, v, length, time)
             length, time = float(length), float(time)
             self.edges.append((u, v, length, time))
             adjacency[u].append((v, length, time))
@@ -178,7 +182,8 @@ def build_grid_network(rows, cols, spacing, speed, anchor=GeoPoint(0.0, 0.0)) ->
 
 
 def write_network(net: RoadNetwork, path):
-    """Line format: `N <id> <lat> <lon>` and `E <from> <to> <length_m> <time_s>`."""
+    """Line format: `N <id> <lat> <lon>` and `E <from> <to> <length_m> <time_s>`,
+    each node before the edges naming it."""
     with open(path, "w") as fh:
         for nid, p in net.nodes.items():
             fh.write(f"N {nid} {p.lat:.10f} {p.lon:.10f}\n")
@@ -212,13 +217,20 @@ def read_records(path, kind, widths, parse) -> list:
 
 
 def read_network(path) -> RoadNetwork:
+    """The network written by `write_network`.  An `E` record must follow the
+    `N` records of both its nodes; a bad edge is reported at its line."""
     nodes, edges = {}, []
 
     def parse(fields):
         if fields[0] == "N":
             nodes[int(fields[1])] = GeoPoint(float(fields[2]), float(fields[3]))
         else:
-            edges.append((int(fields[1]), int(fields[2]), float(fields[3]), float(fields[4])))
+            u, v, length, time = int(fields[1]), int(fields[2]), float(fields[3]), float(fields[4])
+            for node in (u, v):
+                if node not in nodes:
+                    raise KeyError(node)
+            _check_edge_cost(u, v, length, time)
+            edges.append((u, v, length, time))
 
     read_records(path, "network", {"N": 4, "E": 5}, parse)
     return RoadNetwork(nodes, edges)

@@ -14,13 +14,25 @@ are formed in one place, `fill_returns`.  Updates use the clipped
 probability-ratio surrogate with exact hand-rolled backprop, which keeps the
 gradients finite-difference checkable.
 
-The update is batched: `surrogate_objective` packs SURROGATE_BLOCK recorded
-steps at a time into one segmented logit vector (each step's select rows,
-then its Stop).  Per block `_score` runs one matmul and one tanh over all
+Work that does not depend on the parameters being updated is done once per
+update.  The rollouts of one update run under the same parameters and share
+one decision cache: a decision is keyed by (focal trip, selected co-riders,
+candidate ids), which fixes its input rows, so its inputs, probabilities and
+value are computed on first sight and reused, read-only, when another rollout
+of the update meets it again.  That is exact: a hit returns the very arrays a
+miss would have built.  Sampling, the log-probability of the sampled action,
+the record and the step still run for every decision.  The cache is dropped
+with the parameters at the end of the update; the greedy decode starts from
+an empty one.
+
+The update is batched: the recorded steps are packed SURROGATE_BLOCK at a
+time into one segmented logit vector each (each step's select rows, then its
+Stop), once per update, and every epoch's `surrogate_objective` reuses the
+packed blocks.  Per block `_score` runs one matmul and one tanh over all
 select rows and one over all value inputs, the softmax, log-softmax and
 entropy are `np.maximum.reduceat`/`np.add.reduceat` segment reductions, the
 clip is an elementwise mask, and each gradient is a matmul or sum per head.
-The fixed block size bounds the temporary memory of an update.
+The fixed block size bounds the temporaries of each surrogate evaluation.
 """
 
 from dataclasses import dataclass, replace
@@ -264,8 +276,13 @@ class RolloutResult:
         return [episode[0].return_ for episode in self.episodes]
 
 
-def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
-    """Shared driver: focal trips in ascending id, assigned trips excluded."""
+def _run_policy(graph, features, params, spec, capacity, pick, scored) -> RolloutResult:
+    """Shared driver: focal trips in ascending id, assigned trips excluded.
+
+    `scored` maps a decision (focal, selected, candidates) to its read-only
+    (select inputs, value input, probabilities, value) under `params`; a
+    decision met again reuses its entry, so it must only ever see one graph,
+    feature map and set of parameters."""
     assigned = set()
     episodes = []
     groups = []
@@ -276,12 +293,13 @@ def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
         records = []
         while len(state.selected) < capacity - 1:
             select_ids = candidate_actions(state)
-            inputs = _select_inputs(state, select_ids)
-            value_input = _value_input(state)
-            _, select_logits, _, value = _score(params, inputs, value_input)
-            probs = _softmax(np.append(select_logits, float(params.stop_logit)))
+            key = (focal, state.selected, tuple(select_ids))
+            entry = scored.get(key)
+            if entry is None:
+                entry = scored[key] = _score_decision(params, state, select_ids)
+            inputs, value_input, probs, value = entry
             index = pick(probs)
-            record = StepRecord(inputs, value_input, index, float(np.log(probs[index])), 0.0, float(value))
+            record = StepRecord(inputs, value_input, index, float(np.log(probs[index])), 0.0, value)
             records.append(record)
             if index == len(select_ids):
                 break
@@ -293,47 +311,99 @@ def _run_policy(graph, features, params, spec, capacity, pick) -> RolloutResult:
     return RolloutResult(episodes=episodes, groups=canonical_groups(groups))
 
 
-def rollout(graph, features, params, spec, capacity=2, seed=0) -> RolloutResult:
-    """Sampled trajectories over all focal trips; deterministic per seed."""
+def _score_decision(params, state, select_ids):
+    """One decision's read-only inputs, action probabilities (the select rows
+    in row order, then Stop) and state value."""
+    inputs = _select_inputs(state, select_ids)
+    value_input = _value_input(state)
+    _, select_logits, _, value = _score(params, inputs, value_input)
+    logits = np.empty(len(select_ids) + 1)
+    logits[:-1] = select_logits
+    logits[-1] = float(params.stop_logit)
+    probs = _softmax(logits)
+    for arr in (inputs, value_input, probs):
+        arr.flags.writeable = False
+    return inputs, value_input, probs, float(value)
+
+
+def _sample(probs, rng) -> int:
+    """An index drawn with probability `probs[i]`: the same draw from the same
+    generator state as `rng.choice(len(probs), p=probs)`, without its checks
+    and conversions."""
+    cdf = probs.cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise ValueError(f"probabilities contain NaN or inf: {probs}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None) -> RolloutResult:
+    """Sampled trajectories over all focal trips; deterministic per seed.
+
+    `scored` is the decision cache of `_run_policy`; rollouts under the same
+    parameters (one update's, in `train`) may share one, and leaving it out
+    gives a fresh one.  Sharing changes no record: the cache holds only what
+    a decision's key and the parameters determine, and every decision still
+    samples, and steps, on its own."""
     rng = np.random.default_rng(seed)
     return _run_policy(
-        graph, features, params, spec, capacity, pick=lambda p: int(rng.choice(len(p), p=p))
+        graph, features, params, spec, capacity, lambda p: _sample(p, rng), {} if scored is None else scored
     )
 
 
 def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     """Greedy decode (argmax action, ties to the lowest trip id) into a full
     matching solution with routed groups."""
-    result = _run_policy(graph, features, params, spec, capacity, pick=lambda p: int(np.argmax(p)))
+    result = _run_policy(graph, features, params, spec, capacity, lambda p: int(np.argmax(p)), {})
     return solution_for(graph, result.groups)
 
 
-def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig):
+def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig, blocks=None):
     """Mean clipped-surrogate objective with entropy bonus and value penalty,
     plus its exact gradient.  Maximized by ppo_update; finite-difference
     checkable as one scalar function of the parameters.
 
-    The steps are packed SURROGATE_BLOCK at a time (see _surrogate_block), so
-    the numpy work runs once per block, not once per step."""
+    The steps are packed SURROGATE_BLOCK at a time (see _pack_block), so the
+    numpy work runs once per block, not once per step.  `blocks` is
+    `_pack_steps(steps)` when the caller has packed them already."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     total = 0.0
-    for start in range(0, len(steps), SURROGATE_BLOCK):
-        total += _surrogate_block(params, steps[start : start + SURROGATE_BLOCK], cfg, grads)
+    for block in _pack_steps(steps) if blocks is None else blocks:
+        total += _surrogate_block(params, block, cfg, grads)
     n = len(steps)
     for name in grads:
         grads[name] /= n
     return total / n, grads
 
 
-def _surrogate_block(params: PolicyParams, block, cfg: PPOConfig, grads) -> float:
-    """Summed surrogate of a block of steps; adds its gradient to `grads`.
+@dataclass(frozen=True)
+class _PackedBlock:
+    """What the surrogate of a block of steps needs beyond the parameters.
 
     Each step is one segment of the packed logits: its select rows in row
     order, then Stop.  The select rows of all steps are stacked into one
-    matrix and their value inputs into another, so `_score` runs once per
-    block, and the softmax, log-softmax and entropy are segment reductions
-    (`reduceat` over the segment starts).
-    """
+    matrix and their value inputs into another."""
+
+    select_rows: np.ndarray  # (rows, input_dim)
+    value_rows: np.ndarray  # (steps, input_dim)
+    sizes: np.ndarray  # segment length per step: its select rows + Stop
+    starts: np.ndarray  # first logit of each segment
+    stops: np.ndarray  # each segment's Stop logit
+    selects: np.ndarray  # mask of the select logits
+    chosen: np.ndarray  # each step's taken logit
+    one_hot: np.ndarray  # 1.0 at the taken logits
+    old_log_prob: np.ndarray
+    returns: np.ndarray
+    advantage: np.ndarray  # return minus the rollout-time value
+
+
+def _pack_steps(steps) -> list:
+    """The steps as packed blocks of SURROGATE_BLOCK; the fixed block size
+    bounds the temporaries of each surrogate evaluation."""
+    return [_pack_block(steps[start : start + SURROGATE_BLOCK]) for start in range(0, len(steps), SURROGATE_BLOCK)]
+
+
+def _pack_block(block) -> _PackedBlock:
     sizes = np.array([rec.select_inputs.shape[0] + 1 for rec in block])
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -344,11 +414,30 @@ def _surrogate_block(params: PolicyParams, block, cfg: PPOConfig, grads) -> floa
         [(rec.action_index, rec.log_prob, rec.return_, rec.value) for rec in block]
     ).T
     chosen = starts + action_index.astype(np.intp)
+    one_hot = np.zeros(ends[-1])
+    one_hot[chosen] = 1.0
+    return _PackedBlock(
+        select_rows=np.concatenate([rec.select_inputs for rec in block]),
+        value_rows=np.array([rec.value_input for rec in block]),
+        sizes=sizes,
+        starts=starts,
+        stops=stops,
+        selects=selects,
+        chosen=chosen,
+        one_hot=one_hot,
+        old_log_prob=old_log_prob,
+        returns=returns,
+        advantage=returns - old_value,
+    )
 
-    select_rows = np.concatenate([rec.select_inputs for rec in block])
-    value_rows = np.array([rec.value_input for rec in block])
-    select_hidden, select_logits, value_hidden, values = _score(params, select_rows, value_rows)
-    logits = np.empty(ends[-1])
+
+def _surrogate_block(params: PolicyParams, block: _PackedBlock, cfg: PPOConfig, grads) -> float:
+    """Summed surrogate of a packed block of steps; adds its gradient to
+    `grads`.  `_score` runs once per block, and the softmax, log-softmax and
+    entropy are segment reductions (`reduceat` over the segment starts)."""
+    sizes, starts, stops, selects = block.sizes, block.starts, block.stops, block.selects
+    select_hidden, select_logits, value_hidden, values = _score(params, block.select_rows, block.value_rows)
+    logits = np.empty(len(selects))
     logits[selects] = select_logits
     logits[stops] = float(params.stop_logit)
 
@@ -356,20 +445,17 @@ def _surrogate_block(params: PolicyParams, block, cfg: PPOConfig, grads) -> floa
     log_probs = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), sizes)
     probs = np.exp(log_probs)
     entropy = -np.add.reduceat(probs * log_probs, starts)
-    ratio = np.exp(log_probs[chosen] - old_log_prob)
-    advantage = returns - old_value
-    unclipped = ratio * advantage
-    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantage
-    value_error = values - returns
+    ratio = np.exp(log_probs[block.chosen] - block.old_log_prob)
+    unclipped = ratio * block.advantage
+    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * block.advantage
+    value_error = values - block.returns
     total = float(
         (np.minimum(unclipped, clipped) + cfg.entropy_coeff * entropy - VALUE_LOSS_COEFF * value_error**2).sum()
     )
 
     # d(surrogate)/d(logits): flows only while the unclipped branch is active
-    one_hot = np.zeros(ends[-1])
-    one_hot[chosen] = 1.0
     gain = np.where(unclipped <= clipped, unclipped, 0.0)
-    g_logits = np.repeat(gain, sizes) * (one_hot - probs)
+    g_logits = np.repeat(gain, sizes) * (block.one_hot - probs)
     g_logits += cfg.entropy_coeff * (-probs * (log_probs + np.repeat(entropy, sizes)))
     g_select = g_logits[selects]
     grads["stop_logit"] += g_logits[stops].sum()
@@ -382,8 +468,8 @@ def _surrogate_block(params: PolicyParams, block, cfg: PPOConfig, grads) -> floa
 
     # back through each head into the shared layer; (1 - h^2) is written over h
     for rows, h, upstream, head in (
-        (select_rows, select_hidden, g_select, params.w_logit),
-        (value_rows, value_hidden, d_value, params.w_value),
+        (block.select_rows, select_hidden, g_select, params.w_logit),
+        (block.value_rows, value_hidden, d_value, params.w_value),
     ):
         d_pre = np.subtract(1.0, np.square(h, out=h), out=h)
         d_pre *= upstream[:, None]
@@ -408,13 +494,15 @@ def fill_returns(episodes, gamma):
 def ppo_update(params: PolicyParams, episodes, cfg: PPOConfig) -> PolicyParams:
     """Full-batch gradient ascent on the clipped surrogate for
     epochs_per_update passes.  Advantages use the rollout-time value baseline;
-    old log-probabilities stay fixed across passes."""
+    old log-probabilities stay fixed across passes, so the steps are packed
+    into blocks once and every pass reuses them."""
     steps = fill_returns(episodes, cfg.gamma)
     if not steps:
         raise ValueError("cannot update from empty trajectories")
     params = params.copy()
+    blocks = _pack_steps(steps)
     for _ in range(cfg.epochs_per_update):
-        _, grads = surrogate_objective(params, steps, cfg)
+        _, grads = surrogate_objective(params, steps, cfg, blocks)
         for name, grad in grads.items():
             arr = getattr(params, name)
             arr += cfg.learning_rate * grad
@@ -423,15 +511,21 @@ def ppo_update(params: PolicyParams, episodes, cfg: PPOConfig) -> PolicyParams:
 
 def train(graph, features, spec, capacity=2, cfg=None, n_updates=100, hidden=64):
     """Rollout/update loop; returns the trained parameters and the mean
-    episodic reward per update."""
+    episodic reward per update.
+
+    The rollouts of one update share one decision cache (see `rollout`): they
+    all run under that update's parameters, so a decision state met again
+    reuses its inputs, probabilities and value.  The cache is dropped when
+    the parameters change."""
     cfg = cfg or PPOConfig()
     feature_dim = len(next(iter(features.values())))
     params = init_policy_params(feature_dim, hidden=hidden, seed=cfg.seed)
     history = []
     for update in range(n_updates):
         episodes = []
+        scored = {}
         for r in range(cfg.rollouts_per_update):
-            result = rollout(graph, features, params, spec, capacity, seed=[cfg.seed, update, r])
+            result = rollout(graph, features, params, spec, capacity, seed=[cfg.seed, update, r], scored=scored)
             episodes.extend(result.episodes)
         params = ppo_update(params, episodes, cfg)
         history.append(float(np.mean([episode[0].return_ for episode in episodes])))

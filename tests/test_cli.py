@@ -415,6 +415,28 @@ class TestMalformedArtifacts:
         assert run_cli(["graph", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"edge ({u}, {v}) has length nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda u, v, length, time: f"E {u} 9999 {length} {time}", "unknown id 9999"),
+            (lambda u, v, length, time: f"E {u} {v} nan {time}", "edge ({u}, {v}) has length nan"),
+            (lambda u, v, length, time: f"E {u} {v} {length} 0", "edge ({u}, {v}) has travel time 0.0"),
+        ],
+        ids=["unknown-node", "nan-length", "zero-time"],
+    )
+    def test_bad_edge_exits_2_naming_file_and_line(self, edit, message, tmp_path, capsys):
+        cfg_path, out = self.trained_run(tmp_path)
+        path = out / pipeline.NETWORK_FILE
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("E "))
+        _, u, v, length, time = lines[at].split()
+        lines[at] = edit(u, v, length, time)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["graph", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pipeline.NETWORK_FILE}:{at + 1}: " in err
+        assert message.format(u=u, v=v) in err
+
     def test_features_missing_a_user_names_the_file(self, tmp_path, capsys):
         cfg_path, out = self.trained_run(tmp_path)
         path = out / pipeline.FEATURES_FILE

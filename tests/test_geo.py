@@ -273,6 +273,12 @@ class TestNetworkIO:
         with pytest.raises(ValueError, match="net.txt:4: unrecognized network record 'X what'"):
             read_network(path)
 
+    def test_edge_before_its_node_names_the_line(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("N 0 0.0 0.0\nE 0 1 100.0 10.0\nN 1 0.0 0.01\n")
+        with pytest.raises(ValueError, match="net.txt:2: network record names an unknown id 1"):
+            read_network(path)
+
     def test_bad_edges_rejected(self):
         nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.01)}
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridepool import policy
 from ridepool.baselines import brute_force_optimal, check_partition
 from ridepool.policy import (
     MAX_CAPACITY,
@@ -33,11 +34,13 @@ from ridepool.policy import (
     surrogate_objective,
     train,
     write_policy,
+    _sample,
     _score,
     _softmax,
 )
 from ridepool.geo import NoRouteError
 from ridepool.shareability import Objective
+from ridepool.tolerance import ToleranceProfile
 
 from conftest import features_for, scenario_instance, weighted_graph
 
@@ -564,24 +567,100 @@ class TestRollout:
 
     @pytest.mark.parametrize("capacity", (2, 3, 4))
     def test_select_inputs_match_row_wise_build(self, capacity):
-        # replay each episode of the rollout and rebuild every candidate block row by row
+        # replay each episode of the rollout, and of three rollouts sharing one
+        # decision cache, and rebuild every candidate block row by row
+        graph, features, spec, params = setup_150()
+        scored = {}
+        shared = [rollout(graph, features, params, spec, capacity, seed, scored=scored) for seed in (1, 2, 3)]
+        for result in [rollout_150(capacity)] + shared:
+            episodes = iter(result.episodes)
+            assigned = set()
+            for focal in sorted(graph.trips):
+                if focal in assigned:
+                    continue
+                state = initial_state(graph, features, focal, frozenset(assigned), capacity)
+                for rec in next(episodes):
+                    select_ids = candidate_actions(state)
+                    expected = select_inputs_rowwise(state, select_ids)
+                    assert rec.select_inputs.dtype == expected.dtype
+                    assert rec.select_inputs.shape == expected.shape
+                    assert rec.select_inputs.tobytes() == expected.tobytes()
+                    if rec.action_index < len(select_ids):
+                        state, _, _ = step(state, select_ids[rec.action_index], spec)
+                assigned.update((focal,) + state.selected)
+            assert next(episodes, None) is None
+        assert len(scored) < sum(len(all_records(result)) for result in shared)  # some decisions were reused
+
+
+class TestSample:
+    """`_sample` is `Generator.choice(len(p), p=p)` done by hand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.just(1.0), st.just(1.0 + 2**-52), st.floats(1e-9, 1e3)),
+            min_size=1,
+            max_size=9,
+        ).filter(lambda w: sum(w) > 0.0),
+        seed=st.integers(0, 2**63 - 1),
+        n_draws=st.integers(1, 30),
+    )
+    def test_matches_generator_choice_draw_for_draw(self, weights, seed, n_draws):
+        probs = np.array(weights) / sum(weights)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n_draws):
+            assert _sample(probs, ours) == int(theirs.choice(len(probs), p=probs))
+        assert ours.random() == theirs.random()  # both consumed the stream alike
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probabilities_raise(self, bad):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            _sample(np.array([0.25, bad, 0.75]), np.random.default_rng(0))
+
+
+class TestDecisionCache:
+    """The rollouts of one update share a decision cache; it must change no
+    parameter, reward or record against a fresh cache per rollout."""
+
+    @pytest.mark.parametrize("capacity, penalty", [(2, 0.0), (3, 0.0), (4, 0.0), (3, 2000.0)])
+    def test_shared_cache_changes_nothing(self, capacity, penalty, monkeypatch):
         graph, features, spec, _ = setup_150()
-        episodes = iter(rollout_150(capacity).episodes)
-        assigned = set()
-        for focal in sorted(graph.trips):
-            if focal in assigned:
-                continue
-            state = initial_state(graph, features, focal, frozenset(assigned), capacity)
-            for rec in next(episodes):
-                select_ids = candidate_actions(state)
-                expected = select_inputs_rowwise(state, select_ids)
-                assert rec.select_inputs.dtype == expected.dtype
-                assert rec.select_inputs.shape == expected.shape
-                assert rec.select_inputs.tobytes() == expected.tobytes()
-                if rec.action_index < len(select_ids):
-                    state, _, _ = step(state, select_ids[rec.action_index], spec)
-            assigned.update((focal,) + state.selected)
-        assert next(episodes, None) is None
+        if penalty:
+            spec = RewardSpec(social_penalty_weight=penalty, profile=ToleranceProfile(tau0=600.0, s=0.5))
+        cfg = PPOConfig(rollouts_per_update=3, epochs_per_update=2, seed=5)
+        runs = []
+        for share in (True, False):
+            results = []
+            original = policy.rollout
+
+            def recording(*args, scored, **kwargs):
+                result = original(*args, scored=scored if share else None, **kwargs)
+                results.append(result)
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(policy, "rollout", recording)
+                params, history = train(graph, features, spec, capacity, cfg, n_updates=2, hidden=8)
+            runs.append((params, history, [rec for result in results for rec in all_records(result)]))
+        (params, history, records), (fresh_params, fresh_history, fresh_records) = runs
+
+        for name in PolicyParams.ARRAY_NAMES:
+            assert params.arrays()[name].tobytes() == fresh_params.arrays()[name].tobytes(), name
+        assert history == fresh_history
+        assert len(records) == len(fresh_records)
+        for rec, fresh in zip(records, fresh_records):
+            assert rec.select_inputs.shape == fresh.select_inputs.shape
+            assert rec.select_inputs.tobytes() == fresh.select_inputs.tobytes()
+            assert rec.value_input.tobytes() == fresh.value_input.tobytes()
+            assert (rec.action_index, rec.log_prob, rec.reward, rec.value) == (
+                fresh.action_index,
+                fresh.log_prob,
+                fresh.reward,
+                fresh.value,
+            )
+            assert not rec.select_inputs.flags.writeable and not rec.value_input.flags.writeable
+        # the shared cache was hit: some records of one update share their arrays
+        assert len({id(rec.select_inputs) for rec in records}) < len({id(rec.select_inputs) for rec in fresh_records})
 
 
 class TestPPOUpdate:
