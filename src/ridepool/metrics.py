@@ -68,8 +68,6 @@ class MetricsReport:
 
 def vehicle_km(solution: MatchingSolution) -> float:
     """Total vehicle route distance in meters (singletons ride their solo route)."""
-    if solution.routes is None:
-        raise ValueError("solution has no routed groups")
     return sum(solution.routes[g].total_distance for g in solution.groups)
 
 
@@ -79,8 +77,6 @@ def build_outcomes(solution: MatchingSolution, trips, factors: CostFactors = Cos
     Pooled fares split the vehicle route cost in proportion to each rider's
     solo distance; solo trips pay their solo fare.
     """
-    if solution.routes is None:
-        raise ValueError("solution has no routed groups")
     outcomes = []
     for group in solution.groups:
         route = solution.routes[group]

@@ -104,8 +104,28 @@ def write_matching(solution, path):
             fh.write(f"M {gid} {ids} {route.total_distance:.6f} {route.total_time:.6f}\n")
 
 
-def read_matching(path):
-    return read_records(path, "matching", {"M": 5}, lambda f: tuple(int(t) for t in f[2].split(",")))
+def read_matching(path, trip_ids, capacity):
+    """The groups of `write_matching`: each of `trip_ids` once, in groups of
+    at most `capacity`.  A bad group names its line; trips left out, the file."""
+    grouped = set()
+
+    def parse(fields):
+        group = tuple(int(t) for t in fields[2].split(","))
+        if len(group) > capacity:
+            raise ValueError(f"group {group} exceeds capacity {capacity}")
+        for tid in group:
+            if tid not in trip_ids:
+                raise KeyError(tid)
+            if tid in grouped:
+                raise ValueError(f"trip {tid} is already in a group")
+            grouped.add(tid)
+        return group
+
+    groups = read_records(path, "matching", {"M": 5}, parse)
+    missing = sorted(set(trip_ids) - grouped)
+    if missing:
+        raise ValueError(f"{path}: no group for trips {missing}")
+    return groups
 
 
 class RunArtifacts:
@@ -165,7 +185,14 @@ def stage_train(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
 
 def stage_match(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     graph, features = artifacts.graph, artifacts.features
-    params = policy_mod.read_policy(_artifact(out_dir, POLICY_FILE, "train"))
+    policy_path = _artifact(out_dir, POLICY_FILE, "train")
+    params = policy_mod.read_policy(policy_path)
+    width = len(next(iter(features.values())))
+    if params.w_hidden.shape[0] != 2 * width + 2:
+        raise ValueError(
+            f"{policy_path}: input width {params.w_hidden.shape[0]} does not fit features of width {width}"
+            f" (expected {2 * width + 2})"
+        )
     spec = reward_spec(cfg)
     solution = policy_mod.match_all(graph, features, params, spec, capacity=cfg.capacity)
     if cfg.tolerance_enabled:
@@ -176,11 +203,9 @@ def stage_match(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
 
 
 def stage_evaluate(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
-    artifacts.trips  # a missing trips file is named before a missing matching
-    groups = read_matching(_artifact(out_dir, MATCHING_FILE, "match"))
+    trip_ids = {t.trip_id for t in artifacts.trips}  # a missing trips file is named before a missing matching
+    groups = read_matching(_artifact(out_dir, MATCHING_FILE, "match"), trip_ids, cfg.capacity)
     graph = artifacts.graph
-    groups = baselines.canonical_groups(groups)
-    baselines.check_partition(graph, groups, capacity=cfg.capacity)
     solution = baselines.solution_for(graph, groups)
     outcomes = metrics_mod.build_outcomes(solution, graph.trips, cfg.factors)
     report = metrics_mod.compute_report(solution, outcomes, cfg.factors)

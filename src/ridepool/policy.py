@@ -5,34 +5,32 @@ Each focal trip runs an episode over the state (context vector, graph,
 selected co-riders): the policy scores every still-available neighbor plus a
 Stop action, samples one, and is rewarded with the marginal pooling savings
 of the pick under the graph's objective.  An action is the picked trip's id,
-or None for Stop.  A two-layer perceptron scores candidates row by row (the
-candidate set varies per state), with a learned scalar Stop logit and a value
-head sharing the hidden layer.  That network is evaluated in one place,
-`_score`, by the rollout, the greedy decode and the update alike; which
-Selects are legal is decided in one place, `_selectable`; discounted returns
-are formed in one place, `fill_returns`.  Updates use the clipped
-probability-ratio surrogate with exact hand-rolled backprop, which keeps the
-gradients finite-difference checkable.
+or None for Stop.  A two-layer perceptron scores a decision as one row block
+(the candidate set varies per state): one row per candidate, then the value
+row, which sits where the Stop logit goes.  One tanh hidden layer runs over
+the whole block; the logit head scores the candidate rows, the Stop logit is
+a learned scalar, and the value head reads the value row.  That network is
+evaluated in one place, `_score`, by the rollout, the greedy decode and the
+update alike; which Selects are legal is decided in one place, `_selectable`;
+discounted returns are formed in one place, `fill_returns`.  Updates use the
+clipped probability-ratio surrogate with exact hand-rolled backprop, which
+keeps the gradients finite-difference checkable.
 
 Work that does not depend on the parameters being updated is done once per
-update.  The rollouts of one update run under the same parameters and share
-one decision cache: a decision is keyed by (focal trip, selected co-riders,
-candidate ids), which fixes its input rows, so its inputs, probabilities and
-value are computed on first sight and reused, read-only, when another rollout
-of the update meets it again.  That is exact: a hit returns the very arrays a
-miss would have built.  Sampling, the log-probability of the sampled action,
-the record and the step still run for every decision.  The cache is dropped
-with the parameters at the end of the update; the greedy decode starts from
-an empty one.
+update.  The rollouts of one update share one decision cache: a decision is
+keyed by (focal trip, selected co-riders, candidate ids), which fixes its row
+block, so its rows, probabilities and value are computed on first sight and
+reused, read-only, when another rollout of the update meets it again.  That
+is exact: a hit returns the very arrays a miss would have built.  Sampling
+and stepping still run for every decision.  The cache is dropped with the
+parameters; the greedy decode starts from an empty one.
 
-The update is batched: the recorded steps are packed SURROGATE_BLOCK at a
-time into one segmented logit vector each (each step's select rows, then its
-Stop), once per update, and every epoch's `surrogate_objective` reuses the
-packed blocks.  Per block `_score` runs one matmul and one tanh over all
-select rows and one over all value inputs, the softmax, log-softmax and
-entropy are `np.maximum.reduceat`/`np.add.reduceat` segment reductions, the
-clip is an elementwise mask, and each gradient is a matmul or sum per head.
-The fixed block size bounds the temporaries of each surrogate evaluation.
+The update is batched: once per update the recorded steps' row blocks are
+stacked SURROGATE_BLOCK steps at a time, row i giving logit i, and every
+epoch reuses the packed blocks.  Per block `_score` runs one matmul and one
+tanh, the softmax, log-softmax and entropy are `reduceat` segment
+reductions, the clip is an elementwise mask, and each gradient, the shared
+layer's included, is one matmul or sum.
 """
 
 from dataclasses import dataclass, replace
@@ -118,7 +116,17 @@ class PolicyParams:
     w_value: np.ndarray  # (hidden,)
     b_value: np.ndarray  # ()
 
-    ARRAY_NAMES = ("w_hidden", "b_hidden", "w_logit", "b_logit", "stop_logit", "w_value", "b_value")
+    # each array's dimensions, named so that arrays sharing a width agree
+    ARRAY_DIMS = {
+        "w_hidden": ("input", "hidden"),
+        "b_hidden": ("hidden",),
+        "w_logit": ("hidden",),
+        "b_logit": (),
+        "stop_logit": (),
+        "w_value": ("hidden",),
+        "b_value": (),
+    }
+    ARRAY_NAMES = tuple(ARRAY_DIMS)
 
     def arrays(self):
         return {name: getattr(self, name) for name in self.ARRAY_NAMES}
@@ -129,17 +137,10 @@ class PolicyParams:
 
 def init_policy_params(feature_dim, hidden=64, seed=0) -> PolicyParams:
     """Seeded hidden layer, zeroed heads, so the initial policy is uniform."""
-    rng = np.random.default_rng(seed)
-    input_dim = 2 * feature_dim + 2
-    return PolicyParams(
-        w_hidden=rng.uniform(-0.1, 0.1, size=(input_dim, hidden)),
-        b_hidden=np.zeros(hidden),
-        w_logit=np.zeros(hidden),
-        b_logit=np.zeros(()),
-        stop_logit=np.zeros(()),
-        w_value=np.zeros(hidden),
-        b_value=np.zeros(()),
-    )
+    sizes = {"input": 2 * feature_dim + 2, "hidden": hidden}
+    arrays = {name: np.zeros([sizes[dim] for dim in dims]) for name, dims in PolicyParams.ARRAY_DIMS.items()}
+    arrays["w_hidden"] = np.random.default_rng(seed).uniform(-0.1, 0.1, size=arrays["w_hidden"].shape)
+    return PolicyParams(**arrays)
 
 
 def initial_state(graph, features, focal, unavailable=frozenset(), capacity=2) -> MatchState:
@@ -182,40 +183,38 @@ def candidate_actions(state: MatchState):
     return [v for v in state.graph.neighbors(state.focal) if _selectable(state, v)]
 
 
-def _select_inputs(state: MatchState, select_ids) -> np.ndarray:
-    """One row per candidate: focal context + candidate context + scaled edge
-    weight + normalized group size, written into one preallocated block."""
+def _decision_rows(state: MatchState, select_ids) -> np.ndarray:
+    """One decision's row block, written into one preallocated array: a row
+    per candidate (focal context + candidate context + scaled edge weight +
+    normalized group size), then the value row (focal context, zeros for the
+    candidate and its weight, normalized group size)."""
     width = len(state.context)
-    inputs = np.empty((len(select_ids), 2 * width + 2))
-    inputs[:, :width] = state.context
+    rows = np.empty((len(select_ids) + 1, 2 * width + 2))
+    rows[:, :width] = state.context
     for i, v in enumerate(select_ids):
-        inputs[i, width:-2] = state.features[state.graph.trips[v].user_id]
-    inputs[:, -2] = [state.graph.edge(state.focal, v).weight * WEIGHT_INPUT_SCALE for v in select_ids]
-    inputs[:, -1] = len(state.selected) / MAX_CAPACITY
-    return inputs
+        rows[i, width:-2] = state.features[state.graph.trips[v].user_id]
+    rows[:-1, -2] = [state.graph.edge(state.focal, v).weight * WEIGHT_INPUT_SCALE for v in select_ids]
+    rows[-1, width:-1] = 0.0
+    rows[:, -1] = len(state.selected) / MAX_CAPACITY
+    return rows
 
 
-def _value_input(state: MatchState) -> np.ndarray:
-    fill = len(state.selected) / MAX_CAPACITY
-    return np.concatenate([state.context, np.zeros_like(state.context), [0.0], [fill]])
+def _score(params: PolicyParams, rows: np.ndarray, stops):
+    """The network's forward pass, over one decision's row block or a packed
+    block of them.  `stops` indexes the value rows, one per decision, each at
+    its decision's Stop position.
 
-
-def _score(params: PolicyParams, select_inputs: np.ndarray, value_inputs: np.ndarray):
-    """The network's forward pass, over one decision's rows or a packed block.
-
-    Returns the candidate rows' hidden layer and logits (in row order; the
-    Stop logit is `params.stop_logit`, placed by the caller), and the value
-    inputs' hidden layer and state values.
+    Returns the hidden layer, the logits (row by row: a candidate row's from
+    the logit head, `params.stop_logit` at `stops`) and the values of the
+    `stops` rows.
     """
-    hidden = select_inputs @ params.w_hidden
+    hidden = rows @ params.w_hidden
     hidden += params.b_hidden
     np.tanh(hidden, out=hidden)
-    value_hidden = value_inputs @ params.w_hidden
-    value_hidden += params.b_hidden
-    np.tanh(value_hidden, out=value_hidden)
-    select_logits = hidden @ params.w_logit + float(params.b_logit)
-    values = value_hidden @ params.w_value + float(params.b_value)
-    return hidden, select_logits, value_hidden, values
+    logits = hidden @ params.w_logit + float(params.b_logit)
+    logits[stops] = float(params.stop_logit)
+    values = hidden[stops] @ params.w_value + float(params.b_value)
+    return hidden, logits, values
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -257,7 +256,7 @@ class StepRecord:
     """Everything needed to re-evaluate one decision during updates."""
 
     select_inputs: np.ndarray  # (k, input_dim) in sorted candidate order
-    value_input: np.ndarray
+    value_input: np.ndarray  # (input_dim,); a rollout's two are views of one row block
     action_index: int  # 0..k-1 = that select; k = stop
     log_prob: float
     reward: float
@@ -280,7 +279,7 @@ def _run_policy(graph, features, params, spec, capacity, pick, scored) -> Rollou
     """Shared driver: focal trips in ascending id, assigned trips excluded.
 
     `scored` maps a decision (focal, selected, candidates) to its read-only
-    (select inputs, value input, probabilities, value) under `params`; a
+    (select rows, value row, probabilities, value) under `params`; a
     decision met again reuses its entry, so it must only ever see one graph,
     feature map and set of parameters."""
     assigned = set()
@@ -297,9 +296,9 @@ def _run_policy(graph, features, params, spec, capacity, pick, scored) -> Rollou
             entry = scored.get(key)
             if entry is None:
                 entry = scored[key] = _score_decision(params, state, select_ids)
-            inputs, value_input, probs, value = entry
+            select_rows, value_row, probs, value = entry
             index = pick(probs)
-            record = StepRecord(inputs, value_input, index, float(np.log(probs[index])), 0.0, value)
+            record = StepRecord(select_rows, value_row, index, float(np.log(probs[index])), 0.0, value)
             records.append(record)
             if index == len(select_ids):
                 break
@@ -312,18 +311,14 @@ def _run_policy(graph, features, params, spec, capacity, pick, scored) -> Rollou
 
 
 def _score_decision(params, state, select_ids):
-    """One decision's read-only inputs, action probabilities (the select rows
-    in row order, then Stop) and state value."""
-    inputs = _select_inputs(state, select_ids)
-    value_input = _value_input(state)
-    _, select_logits, _, value = _score(params, inputs, value_input)
-    logits = np.empty(len(select_ids) + 1)
-    logits[:-1] = select_logits
-    logits[-1] = float(params.stop_logit)
+    """One decision's read-only select rows and value row (views of its row
+    block), probabilities (the select rows in row order, then Stop) and value."""
+    rows = _decision_rows(state, select_ids)
+    _, logits, value = _score(params, rows, -1)
     probs = _softmax(logits)
-    for arr in (inputs, value_input, probs):
-        arr.flags.writeable = False
-    return inputs, value_input, probs, float(value)
+    rows.flags.writeable = False
+    probs.flags.writeable = False
+    return rows[:-1], rows[-1], probs, float(value)
 
 
 def _sample(probs, rng) -> int:
@@ -341,10 +336,8 @@ def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None) -> R
     """Sampled trajectories over all focal trips; deterministic per seed.
 
     `scored` is the decision cache of `_run_policy`; rollouts under the same
-    parameters (one update's, in `train`) may share one, and leaving it out
-    gives a fresh one.  Sharing changes no record: the cache holds only what
-    a decision's key and the parameters determine, and every decision still
-    samples, and steps, on its own."""
+    parameters (one update's, in `train`) may share one, which changes no
+    record, and leaving it out gives a fresh one."""
     rng = np.random.default_rng(seed)
     return _run_policy(
         graph, features, params, spec, capacity, lambda p: _sample(p, rng), {} if scored is None else scored
@@ -358,48 +351,37 @@ def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     return solution_for(graph, result.groups)
 
 
-def surrogate_objective(params: PolicyParams, steps, cfg: PPOConfig, blocks=None):
+def surrogate_objective(params: PolicyParams, blocks, cfg: PPOConfig):
     """Mean clipped-surrogate objective with entropy bonus and value penalty,
     plus its exact gradient.  Maximized by ppo_update; finite-difference
     checkable as one scalar function of the parameters.
 
-    The steps are packed SURROGATE_BLOCK at a time (see _pack_block), so the
-    numpy work runs once per block, not once per step.  `blocks` is
-    `_pack_steps(steps)` when the caller has packed them already."""
+    `blocks` are the steps packed by `_pack_steps`, so the numpy work runs
+    once per block, not once per step."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-    total = 0.0
-    for block in _pack_steps(steps) if blocks is None else blocks:
-        total += _surrogate_block(params, block, cfg, grads)
-    n = len(steps)
-    for name in grads:
-        grads[name] /= n
-    return total / n, grads
+    total = sum(_surrogate_block(params, block, cfg, grads) for block in blocks)
+    n = sum(len(block.sizes) for block in blocks)
+    return total / n, {name: grad / n for name, grad in grads.items()}
 
 
 @dataclass(frozen=True)
 class _PackedBlock:
-    """What the surrogate of a block of steps needs beyond the parameters.
+    """What the surrogate of a block of steps needs beyond the parameters:
+    the steps' row blocks stacked, so each step is one segment of the packed
+    logits, its value row giving its Stop logit."""
 
-    Each step is one segment of the packed logits: its select rows in row
-    order, then Stop.  The select rows of all steps are stacked into one
-    matrix and their value inputs into another."""
-
-    select_rows: np.ndarray  # (rows, input_dim)
-    value_rows: np.ndarray  # (steps, input_dim)
-    sizes: np.ndarray  # segment length per step: its select rows + Stop
-    starts: np.ndarray  # first logit of each segment
-    stops: np.ndarray  # each segment's Stop logit
-    selects: np.ndarray  # mask of the select logits
+    rows: np.ndarray  # (select rows + steps, input_dim)
+    sizes: np.ndarray  # segment length per step: its select rows + its value row
+    starts: np.ndarray  # first row of each segment
+    stops: np.ndarray  # each segment's value row, which gives its Stop logit
     chosen: np.ndarray  # each step's taken logit
-    one_hot: np.ndarray  # 1.0 at the taken logits
     old_log_prob: np.ndarray
     returns: np.ndarray
     advantage: np.ndarray  # return minus the rollout-time value
 
 
 def _pack_steps(steps) -> list:
-    """The steps as packed blocks of SURROGATE_BLOCK; the fixed block size
-    bounds the temporaries of each surrogate evaluation."""
+    """The steps as packed blocks of SURROGATE_BLOCK steps."""
     return [_pack_block(steps[start : start + SURROGATE_BLOCK]) for start in range(0, len(steps), SURROGATE_BLOCK)]
 
 
@@ -407,24 +389,15 @@ def _pack_block(block) -> _PackedBlock:
     sizes = np.array([rec.select_inputs.shape[0] + 1 for rec in block])
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    stops = ends - 1
-    selects = np.ones(ends[-1], dtype=bool)
-    selects[stops] = False
     action_index, old_log_prob, returns, old_value = np.array(
         [(rec.action_index, rec.log_prob, rec.return_, rec.value) for rec in block]
     ).T
-    chosen = starts + action_index.astype(np.intp)
-    one_hot = np.zeros(ends[-1])
-    one_hot[chosen] = 1.0
     return _PackedBlock(
-        select_rows=np.concatenate([rec.select_inputs for rec in block]),
-        value_rows=np.array([rec.value_input for rec in block]),
+        rows=np.concatenate([rows for rec in block for rows in (rec.select_inputs, rec.value_input[None])]),
         sizes=sizes,
         starts=starts,
-        stops=stops,
-        selects=selects,
-        chosen=chosen,
-        one_hot=one_hot,
+        stops=ends - 1,
+        chosen=starts + action_index.astype(np.intp),
         old_log_prob=old_log_prob,
         returns=returns,
         advantage=returns - old_value,
@@ -435,11 +408,8 @@ def _surrogate_block(params: PolicyParams, block: _PackedBlock, cfg: PPOConfig, 
     """Summed surrogate of a packed block of steps; adds its gradient to
     `grads`.  `_score` runs once per block, and the softmax, log-softmax and
     entropy are segment reductions (`reduceat` over the segment starts)."""
-    sizes, starts, stops, selects = block.sizes, block.starts, block.stops, block.selects
-    select_hidden, select_logits, value_hidden, values = _score(params, block.select_rows, block.value_rows)
-    logits = np.empty(len(selects))
-    logits[selects] = select_logits
-    logits[stops] = float(params.stop_logit)
+    sizes, starts, stops = block.sizes, block.starts, block.stops
+    hidden, logits, values = _score(params, block.rows, stops)
 
     shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), sizes)
     log_probs = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), sizes)
@@ -455,27 +425,30 @@ def _surrogate_block(params: PolicyParams, block: _PackedBlock, cfg: PPOConfig, 
 
     # d(surrogate)/d(logits): flows only while the unclipped branch is active
     gain = np.where(unclipped <= clipped, unclipped, 0.0)
-    g_logits = np.repeat(gain, sizes) * (block.one_hot - probs)
-    g_logits += cfg.entropy_coeff * (-probs * (log_probs + np.repeat(entropy, sizes)))
-    g_select = g_logits[selects]
-    grads["stop_logit"] += g_logits[stops].sum()
-    grads["w_logit"] += select_hidden.T @ g_select
-    grads["b_logit"] += g_select.sum()
+    upstream = np.negative(probs)
+    upstream[block.chosen] += 1.0
+    upstream *= np.repeat(gain, sizes)
+    upstream += cfg.entropy_coeff * (-probs * (log_probs + np.repeat(entropy, sizes)))
+    grads["stop_logit"] += upstream[stops].sum()
+    upstream[stops] = 0.0  # a value row feeds the value head, not the logit head
+    grads["w_logit"] += hidden.T @ upstream
+    grads["b_logit"] += upstream.sum()
 
     d_value = -VALUE_LOSS_COEFF * 2.0 * value_error
-    grads["w_value"] += value_hidden.T @ d_value
+    grads["w_value"] += hidden[stops].T @ d_value
     grads["b_value"] += d_value.sum()
 
-    # back through each head into the shared layer; (1 - h^2) is written over h
-    for rows, h, upstream, head in (
-        (block.select_rows, select_hidden, g_select, params.w_logit),
-        (block.value_rows, value_hidden, d_value, params.w_value),
-    ):
-        d_pre = np.subtract(1.0, np.square(h, out=h), out=h)
-        d_pre *= upstream[:, None]
-        d_pre *= head
-        grads["w_hidden"] += rows.T @ d_pre
-        grads["b_hidden"] += d_pre.sum(axis=0)
+    # back through both heads into the shared layer, each row through its
+    # own head; (1 - h^2) is written over h
+    upstream[stops] = d_value
+    d_pre = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
+    d_pre *= upstream[:, None]
+    value_pre = d_pre[stops]
+    value_pre *= params.w_value
+    d_pre *= params.w_logit
+    d_pre[stops] = value_pre
+    grads["w_hidden"] += block.rows.T @ d_pre
+    grads["b_hidden"] += d_pre.sum(axis=0)
     return total
 
 
@@ -502,21 +475,16 @@ def ppo_update(params: PolicyParams, episodes, cfg: PPOConfig) -> PolicyParams:
     params = params.copy()
     blocks = _pack_steps(steps)
     for _ in range(cfg.epochs_per_update):
-        _, grads = surrogate_objective(params, steps, cfg, blocks)
+        _, grads = surrogate_objective(params, blocks, cfg)
         for name, grad in grads.items():
-            arr = getattr(params, name)
-            arr += cfg.learning_rate * grad
+            getattr(params, name)[...] += cfg.learning_rate * grad
     return params
 
 
 def train(graph, features, spec, capacity=2, cfg=None, n_updates=100, hidden=64):
     """Rollout/update loop; returns the trained parameters and the mean
-    episodic reward per update.
-
-    The rollouts of one update share one decision cache (see `rollout`): they
-    all run under that update's parameters, so a decision state met again
-    reuses its inputs, probabilities and value.  The cache is dropped when
-    the parameters change."""
+    episodic reward per update.  The rollouts of one update share one
+    decision cache (see `rollout`)."""
     cfg = cfg or PPOConfig()
     feature_dim = len(next(iter(features.values())))
     params = init_policy_params(feature_dim, hidden=hidden, seed=cfg.seed)
@@ -536,24 +504,34 @@ def write_policy(params: PolicyParams, path):
     """One record per array: `P <name> <ndim> <dims...> <values...>`."""
     with open(path, "w") as fh:
         for name, arr in params.arrays().items():
-            dims = " ".join(str(d) for d in arr.shape)
-            values = " ".join(f"{v:.17g}" for v in np.asarray(arr).ravel())
-            head = f"P {name} {arr.ndim}"
-            fh.write(f"{head} {dims} {values}\n" if dims else f"{head} {values}\n")
+            fields = ["P", name, str(arr.ndim), *map(str, arr.shape), *(f"{v:.17g}" for v in arr.ravel())]
+            fh.write(" ".join(fields) + "\n")
 
 
 def read_policy(path) -> PolicyParams:
+    """The checkpoint written by `write_policy`.  A record whose shape does
+    not fit its array, or the widths of the arrays read before it, is
+    reported at its line."""
     arrays = {}
+    widths = {}  # dimension name -> (size, array that set it)
 
     def parse(fields):
         _, name, ndim, *rest = fields
-        if name not in PolicyParams.ARRAY_NAMES:
+        dims = PolicyParams.ARRAY_DIMS.get(name)
+        if dims is None:
             raise ValueError(f"unknown array {name!r}")
         if name in arrays:
             raise ValueError(f"a second record for array {name!r}")
         ndim = int(ndim)
         values = np.array([float(v) for v in rest[ndim:]], dtype=np.float64)
-        arrays[name] = values.reshape(tuple(int(v) for v in rest[:ndim]))
+        arr = values.reshape(tuple(int(v) for v in rest[:ndim]))
+        if arr.ndim != len(dims):
+            raise ValueError(f"array {name!r} has {arr.ndim} dimensions, expected {len(dims)}")
+        for dim, size in zip(dims, arr.shape):
+            known, owner = widths.setdefault(dim, (size, name))
+            if size != known:
+                raise ValueError(f"array {name!r} has {dim} width {size}, but {owner!r} has {known}")
+        arrays[name] = arr
 
     read_records(path, "policy", {"P": None}, parse)
     missing = [name for name in PolicyParams.ARRAY_NAMES if name not in arrays]

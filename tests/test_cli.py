@@ -262,7 +262,7 @@ class TestPipeline:
         features = read_features(out / pipeline.FEATURES_FILE)
         assert {t.user_id for t in trips} <= set(features)
         read_policy(out / pipeline.POLICY_FILE)
-        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE)
+        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE, graph.trips, small_cfg.capacity)
         assert sorted(t for g in groups for t in g) == sorted(graph.trips)
         rows = [line.split(",") for line in (out / pipeline.REPORT_CSV_FILE).read_text().splitlines()]
         assert [name for name, _ in rows] == list(METRIC_NAMES)
@@ -343,8 +343,9 @@ class TestPipeline:
         cfg = load_config(text=text)
         out = tmp_path / "run"
         pipeline.run_pipeline(cfg, str(out), ("gen", "graph", "embed", "train", "match"))
-        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE)
-        assert sorted(t for g in groups for t in g) == list(range(cfg.demand.n_trips))
+        trip_ids = range(cfg.demand.n_trips)
+        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE, trip_ids, cfg.capacity)
+        assert sorted(t for g in groups for t in g) == list(trip_ids)
 
     def test_module_entrypoint_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
@@ -443,6 +444,62 @@ class TestMalformedArtifacts:
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         assert run_cli(["match", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"error: {path}: no row for users [" in capsys.readouterr().err
+
+    def test_policy_too_short_for_its_hidden_layer_names_the_line(self, tmp_path, capsys):
+        cfg_path, out = self.trained_run(tmp_path)
+        path = out / pipeline.POLICY_FILE
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("P w_logit "))
+        tag, name, ndim, size, *values = lines[at].split()
+        lines[at] = " ".join([tag, name, ndim, str(int(size) - 1)] + values[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["match", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pipeline.POLICY_FILE}:{at + 1}: " in err
+        assert f"array 'w_logit' has hidden width {int(size) - 1}, but 'w_hidden' has {size}" in err
+
+    def test_policy_for_other_features_names_the_file(self, tmp_path, capsys):
+        # features re-embedded at another width after training
+        cfg_path, out = self.trained_run(tmp_path)
+        wide = tmp_path / "wide.ini"
+        wide.write_text(SMALL_CONFIG.replace("dim = 6", "dim = 8"))
+        assert run_cli(["embed", "--config", str(wide), "--out", str(out)]) == 0
+        assert run_cli(["match", "--config", str(cfg_path), "--out", str(out)]) == 2
+        width = len((out / pipeline.FEATURES_FILE).read_text().split("\n", 1)[0].split()) - 2
+        trained = (out / pipeline.POLICY_FILE).read_text().split()[3]  # w_hidden's first dimension
+        expected = f"input width {trained} does not fit features of width {width} (expected {2 * width + 2})"
+        assert f"error: {out / pipeline.POLICY_FILE}: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: lines + lines[:1],
+                "{name}:{last}: bad matching record: trip {first[0]} is already in a group",
+            ),
+            (
+                lambda lines: lines[:-1] + ["M 0 999 0 0"],
+                "{name}:{last}: matching record names an unknown id 999",
+            ),
+            (
+                lambda lines: ["M 0 0,1,2 0 0"],
+                "{name}:1: bad matching record: group (0, 1, 2) exceeds capacity 2",
+            ),
+            (lambda lines: lines[1:], "{path}: no group for trips {first}"),
+        ],
+        ids=["repeated-line", "unknown-trip", "oversize-group", "missing-line"],
+    )
+    def test_bad_matching_names_file_or_line(self, edit, message, tmp_path, capsys):
+        cfg_path, out = self.trained_run(tmp_path)
+        assert run_cli(["match", "--config", str(cfg_path), "--out", str(out)]) == 0
+        path = out / pipeline.MATCHING_FILE
+        lines = path.read_text().splitlines()
+        first = sorted(int(t) for t in lines[0].split()[2].split(","))
+        lines = edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        expected = message.format(name=pipeline.MATCHING_FILE, path=path, last=len(lines), first=first)
+        assert expected in capsys.readouterr().err
 
     @staticmethod
     def trained_run(tmp_path):

@@ -34,6 +34,7 @@ from ridepool.policy import (
     surrogate_objective,
     train,
     write_policy,
+    _pack_steps,
     _sample,
     _score,
     _softmax,
@@ -165,7 +166,7 @@ def assert_matches_per_step(params, steps, cfg):
     """rtol 1e-12; entries that cancel to near zero, where summation order
     alone moves the last bits, get an absolute floor of 1e-12 times the
     largest magnitude in the result."""
-    total, grads = surrogate_objective(params, steps, cfg)
+    total, grads = surrogate_objective(params, _pack_steps(steps), cfg)
     ref_total, ref_grads = surrogate_objective_per_step(params, steps, cfg)
     atol = 1e-12 * max([abs(ref_total)] + [np.abs(g).max() for g in ref_grads.values()])
     np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=atol)
@@ -224,15 +225,16 @@ def worst_fd_error(params, records, cfg, h=1e-5):
     """Worst relative error between backprop and central differences of the
     surrogate at `params`, over every parameter."""
     theta = flatten_params(params)
-    _, grads = surrogate_objective(params, records, cfg)
+    blocks = _pack_steps(records)
+    _, grads = surrogate_objective(params, blocks, cfg)
     analytic = np.concatenate([np.asarray(grads[n]).ravel() for n in PolicyParams.ARRAY_NAMES])
     worst = 0.0
     for i in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        j_up, _ = surrogate_objective(unflatten_params(up, params), records, cfg)
-        j_down, _ = surrogate_objective(unflatten_params(down, params), records, cfg)
+        j_up, _ = surrogate_objective(unflatten_params(up, params), blocks, cfg)
+        j_down, _ = surrogate_objective(unflatten_params(down, params), blocks, cfg)
         fd = (j_up - j_down) / (2.0 * h)
         worst = max(worst, abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6))
     return worst
@@ -430,19 +432,44 @@ class TestScore:
         records = all_records(rollout(graph, features, params, spec, capacity=3, seed=2))
         assert any(rec.select_inputs.shape[0] > 1 for rec in records)
         for rec in records:
-            _, select_logits, _, value = _score(params, rec.select_inputs, rec.value_input)
-            logits = np.append(select_logits, float(params.stop_logit))
+            rows = np.vstack([rec.select_inputs, rec.value_input])
+            _, logits, value = _score(params, rows, len(rows) - 1)
+            _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
+            np.testing.assert_allclose(logits, oracle_logits, rtol=1e-12, atol=1e-12)
+            assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
             shifted = logits - logits.max()
             log_probs = shifted - math.log(np.exp(shifted).sum())
             assert value == rec.value
             assert abs(log_probs[rec.action_index] - rec.log_prob) <= 1e-12
         # the same forward pass over all records packed at once
-        packed = _score(
-            params,
-            np.concatenate([rec.select_inputs for rec in records]),
-            np.array([rec.value_input for rec in records]),
-        )
-        np.testing.assert_allclose(packed[3], [rec.value for rec in records], rtol=1e-12)
+        rows = np.concatenate([np.vstack([rec.select_inputs, rec.value_input]) for rec in records])
+        stops = np.cumsum([rec.select_inputs.shape[0] + 1 for rec in records]) - 1
+        _, _, values = _score(params, rows, stops)
+        np.testing.assert_allclose(values, [rec.value for rec in records], rtol=1e-12)
+
+    def test_packed_blocks_hold_each_step_in_order(self):
+        # each step's select rows, then its value row at the segment's Stop
+        # logit; the segments tile the rows and give each step its own logits
+        _, _, _, params = setup_150()
+        steps = all_records(rollout_150(3))
+        blocks = _pack_steps(steps)
+        assert len(blocks) > 1
+        offset = 0
+        for block in blocks:
+            chunk = steps[offset : offset + len(block.sizes)]
+            offset += len(chunk)
+            assert block.rows[block.stops].tobytes() == np.array([rec.value_input for rec in chunk]).tobytes()
+            assert list(block.starts[1:]) == list(block.stops[:-1] + 1)
+            assert (block.starts[0], block.stops[-1]) == (0, len(block.rows) - 1)
+            _, logits, values = _score(params, block.rows, block.stops)
+            segments = zip(chunk, block.starts, block.stops, block.chosen, values)
+            for rec, start, stop, chosen, value in segments:
+                assert block.rows[start:stop].tobytes() == rec.select_inputs.tobytes()
+                assert chosen == start + rec.action_index
+                _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
+                np.testing.assert_allclose(logits[start : stop + 1], oracle_logits, rtol=1e-12, atol=1e-12)
+                assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
+        assert offset == len(steps)
 
     def test_zero_heads_give_uniform_log_probs(self):
         graph, features, spec = dense_setup(5)
