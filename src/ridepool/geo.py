@@ -1,8 +1,11 @@
 """Synthetic road networks, coordinate snapping, and shortest-path routing.
 
 All distances downstream (solo routes, shared routes, savings weights) come
-from this module.  Networks are immutable after construction; shortest-path
-queries are memoized per origin, so repeated pair evaluations are cheap.
+from this module.  Networks are immutable after construction.  Nodes are
+indexed in ascending id order, and one adjacency list by node index serves
+every query.  The first query from an origin runs Dijkstra once over that list
+and keeps the whole tree (distance and time per node index), so every later
+query from the same origin, on the same network object, is a lookup.
 """
 
 import heapq
@@ -50,6 +53,27 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+def great_circle_distances(lat_a, lon_a, cos_lat_a, lat_b, lon_b, cos_lat_b):
+    """`great_circle_distance` over broadcast numpy arrays of degrees, given
+    the cosines of both latitudes.
+
+    numpy's sin, cos and arcsin may round differently from `math`'s, so the
+    result only shortlists: a pair whose scalar distance is at most x has a
+    distance here at most `with_slack(x)`, which callers then confirm with
+    `great_circle_distance`.
+    """
+    dphi = np.radians(lat_b - lat_a)
+    dlam = np.radians(lon_b - lon_a)
+    h = np.sin(dphi / 2.0) ** 2 + cos_lat_a * cos_lat_b * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def with_slack(x):
+    """`x` widened by a relative 1e-9 plus 1e-6 m, far more than the rounding
+    differences between `great_circle_distances` and `great_circle_distance`."""
+    return x * (1.0 + 1e-9) + 1e-6
+
+
 def _check_edge_cost(u, v, length, time):
     if not 0.0 < length < math.inf:
         raise ValueError(f"edge ({u}, {v}) has length {length}; expected a finite positive number")
@@ -68,43 +92,42 @@ class RoadNetwork:
     def __init__(self, nodes, edges, directed=False):
         self.nodes = dict(sorted(nodes.items()))
         self.edges = []
-        adjacency = {nid: [] for nid in self.nodes}
+        self._node_ids = tuple(self.nodes)
+        self._index = {nid: i for i, nid in enumerate(self._node_ids)}
+        adjacency = [[] for _ in self._node_ids]
         for u, v, length, time in edges:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
             _check_edge_cost(u, v, length, time)
             length, time = float(length), float(time)
             self.edges.append((u, v, length, time))
-            adjacency[u].append((v, length, time))
+            i, j = self._index[u], self._index[v]
+            adjacency[i].append((j, length, time))
             if not directed:
-                adjacency[v].append((u, length, time))
-        self._adjacency = {nid: tuple(sorted(near)) for nid, near in adjacency.items()}
+                adjacency[j].append((i, length, time))
+        # per node index: (neighbour index, length, time), sorted, so parallel
+        # edges are relaxed shortest first and, at equal length, fastest first
+        self._adjacency = [tuple(sorted(near)) for near in adjacency]
         self._sssp = {}
-        self._node_ids = tuple(self.nodes)
         self._node_lat = np.array([q.lat for q in self.nodes.values()], dtype=float)
         self._node_lon = np.array([q.lon for q in self.nodes.values()], dtype=float)
         self._node_cos_lat = np.cos(np.radians(self._node_lat))
 
-    def neighbors(self, node_id):
-        return self._adjacency[node_id]
-
     def snap_to_node(self, p: GeoPoint) -> int:
         """Nearest node by great-circle distance; ties go to the lowest id.
 
-        A numpy haversine over all nodes shortlists those within a relative
-        1e-9 (plus 1e-6 m) of its minimum, far wider than its rounding
-        differences from the scalar formula; the shortlist is then re-ranked
-        with ``great_circle_distance`` in ascending id order, so the answer
-        is exactly that of a scalar scan over every node.
+        `great_circle_distances` to all nodes shortlists those within
+        `with_slack` of its minimum; the shortlist is then re-ranked with
+        `great_circle_distance` in ascending id order, so the answer is
+        exactly that of a scalar scan over every node.
         """
         if not self.nodes:
             raise ValueError("cannot snap onto an empty network")
-        dphi = np.radians(self._node_lat - p.lat)
-        dlam = np.radians(self._node_lon - p.lon)
-        h = np.sin(dphi / 2.0) ** 2 + math.cos(math.radians(p.lat)) * self._node_cos_lat * np.sin(dlam / 2.0) ** 2
-        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+        d = great_circle_distances(
+            p.lat, p.lon, math.cos(math.radians(p.lat)), self._node_lat, self._node_lon, self._node_cos_lat
+        )
         best_id, best_d = None, math.inf
-        for i in np.flatnonzero(d <= d.min() * (1.0 + 1e-9) + 1e-6):  # ascending id order
+        for i in np.flatnonzero(d <= with_slack(d.min())):  # ascending id order
             nid = self._node_ids[i]
             exact = great_circle_distance(p, self.nodes[nid])
             if exact < best_d:
@@ -112,35 +135,49 @@ class RoadNetwork:
         return best_id
 
     def _single_source(self, origin):
+        """Distance and time from `origin` to every node, as lists by node
+        index (inf where unreachable); computed once per origin.
+
+        Heap entries are (distance, index) and index order is id order, so
+        nodes settle by (distance, id), and a node's time comes from the first
+        settled predecessor that reaches its final distance.
+        """
         cached = self._sssp.get(origin)
         if cached is not None:
             return cached
-        if origin not in self.nodes:
+        source = self._index.get(origin)
+        if source is None:
             raise KeyError(f"unknown node {origin}")
-        dist = {origin: 0.0}
-        time = {origin: 0.0}
-        heap = [(0.0, origin)]
+        adjacency = self._adjacency
+        dist = [math.inf] * len(adjacency)
+        time = [math.inf] * len(adjacency)
+        dist[source] = time[source] = 0.0
+        heap = [(0.0, source)]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = pop(heap)
             if d > dist[u]:  # a stale entry; edge lengths > 0, so u is settled
                 continue
-            for v, length, t in self._adjacency[u]:
+            tu = time[u]
+            for v, length, t in adjacency[u]:
                 nd = d + length
-                if v not in dist or nd < dist[v]:
+                if nd < dist[v]:
                     dist[v] = nd
-                    time[v] = time[u] + t
-                    heapq.heappush(heap, (nd, v))
+                    time[v] = tu + t
+                    push(heap, (nd, v))
         result = (dist, time)
         self._sssp[origin] = result
         return result
 
     def distance_time(self, origin, dest):
         """(distance_m, time_s) of the minimum-distance path; time is summed
-        along that path, not minimized."""
+        along that path, not minimized.  An unknown origin raises KeyError;
+        an unknown or unreachable destination, NoRouteError."""
         dist, time = self._single_source(origin)
-        if dest not in dist:
+        i = self._index.get(dest)
+        if i is None or dist[i] == math.inf:
             raise NoRouteError(f"no route from node {origin} to node {dest}")
-        return dist[dest], time[dest]
+        return dist[i], time[i]
 
     def shortest_path(self, origin, dest) -> Route:
         """`distance_time` as a `Route`; origin == dest yields a zero-length

@@ -9,9 +9,11 @@ One `run_pipeline` call parses each input artifact at most once: its
 `RunArtifacts` parses `network.txt`, `trips.txt`, `graph.txt` and
 `features.txt` the first time a stage asks and hands the same objects to
 every later stage, so one `RoadNetwork` (and its shortest-path cache) serves
-the whole call.  Every artifact is written by one stage that precedes all of
-its readers in `STAGES`, so a parse is never stale.  Separate stage calls
-(`ridepool graph`, then `ridepool embed`, ...) each parse their inputs anew.
+the whole call and each origin's tree is computed once.  `gen` snaps the
+drawn demand but routes nothing: `trips.txt` holds no route.  Every artifact
+is written by one stage that precedes all of its readers in `STAGES`, so a
+parse is never stale.  Separate stage calls (`ridepool graph`, then
+`ridepool embed`, ...) each parse their inputs anew.
 """
 
 import functools
@@ -26,7 +28,7 @@ from . import metrics as metrics_mod
 from . import policy as policy_mod
 from . import tolerance as tolerance_mod
 from .geo import read_network, read_records, write_network
-from .scenario import ScenarioConfig, config_to_ini, generate_scenario, validate_config
+from .scenario import ScenarioConfig, config_to_ini, draw_demand, generate_scenario, validate_config
 from .shareability import (
     Objective,
     build_shareability_graph,
@@ -163,9 +165,9 @@ class RunArtifacts:
 
 
 def stage_gen(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
-    net, trips = generate_scenario(cfg)
+    net, draws = draw_demand(cfg)  # trips.txt holds no route, so none is computed
     write_network(net, os.path.join(out_dir, NETWORK_FILE))
-    write_trips(trips, os.path.join(out_dir, TRIPS_FILE))
+    write_trips(draws, os.path.join(out_dir, TRIPS_FILE))
 
 
 def stage_graph(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):

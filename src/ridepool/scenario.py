@@ -12,6 +12,7 @@ import math
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +109,22 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def generate_scenario(cfg: ScenarioConfig):
-    """Build the grid network and seeded demand.
+class TripDraw(NamedTuple):
+    """One drawn trip, snapped to the network but not routed: everything
+    `write_trips` records, plus the snapped nodes."""
+
+    trip_id: int
+    user_id: int
+    origin: int
+    dest: int
+    origin_point: GeoPoint
+    dest_point: GeoPoint
+    desired_departure: float
+
+
+def draw_demand(cfg: ScenarioConfig):
+    """Build the grid network and draw the seeded demand on it, snapping each
+    drawn point once and routing nothing.
 
     Draw order per trip: user id, origin hotspot + jitter, then destination
     hotspot + jitter redrawn until it snaps to a different node (bounded
@@ -135,7 +150,7 @@ def generate_scenario(cfg: ScenarioConfig):
         lon = min(max(hotspot.lon + jitter_lon * lon_per_m, -180.0), 180.0)
         return GeoPoint(lat, lon)
 
-    trips = []
+    draws = []
     for trip_id in range(dem.n_trips):
         user_id = int(rng.integers(dem.n_users))
         origin_point = draw_point()
@@ -151,9 +166,14 @@ def generate_scenario(cfg: ScenarioConfig):
                 "add hotspots or spread"
             )
         departure = float(rng.uniform(0.0, dem.departure_window_s))
-        route = net.shortest_path(origin, dest)
-        trips.append(TripRequest(trip_id, user_id, origin, dest, origin_point, dest_point, departure, route))
-    return net, trips
+        draws.append(TripDraw(trip_id, user_id, origin, dest, origin_point, dest_point, departure))
+    return net, draws
+
+
+def generate_scenario(cfg: ScenarioConfig):
+    """The grid network and the `draw_demand` trips, each with its solo route."""
+    net, draws = draw_demand(cfg)
+    return net, [TripRequest(**d._asdict(), solo_route=net.shortest_path(d.origin, d.dest)) for d in draws]
 
 
 def _parse_bool(raw):

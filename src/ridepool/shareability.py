@@ -15,14 +15,25 @@ runs empty between the first pickup and the last dropoff; ties go to the first
 such order in lexicographic stop order (pickups by trip id, then dropoffs).
 """
 
-import itertools
+import bisect
 import logging
 import math
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .geo import GeoPoint, NoRouteError, RoadNetwork, Route, great_circle_distance, read_records
+import numpy as np
+
+from .geo import (
+    GeoPoint,
+    NoRouteError,
+    RoadNetwork,
+    Route,
+    great_circle_distance,
+    great_circle_distances,
+    read_records,
+    with_slack,
+)
 
 log = logging.getLogger(__name__)
 
@@ -131,6 +142,44 @@ def social_feasible(a: TripRequest, b: TripRequest, radius=DEFAULT_RADIUS_M) -> 
 
 def temporal_feasible(a: TripRequest, b: TripRequest, max_departure_gap=DEFAULT_MAX_DEPARTURE_GAP_S) -> bool:
     return abs(a.desired_departure - b.desired_departure) <= max_departure_gap
+
+
+def _gated_pairs(trips, constraints: PairingConstraints):
+    """The pairs of `trips` (sorted by id) that pass `social_feasible` and
+    `temporal_feasible`, in ``itertools.combinations`` order.
+
+    Pairs are shortlisted in bulk and each survivor is confirmed with the two
+    scalar predicates.  In departure order, a binary search ends each trip's
+    window at the last later departure within the gap plus a relative 1e-9
+    and 1e-6 s of slack for rounding, so only the pairs in some window are
+    ever held.  Of those, the pairs whose `great_circle_distances` between
+    origins and between destinations are both within `with_slack` of the
+    radius survive.
+    """
+    radius, gap = constraints.radius_m, constraints.max_departure_gap_s
+    by_departure = sorted(range(len(trips)), key=lambda k: trips[k].desired_departure)
+    departure = [trips[k].desired_departure for k in by_departure]
+    ends = np.array(
+        [bisect.bisect_right(departure, d + gap + 1e-9 * (abs(d) + gap) + 1e-6) for d in departure], dtype=np.intp
+    )
+    # position k in departure order pairs with positions k + 1 .. ends[k] - 1
+    starts = np.arange(1, len(trips) + 1)
+    counts = ends - starts
+    by_departure = np.array(by_departure, dtype=np.intp)
+    u = by_departure[np.repeat(starts - 1, counts)]
+    v = by_departure[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)]
+    near = np.ones(len(u), dtype=bool)
+    for end in ("origin_point", "dest_point"):
+        lat = np.array([getattr(t, end).lat for t in trips])
+        lon = np.array([getattr(t, end).lon for t in trips])
+        cos_lat = np.cos(np.radians(lat))
+        near &= great_circle_distances(lat[u], lon[u], cos_lat[u], lat[v], lon[v], cos_lat[v]) <= with_slack(radius)
+    pairs = []
+    for i, j in sorted((min(i, j), max(i, j)) for i, j in zip(u[near].tolist(), v[near].tolist())):
+        a, b = trips[i], trips[j]
+        if social_feasible(a, b, radius) and temporal_feasible(a, b, gap):
+            pairs.append((a, b))
+    return pairs
 
 
 def _evaluate_order(trips_by_id, ordering, legs) -> SharedRoute:
@@ -332,11 +381,7 @@ def build_shareability_graph(
     if not trips:
         raise ValueError("cannot build a shareability graph without trips")
     edges = []
-    for a, b in itertools.combinations(trips, 2):
-        if not social_feasible(a, b, constraints.radius_m):
-            continue
-        if not temporal_feasible(a, b, constraints.max_departure_gap_s):
-            continue
+    for a, b in _gated_pairs(trips, constraints):
         try:
             shared = best_shared_route(net, a, b)
         except NoRouteError as exc:
@@ -351,7 +396,10 @@ def build_shareability_graph(
 
 
 def write_trips(trips, path):
-    """`T <trip_id> <user_id> <o_lat> <o_lon> <d_lat> <d_lon> <departure_s>`."""
+    """`T <trip_id> <user_id> <o_lat> <o_lon> <d_lat> <d_lon> <departure_s>`.
+
+    No route is written, so `trips` may also be unrouted draws: anything with
+    these fields."""
     with open(path, "w") as fh:
         for t in sorted(trips, key=lambda t: t.trip_id):
             fh.write(

@@ -535,36 +535,47 @@ class TestRunArtifacts:
 
     def test_one_run_parses_each_artifact_once(self, small_cfg, tmp_path, monkeypatch):
         calls = collections.Counter()
-        parsed_networks = []
 
         def counted(module, name):
             original = getattr(module, name)
 
             def reader(*args, **kwargs):
                 calls[name] += 1
-                result = original(*args, **kwargs)
-                if name == "read_network":
-                    parsed_networks.append(result)
-                return result
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, reader)
 
         for name in ("read_network", "read_trips", "read_graph"):
             counted(pipeline, name)
         counted(embedding, "read_features")
-
-        dijkstra_runs = collections.Counter()
-        single_source = RoadNetwork._single_source
-
-        def counted_single_source(net, origin):
-            if origin not in net._sssp and any(net is parsed for parsed in parsed_networks):
-                dijkstra_runs[origin] += 1
-            return single_source(net, origin)
-
-        monkeypatch.setattr(RoadNetwork, "_single_source", counted_single_source)
+        dijkstra_runs = count_dijkstra_runs(monkeypatch)
         pipeline.run_pipeline(small_cfg, str(tmp_path / "run"), pipeline.STAGES)
         assert calls == {"read_network": 1, "read_trips": 1, "read_graph": 1, "read_features": 1}
+        # every network of the run, the sweep's in-memory ones included
         assert dijkstra_runs and max(dijkstra_runs.values()) == 1
+
+    def test_gen_runs_no_dijkstra(self, small_cfg, tmp_path, monkeypatch):
+        dijkstra_runs = count_dijkstra_runs(monkeypatch)
+        pipeline.run_pipeline(small_cfg, str(tmp_path / "run"), ["gen"])
+        assert not dijkstra_runs
+        run = tmp_path / "run"
+        assert len(read_trips(run / pipeline.TRIPS_FILE, read_network(run / pipeline.NETWORK_FILE))) == 20
+
+
+def count_dijkstra_runs(monkeypatch):
+    """Counter of Dijkstra runs per (network, origin), over every network;
+    the networks are kept alive so their ids stay unique."""
+    runs, networks = collections.Counter(), []
+    single_source = RoadNetwork._single_source
+
+    def counted_single_source(net, origin):
+        if origin not in net._sssp:
+            networks.append(net)
+            runs[id(net), origin] += 1
+        return single_source(net, origin)
+
+    monkeypatch.setattr(RoadNetwork, "_single_source", counted_single_source)
+    return runs
 
 
 class TestObjectiveReport:

@@ -155,16 +155,18 @@ class TestSnap:
 
 
 def enumerate_paths(net, origin, dest, seen=None):
-    """All simple paths with their distance (test-only oracle)."""
+    """All simple paths of an undirected network with their distance
+    (test-only oracle, reading nothing but ``net.edges``)."""
     seen = seen or (origin,)
     if origin == dest:
         yield seen, 0.0
         return
-    for v, length, _ in net.neighbors(origin):
-        if v in seen:
-            continue
-        for path, d in enumerate_paths(net, v, dest, seen + (v,)):
-            yield path, d + length
+    for u, v, length, _ in net.edges:
+        for a, b in ((u, v), (v, u)):
+            if a != origin or b in seen:
+                continue
+            for path, d in enumerate_paths(net, b, dest, seen + (b,)):
+                yield path, d + length
 
 
 class TestShortestPath:
@@ -210,6 +212,52 @@ class TestShortestPath:
         route = net.shortest_path(0, 1)
         assert route.distance == 100.0
         assert route.time == 500.0
+
+
+def tie_network(edges, directed=False):
+    """Nodes listed in descending id order, so a rule that follows insertion
+    order instead of ids would show."""
+    ids = sorted({n for u, v, _, _ in edges for n in (u, v)}, reverse=True)
+    return RoadNetwork({nid: GeoPoint(0.0, 0.001 * nid) for nid in ids}, edges, directed=directed)
+
+
+class TestDijkstraTies:
+    """Equal-distance paths keep the time of the predecessor settled first,
+    i.e. the lowest (distance, id); the networkx comparison above never ties."""
+
+    def test_equal_distance_predecessors_tie_to_lowest_id(self):
+        # 0 -> 7 -> 9 and 0 -> 3 -> 9 are both 200 m; 3 settles before 7,
+        # so its path's time counts although 7's is shorter
+        net = tie_network([(0, 7, 100.0, 1.0), (7, 9, 100.0, 1.0), (0, 3, 100.0, 40.0), (3, 9, 100.0, 40.0)])
+        assert net.distance_time(0, 9) == (200.0, 80.0)
+
+    def test_equal_distance_predecessors_tie_to_lowest_distance(self):
+        # 0 -> 8 -> 9 (50 + 150 m) and 0 -> 2 -> 9 (100 + 100 m): 8 settles
+        # first, at 50 m, although its id is higher and its time longer
+        net = tie_network([(0, 2, 100.0, 1.0), (2, 9, 100.0, 1.0), (0, 8, 50.0, 30.0), (8, 9, 150.0, 70.0)])
+        assert net.distance_time(0, 9) == (200.0, 100.0)
+
+    @pytest.mark.parametrize("times", [(30.0, 20.0), (20.0, 30.0)])
+    def test_parallel_edges_of_equal_length_take_the_lower_time(self, times):
+        net = tie_network([(0, 1, 100.0, times[0]), (1, 0, 100.0, times[1])])
+        assert net.distance_time(0, 1) == (100.0, 20.0)
+        assert net.distance_time(1, 0) == (100.0, 20.0)
+
+    def test_shorter_parallel_edge_wins_whatever_its_time(self):
+        net = tie_network([(0, 1, 100.0, 5.0), (0, 1, 90.0, 50.0)])
+        assert net.distance_time(0, 1) == (90.0, 50.0)
+
+    def test_unknown_endpoints(self):
+        net = tie_network([(0, 1, 100.0, 10.0)], directed=True)
+        with pytest.raises(NoRouteError):
+            net.distance_time(0, 5)
+        with pytest.raises(NoRouteError):
+            net.distance_time(1, 0)
+        with pytest.raises(KeyError):
+            net.distance_time(5, 0)
+        with pytest.raises(KeyError):
+            net.shortest_path(0, 5)
+        assert isinstance(net.distance_time(0, 1)[0], float)
 
 
 def random_network(seed, directed):

@@ -9,6 +9,7 @@ from ridepool.geo import (
     METERS_PER_DEGREE,
     NoRouteError,
     RoadNetwork,
+    Route,
     build_grid_network,
     great_circle_distance,
 )
@@ -16,6 +17,8 @@ from ridepool.shareability import (
     Objective,
     PairingConstraints,
     SharedRoute,
+    TripRequest,
+    _gated_pairs,
     best_shared_route,
     build_shareability_graph,
     edge_weight,
@@ -185,6 +188,75 @@ class TestFeasibility:
         a = trip_on(net, 0, 0, 2, departure=d1)
         b = trip_on(net, 1, 1, 3, departure=d2)
         assert temporal_feasible(a, b, gap) == temporal_feasible(b, a, gap)
+
+
+# Points within a few km of one another, some on either side of the
+# antimeridian; a pool of a few points makes identical endpoints common.
+_GATE_POINTS = st.builds(
+    GeoPoint,
+    lat=st.floats(-0.03, 0.03),
+    lon=st.one_of(st.floats(-0.03, 0.03), st.floats(179.97, 180.0), st.floats(-180.0, -179.97)),
+)
+_GATE_DEPARTURES = st.one_of(
+    st.floats(0.0, 3600.0), st.floats(-1e7, 1e7), st.integers(0, 4).map(lambda k: 150.0 * k)
+)
+
+
+@st.composite
+def _gate_case(draw):
+    """Trips sorted by id plus constraints whose radius is exactly some pair's
+    origin or destination distance and whose gap is exactly some pair's
+    departure difference, so the inclusive boundaries are hit."""
+    points = draw(st.lists(_GATE_POINTS, min_size=1, max_size=5))
+    departures = draw(st.lists(_GATE_DEPARTURES, min_size=1, max_size=5))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=16, unique=True))
+    trips = [
+        TripRequest(
+            trip_id=tid,
+            user_id=tid,
+            origin=0,
+            dest=1,
+            origin_point=draw(st.sampled_from(points)),
+            dest_point=draw(st.sampled_from(points)),
+            desired_departure=draw(st.sampled_from(departures)),
+            solo_route=Route(1000.0, 100.0),
+        )
+        for tid in sorted(ids)
+    ]
+    a, b = draw(st.lists(st.sampled_from(trips), min_size=2, max_size=2, unique_by=lambda t: t.trip_id))
+    end = draw(st.sampled_from(["origin_point", "dest_point"]))
+    radius = great_circle_distance(getattr(a, end), getattr(b, end))
+    if radius == 0.0 or draw(st.booleans()):
+        radius = draw(st.floats(1.0, 20_000.0))
+    gap = abs(a.desired_departure - b.desired_departure)
+    if draw(st.booleans()):
+        gap = draw(st.floats(0.0, 5000.0))
+    return trips, PairingConstraints(radius, gap)
+
+
+class TestBulkGate:
+    @settings(max_examples=400, deadline=None)
+    @given(_gate_case())
+    def test_same_pairs_in_combinations_order_as_scalar_predicates(self, case):
+        trips, constraints = case
+        expected = [
+            (a.trip_id, b.trip_id)
+            for a, b in itertools.combinations(trips, 2)
+            if social_feasible(a, b, constraints.radius_m)
+            and temporal_feasible(a, b, constraints.max_departure_gap_s)
+        ]
+        assert [(a.trip_id, b.trip_id) for a, b in _gated_pairs(trips, constraints)] == expected
+
+    def test_boundary_pair_at_exact_radius_and_gap_is_kept(self):
+        # origins 3 km apart across the antimeridian, identical destinations
+        east, west = GeoPoint(0.01, 179.99), GeoPoint(0.01, -179.99)
+        dest = GeoPoint(0.0, 179.9)
+        a = TripRequest(4, 4, 0, 1, east, dest, 100.0, Route(1000.0, 100.0))
+        b = TripRequest(9, 9, 0, 1, west, dest, 700.0, Route(1000.0, 100.0))
+        exact = PairingConstraints(great_circle_distance(east, west), 600.0)
+        assert [(x.trip_id, y.trip_id) for x, y in _gated_pairs([a, b], exact)] == [(4, 9)]
+        assert _gated_pairs([a, b], PairingConstraints(exact.radius_m * (1.0 - 1e-12), 600.0)) == []
+        assert _gated_pairs([a, b], PairingConstraints(exact.radius_m, 599.999)) == []
 
 
 class TestBestSharedRoute:
