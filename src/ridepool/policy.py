@@ -16,24 +16,35 @@ discounted returns are formed in one place, `fill_returns`.  Updates use the
 clipped probability-ratio surrogate with exact hand-rolled backprop, which
 keeps the gradients finite-difference checkable.
 
-Work that does not depend on the parameters being updated is done once per
-update.  The rollouts of one update share one decision cache: a decision is
-keyed by (focal trip, selected co-riders, candidate ids), which fixes its row
-block, so its rows, probabilities and value are computed on first sight and
-reused, read-only, when another rollout of the update meets it again.  That
-is exact: a hit returns the very arrays a miss would have built.  Sampling
-and stepping still run for every decision.  The cache is dropped with the
-parameters; the greedy decode starts from an empty one.
+Training pays once per distinct decision, not once per visit, and every
+memo is exact: a hit returns what a miss would have computed.
+- Once per run, `train` keeps a move memo keyed by group (focal trip,
+  selected co-riders): whether Select(v) is legal, asked of `_selectable`
+  only for trips not yet assigned, and, once taken, its reward from `step`.
+  Neither depends on the parameters, so the memo lives for every update.
+- Once per update, the rollouts share a decision cache keyed by (focal trip,
+  selected co-riders, candidate ids), which fixes the row block: its rows,
+  probabilities, value and sampling cdf are computed on first sight and
+  reused, read-only.  A decision met again costs one draw and a bisect.  The
+  cache is dropped with the parameters; the greedy decode starts both memos
+  empty, so it routes exactly the groups a per-visit `candidate_actions`
+  would.
 
-The update is batched: once per update the recorded steps' row blocks are
-stacked SURROGATE_BLOCK steps at a time, row i giving logit i, and every
-epoch reuses the packed blocks.  Per block `_score` runs one matmul and one
-tanh, the softmax, log-softmax and entropy are `reduceat` segment
-reductions, the clip is an elementwise mask, and each gradient, the shared
-layer's included, is one matmul or sum.
+The update is batched and scores each distinct decision once: the recorded
+steps are grouped by decision key, and once per update the decisions' row
+blocks are stacked SURROGATE_BLOCK decisions at a time, row i giving logit
+i; every epoch reuses the packed blocks.  Per block `_score` runs one matmul
+and one tanh, the softmax, log-softmax and entropy are `reduceat` segment
+reductions per decision, each step reads its decision's by index for its
+ratio, clip branch, entropy and value error, and the steps' logit and value
+upstreams are summed per decision with `bincount`, so each gradient, the
+shared layer's included, is one matmul or sum.  This is the per-step
+objective and gradient summed in a different order.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +56,7 @@ from .tolerance import ToleranceProfile, rejection_cost
 MAX_CAPACITY = 4
 WEIGHT_INPUT_SCALE = 1e-3  # meters/seconds -> O(1) inputs
 VALUE_LOSS_COEFF = 0.5
-SURROGATE_BLOCK = 64  # steps per packed surrogate block; bounds the update's temporary memory
+SURROGATE_BLOCK = 64  # distinct decisions per packed surrogate block; bounds the update's temporary memory
 
 
 class InfeasibleActionError(Exception):
@@ -179,7 +190,9 @@ def _selectable(state: MatchState, v) -> bool:
 
 def candidate_actions(state: MatchState):
     """The trip ids the focal trip may Select next, in ascending order.  Stop
-    is always legal and is not listed; it scores as the last logit."""
+    is always legal and is not listed; it scores as the last logit.  The
+    rollout asks the same `_selectable` through its move memo (`_Group`) and
+    must offer exactly these."""
     return [v for v in state.graph.neighbors(state.focal) if _selectable(state, v)]
 
 
@@ -253,7 +266,9 @@ def _group_rejection_cost(graph, group, profile) -> float:
 
 @dataclass
 class StepRecord:
-    """Everything needed to re-evaluate one decision during updates."""
+    """One visit of a decision: everything needed to re-evaluate it during
+    updates.  Steps with the same `decision` key share their row block (in a
+    rollout, the very arrays) and are scored once per update pass."""
 
     select_inputs: np.ndarray  # (k, input_dim) in sorted candidate order
     value_input: np.ndarray  # (input_dim,); a rollout's two are views of one row block
@@ -262,6 +277,7 @@ class StepRecord:
     reward: float
     value: float
     return_: float = 0.0
+    decision: tuple = None  # (focal, selected, candidate ids); None: a decision of its own
 
 
 @dataclass
@@ -275,79 +291,132 @@ class RolloutResult:
         return [episode[0].return_ for episode in self.episodes]
 
 
-def _run_policy(graph, features, params, spec, capacity, pick, scored) -> RolloutResult:
+def _run_policy(graph, features, params, spec, capacity, pick, scored, moves) -> RolloutResult:
     """Shared driver: focal trips in ascending id, assigned trips excluded.
 
-    `scored` maps a decision (focal, selected, candidates) to its read-only
-    (select rows, value row, probabilities, value) under `params`; a
-    decision met again reuses its entry, so it must only ever see one graph,
-    feature map and set of parameters."""
+    `moves` maps each focal trip to its `_Group` memo; it must only ever see
+    one graph, feature map, capacity and reward spec.  `scored` maps a
+    decision (focal, selected, candidates) to its read-only `_Decision` under
+    `params`; a decision met again reuses its entry, so it must also only ever
+    see one set of parameters.  `pick` chooses an action index from an
+    entry."""
     assigned = set()
     episodes = []
     groups = []
     for focal in sorted(graph.trips):
         if focal in assigned:
             continue
-        state = initial_state(graph, features, focal, unavailable=frozenset(assigned), capacity=capacity)
+        group = moves.get(focal)
+        if group is None:
+            group = moves[focal] = _Group(initial_state(graph, features, focal, capacity=capacity))
+        neighbors = graph.neighbors(focal)
         records = []
-        while len(state.selected) < capacity - 1:
-            select_ids = candidate_actions(state)
-            key = (focal, state.selected, tuple(select_ids))
+        while len(group.state.selected) < capacity - 1:
+            select_ids = [v for v in neighbors if v not in assigned and group.selectable(v)]
+            key = (focal, group.state.selected, tuple(select_ids))
             entry = scored.get(key)
             if entry is None:
-                entry = scored[key] = _score_decision(params, state, select_ids)
-            select_rows, value_row, probs, value = entry
-            index = pick(probs)
-            record = StepRecord(select_rows, value_row, index, float(np.log(probs[index])), 0.0, value)
+                entry = scored[key] = _score_decision(params, group.state, select_ids)
+            index = pick(entry)
+            log_prob = float(np.log(entry.probs[index]))
+            record = StepRecord(entry.select_rows, entry.value_row, index, log_prob, 0.0, entry.value, decision=key)
             records.append(record)
             if index == len(select_ids):
                 break
-            state, record.reward, _ = step(state, select_ids[index], spec)
-        group = tuple(sorted((focal,) + state.selected))
-        assigned.update(group)
-        groups.append(group)
+            record.reward, group = group.select(select_ids[index], spec)
+        members = tuple(sorted((focal,) + group.state.selected))
+        assigned.update(members)
+        groups.append(members)
         episodes.append(records)
     return RolloutResult(episodes=episodes, groups=canonical_groups(groups))
 
 
-def _score_decision(params, state, select_ids):
-    """One decision's read-only select rows and value row (views of its row
-    block), probabilities (the select rows in row order, then Stop) and value."""
+class _Group:
+    """What the Selects from one group (a focal trip and its selected
+    co-riders) do, asked lazily and kept: whether Select(v) is legal
+    (`_selectable`) and, once taken, its reward and the grown group (`step`).
+
+    `state` marks no trip unavailable, and the driver asks only about trips
+    not yet assigned: for those the answer does not depend on which other
+    trips are assigned, so it holds for every visit of the group in a run."""
+
+    __slots__ = ("state", "legal", "grown")
+
+    def __init__(self, state: MatchState):
+        self.state = state
+        self.legal = {}  # trip id -> bool
+        self.grown = {}  # trip id -> (reward, _Group)
+
+    def selectable(self, v) -> bool:
+        legal = self.legal.get(v)
+        if legal is None:
+            legal = self.legal[v] = _selectable(self.state, v)
+        return legal
+
+    def select(self, v, spec):
+        move = self.grown.get(v)
+        if move is None:
+            state, reward, _ = step(self.state, v, spec)
+            move = self.grown[v] = (reward, _Group(state))
+        return move
+
+
+class _Decision(NamedTuple):
+    """One decision scored under one set of parameters, read-only."""
+
+    select_rows: np.ndarray  # views of the decision's row block
+    value_row: np.ndarray
+    probs: np.ndarray  # the select rows in row order, then Stop
+    value: float
+    cdf: list  # what `_sample` draws from
+
+
+def _score_decision(params, state, select_ids) -> _Decision:
     rows = _decision_rows(state, select_ids)
     _, logits, value = _score(params, rows, -1)
     probs = _softmax(logits)
     rows.flags.writeable = False
     probs.flags.writeable = False
-    return rows[:-1], rows[-1], probs, float(value)
+    return _Decision(rows[:-1], rows[-1], probs, float(value), _cdf(probs))
 
 
-def _sample(probs, rng) -> int:
-    """An index drawn with probability `probs[i]`: the same draw from the same
-    generator state as `rng.choice(len(probs), p=probs)`, without its checks
-    and conversions."""
+def _cdf(probs) -> list:
+    """The cumulative distribution `Generator.choice` draws from: the
+    cumulative sum divided by its last entry."""
     cdf = probs.cumsum()
     if not np.isfinite(cdf[-1]):
         raise ValueError(f"probabilities contain NaN or inf: {probs}")
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.tolist()
 
 
-def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None) -> RolloutResult:
+def _sample(cdf, rng) -> int:
+    """An index drawn from the distribution with cumulative `cdf` (see
+    `_cdf`): the same draw from the same generator state as
+    `rng.choice(len(probs), p=probs)`, without its checks and conversions."""
+    return bisect_right(cdf, rng.random())
+
+
+def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None, moves=None) -> RolloutResult:
     """Sampled trajectories over all focal trips; deterministic per seed.
 
-    `scored` is the decision cache of `_run_policy`; rollouts under the same
-    parameters (one update's, in `train`) may share one, which changes no
-    record, and leaving it out gives a fresh one."""
+    `scored` and `moves` are the decision cache and the move memo of
+    `_run_policy`; leaving either out gives a fresh one.  Rollouts under the
+    same parameters (one update's, in `train`) may share a decision cache,
+    and rollouts on the same graph, features, capacity and spec (all of a
+    `train` run's) may share a move memo; neither changes any record."""
     rng = np.random.default_rng(seed)
-    return _run_policy(
-        graph, features, params, spec, capacity, lambda p: _sample(p, rng), {} if scored is None else scored
-    )
+    scored = {} if scored is None else scored
+    moves = {} if moves is None else moves
+    return _run_policy(graph, features, params, spec, capacity, lambda entry: _sample(entry.cdf, rng), scored, moves)
 
 
 def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     """Greedy decode (argmax action, ties to the lowest trip id) into a full
     matching solution with routed groups."""
-    result = _run_policy(graph, features, params, spec, capacity, lambda p: int(np.argmax(p)), {})
+    result = _run_policy(
+        graph, features, params, spec, capacity, lambda entry: int(np.argmax(entry.probs)), {}, {}
+    )
     return solution_for(graph, result.groups)
 
 
@@ -357,47 +426,66 @@ def surrogate_objective(params: PolicyParams, blocks, cfg: PPOConfig):
     checkable as one scalar function of the parameters.
 
     `blocks` are the steps packed by `_pack_steps`, so the numpy work runs
-    once per block, not once per step."""
+    once per block, not once per step, and each distinct decision is scored
+    once, not once per step that took it."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     total = sum(_surrogate_block(params, block, cfg, grads) for block in blocks)
-    n = sum(len(block.sizes) for block in blocks)
+    n = sum(len(block.step_decision) for block in blocks)
     return total / n, {name: grad / n for name, grad in grads.items()}
 
 
 @dataclass(frozen=True)
 class _PackedBlock:
-    """What the surrogate of a block of steps needs beyond the parameters:
-    the steps' row blocks stacked, so each step is one segment of the packed
-    logits, its value row giving its Stop logit."""
+    """What the surrogate of a block of decisions needs beyond the
+    parameters: the decisions' row blocks stacked, so each decision is one
+    segment of the packed logits, its value row giving its Stop logit, and
+    per step the decision it took and what it recorded."""
 
-    rows: np.ndarray  # (select rows + steps, input_dim)
-    sizes: np.ndarray  # segment length per step: its select rows + its value row
+    rows: np.ndarray  # (select rows + decisions, input_dim)
+    sizes: np.ndarray  # segment length per decision: its select rows + its value row
     starts: np.ndarray  # first row of each segment
     stops: np.ndarray  # each segment's value row, which gives its Stop logit
-    chosen: np.ndarray  # each step's taken logit
+    visits: np.ndarray  # steps per decision
+    step_decision: np.ndarray  # per step: the index of its decision's segment
+    chosen: np.ndarray  # per step: its taken logit
     old_log_prob: np.ndarray
     returns: np.ndarray
     advantage: np.ndarray  # return minus the rollout-time value
 
 
 def _pack_steps(steps) -> list:
-    """The steps as packed blocks of SURROGATE_BLOCK steps."""
-    return [_pack_block(steps[start : start + SURROGATE_BLOCK]) for start in range(0, len(steps), SURROGATE_BLOCK)]
+    """The steps grouped by decision key, in order of first appearance, and
+    packed SURROGATE_BLOCK decisions to a block."""
+    by_decision = {}
+    for rec in steps:
+        by_decision.setdefault(id(rec) if rec.decision is None else rec.decision, []).append(rec)
+    decisions = list(by_decision.values())
+    return [
+        _pack_block(decisions[start : start + SURROGATE_BLOCK]) for start in range(0, len(decisions), SURROGATE_BLOCK)
+    ]
 
 
-def _pack_block(block) -> _PackedBlock:
-    sizes = np.array([rec.select_inputs.shape[0] + 1 for rec in block])
+def _pack_block(decisions) -> _PackedBlock:
+    """One block from its decisions, each the list of steps that took it;
+    a decision's row block is read from its first step."""
+    sizes = np.array([steps[0].select_inputs.shape[0] + 1 for steps in decisions])
     ends = np.cumsum(sizes)
     starts = ends - sizes
+    visits = np.array([len(steps) for steps in decisions])
+    step_decision = np.repeat(np.arange(len(decisions)), visits)
     action_index, old_log_prob, returns, old_value = np.array(
-        [(rec.action_index, rec.log_prob, rec.return_, rec.value) for rec in block]
+        [(rec.action_index, rec.log_prob, rec.return_, rec.value) for steps in decisions for rec in steps]
     ).T
     return _PackedBlock(
-        rows=np.concatenate([rows for rec in block for rows in (rec.select_inputs, rec.value_input[None])]),
+        rows=np.concatenate(
+            [rows for steps in decisions for rows in (steps[0].select_inputs, steps[0].value_input[None])]
+        ),
         sizes=sizes,
         starts=starts,
         stops=ends - 1,
-        chosen=starts + action_index.astype(np.intp),
+        visits=visits,
+        step_decision=step_decision,
+        chosen=starts[step_decision] + action_index.astype(np.intp),
         old_log_prob=old_log_prob,
         returns=returns,
         advantage=returns - old_value,
@@ -407,8 +495,10 @@ def _pack_block(block) -> _PackedBlock:
 def _surrogate_block(params: PolicyParams, block: _PackedBlock, cfg: PPOConfig, grads) -> float:
     """Summed surrogate of a packed block of steps; adds its gradient to
     `grads`.  `_score` runs once per block, and the softmax, log-softmax and
-    entropy are segment reductions (`reduceat` over the segment starts)."""
-    sizes, starts, stops = block.sizes, block.starts, block.stops
+    entropy are segment reductions (`reduceat` over the segment starts), one
+    per decision; each step reads its decision's by index, and the steps'
+    upstream gradients are summed per row and per decision (`bincount`)."""
+    sizes, starts, stops, step_decision = block.sizes, block.starts, block.stops, block.step_decision
     hidden, logits, values = _score(params, block.rows, stops)
 
     shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), sizes)
@@ -418,23 +508,24 @@ def _surrogate_block(params: PolicyParams, block: _PackedBlock, cfg: PPOConfig, 
     ratio = np.exp(log_probs[block.chosen] - block.old_log_prob)
     unclipped = ratio * block.advantage
     clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * block.advantage
-    value_error = values - block.returns
+    value_error = values[step_decision] - block.returns
     total = float(
-        (np.minimum(unclipped, clipped) + cfg.entropy_coeff * entropy - VALUE_LOSS_COEFF * value_error**2).sum()
+        np.minimum(unclipped, clipped).sum()
+        + cfg.entropy_coeff * (block.visits * entropy).sum()
+        - VALUE_LOSS_COEFF * (value_error**2).sum()
     )
 
     # d(surrogate)/d(logits): flows only while the unclipped branch is active
     gain = np.where(unclipped <= clipped, unclipped, 0.0)
-    upstream = np.negative(probs)
-    upstream[block.chosen] += 1.0
-    upstream *= np.repeat(gain, sizes)
-    upstream += cfg.entropy_coeff * (-probs * (log_probs + np.repeat(entropy, sizes)))
+    upstream = np.bincount(block.chosen, weights=gain, minlength=len(logits))
+    upstream -= probs * np.repeat(np.bincount(step_decision, weights=gain, minlength=len(sizes)), sizes)
+    upstream += np.repeat(cfg.entropy_coeff * block.visits, sizes) * (-probs * (log_probs + np.repeat(entropy, sizes)))
     grads["stop_logit"] += upstream[stops].sum()
     upstream[stops] = 0.0  # a value row feeds the value head, not the logit head
     grads["w_logit"] += hidden.T @ upstream
     grads["b_logit"] += upstream.sum()
 
-    d_value = -VALUE_LOSS_COEFF * 2.0 * value_error
+    d_value = np.bincount(step_decision, weights=-VALUE_LOSS_COEFF * 2.0 * value_error, minlength=len(sizes))
     grads["w_value"] += hidden[stops].T @ d_value
     grads["b_value"] += d_value.sum()
 
@@ -489,11 +580,14 @@ def train(graph, features, spec, capacity=2, cfg=None, n_updates=100, hidden=64)
     feature_dim = len(next(iter(features.values())))
     params = init_policy_params(feature_dim, hidden=hidden, seed=cfg.seed)
     history = []
+    moves = {}
     for update in range(n_updates):
         episodes = []
         scored = {}
         for r in range(cfg.rollouts_per_update):
-            result = rollout(graph, features, params, spec, capacity, seed=[cfg.seed, update, r], scored=scored)
+            result = rollout(
+                graph, features, params, spec, capacity, seed=[cfg.seed, update, r], scored=scored, moves=moves
+            )
             episodes.extend(result.episodes)
         params = ppo_update(params, episodes, cfg)
         history.append(float(np.mean([episode[0].return_ for episode in episodes])))

@@ -188,14 +188,30 @@ def _split(raw):
     return raw.replace(",", " ").split()
 
 
+def _parse_finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_limit(raw):
+    """A number, or `inf` for no limit."""
+    value = float(raw)
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"expected a number or inf (no limit), got {raw!r}")
+    return value
+
+
 # (parse, format) pairs; parse raises ValueError on a malformed value.
 _INT = (int, str)
-_FLOAT = (float, repr)
+_FLOAT = (_parse_finite, repr)
+_LIMIT = (_parse_limit, repr)
 _STR = (str, str)
 _BOOL = (_parse_bool, lambda v: str(v).lower())
 _OBJECTIVE = (Objective.from_string, lambda o: o.value)
 _S_VALUES = (
-    lambda raw: tuple(float(v) for v in _split(raw)),
+    lambda raw: tuple(_parse_finite(v) for v in _split(raw)),
     lambda values: ", ".join(format_s(s) for s in values),
 )
 _OBJECTIVES = (
@@ -218,8 +234,8 @@ _SCHEMA = (
     ("demand", "hotspots", "demand.hotspots", _INT),
     ("demand", "hotspot_spread_m", "demand.hotspot_spread_m", _FLOAT),
     ("demand", "departure_window_s", "demand.departure_window_s", _FLOAT),
-    ("constraints", "radius_m", "constraints.radius_m", _FLOAT),
-    ("constraints", "max_departure_gap_s", "constraints.max_departure_gap_s", _FLOAT),
+    ("constraints", "radius_m", "constraints.radius_m", _LIMIT),
+    ("constraints", "max_departure_gap_s", "constraints.max_departure_gap_s", _LIMIT),
     ("run", "objective", "objective", _OBJECTIVE),
     ("run", "capacity", "capacity", _INT),
     ("run", "seed", "seed", _INT),
@@ -237,7 +253,7 @@ _SCHEMA = (
     ("ppo", "entropy_coeff", "ppo.entropy_coeff", _FLOAT),
     ("ppo", "hidden", "policy_hidden", _INT),
     ("tolerance", "enabled", "tolerance_enabled", _BOOL),
-    ("tolerance", "tau0_s", "tolerance.tau0", _FLOAT),
+    ("tolerance", "tau0_s", "tolerance.tau0", _LIMIT),
     ("tolerance", "kappa", "tolerance.kappa", _FLOAT),
     ("tolerance", "s", "tolerance.s", _FLOAT),
     ("tolerance", "social_penalty_weight", "social_penalty_weight", _FLOAT),

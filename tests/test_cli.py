@@ -171,6 +171,31 @@ class TestConfigParsing:
         assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, raw",
+        [
+            ("constraints", "radius_m", "nan"),
+            ("constraints", "max_departure_gap_s", "nan"),
+            ("demand", "departure_window_s", "inf"),
+            ("demand", "hotspot_spread_m", "inf"),
+            ("network", "spacing_m", "inf"),
+            ("tolerance", "kappa", "inf"),
+            ("tolerance", "tau0_s", "nan"),
+            ("sweep", "s_values", "0, nan"),
+        ],
+    )
+    def test_non_finite_value_names_field(self, section, key, raw, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {section}.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_inf_means_no_limit(self):
+        cfg = load_config(text="[constraints]\nradius_m = inf\nmax_departure_gap_s = inf\n[tolerance]\ntau0_s = inf\n")
+        assert (cfg.constraints.radius_m, cfg.constraints.max_departure_gap_s, cfg.tolerance.tau0) == (math.inf,) * 3
+        assert load_config(text=config_to_ini(cfg)) == cfg
+
     def test_missing_section_header_names_line(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match=r"^<string>:1: no \[section\] header before 'rows = 5'$"):
             load_config(text="rows = 5\n")

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import math
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridepool import policy
-from ridepool.baselines import brute_force_optimal, check_partition
+from ridepool import policy, shareability
+from ridepool.baselines import brute_force_optimal, canonical_groups, check_partition, solution_for
 from ridepool.policy import (
     MAX_CAPACITY,
     SURROGATE_BLOCK,
@@ -34,13 +35,15 @@ from ridepool.policy import (
     surrogate_objective,
     train,
     write_policy,
+    _cdf,
+    _decision_rows,
     _pack_steps,
     _sample,
     _score,
     _softmax,
 )
 from ridepool.geo import NoRouteError
-from ridepool.shareability import Objective
+from ridepool.shareability import Objective, ShareabilityGraph
 from ridepool.tolerance import ToleranceProfile
 
 from conftest import features_for, scenario_instance, weighted_graph
@@ -264,18 +267,24 @@ def clip_branches(params, steps, eps):
     return set(branches)
 
 
-def drawn_steps(rng, params, n_steps, stop_only, offset, eps):
+def drawn_steps(rng, params, n_steps, stop_only, offset, eps, n_decisions=None):
     """Synthetic decisions whose ratios at `params` are placed so that step i
-    is case (i + offset) % 4 of (advantage sign) x (clip branch)."""
-    records = []
-    for i in range(n_steps):
+    is case (i + offset) % 4 of (advantage sign) x (clip branch).  With
+    `n_decisions`, step i takes decision i % n_decisions: the same row block
+    and decision key, its own action, old log-prob and return."""
+    decisions = []
+    for d in range(n_steps if n_decisions is None else n_decisions):
         k = 0 if stop_only else int(rng.integers(0, 5))
         inputs = rng.normal(0.0, 1.0, size=(k, params.w_hidden.shape[0]))
         value_input = rng.normal(0.0, 1.0, size=params.w_hidden.shape[0])
         _, logits, _, _ = score_one(params, inputs, value_input)
         shifted = logits - logits.max()
         log_probs = shifted - math.log(np.exp(shifted).sum())
-        index = int(rng.integers(0, k + 1))
+        decisions.append((inputs, value_input, log_probs, None if n_decisions is None else ("drawn", d)))
+    records = []
+    for i in range(n_steps):
+        inputs, value_input, log_probs, key = decisions[i % len(decisions)]
+        index = int(rng.integers(0, inputs.shape[0] + 1))
         positive, clipped = divmod((i + offset) % 4, 2)
         # the clipped branch is the min past 1 + eps for A > 0, below 1 - eps for A < 0
         if positive:
@@ -293,9 +302,16 @@ def drawn_steps(rng, params, n_steps, stop_only, offset, eps):
                 reward=0.0,
                 value=value,
                 return_=value + advantage,
+                decision=key,
             )
         )
     return records
+
+
+def packed_counts(steps):
+    """(blocks, decisions, steps) that `_pack_steps` packs."""
+    blocks = _pack_steps(steps)
+    return len(blocks), sum(len(block.sizes) for block in blocks), sum(len(block.step_decision) for block in blocks)
 
 
 class TestCandidateActions:
@@ -448,28 +464,45 @@ class TestScore:
         np.testing.assert_allclose(values, [rec.value for rec in records], rtol=1e-12)
 
     def test_packed_blocks_hold_each_step_in_order(self):
-        # each step's select rows, then its value row at the segment's Stop
-        # logit; the segments tile the rows and give each step its own logits
+        # each distinct decision once, in order of first appearance: its select
+        # rows, then its value row at the segment's Stop logit; the segments
+        # tile the rows and give each decision its own logits, and each step,
+        # in step order within its decision, reads its decision's segment
         _, _, _, params = setup_150()
-        steps = all_records(rollout_150(3))
+        steps = all_records(rollout_150(3, seed=1)) + all_records(rollout_150(3, seed=2))
+        order = list(dict.fromkeys(rec.decision for rec in steps))
+        assert len(order) < len(steps)  # the two rollouts share decisions
         blocks = _pack_steps(steps)
         assert len(blocks) > 1
+        first = {}
+        for rec in steps:
+            first.setdefault(rec.decision, rec)
         offset = 0
+        packed_steps = []
         for block in blocks:
-            chunk = steps[offset : offset + len(block.sizes)]
+            chunk = [first[key] for key in order[offset : offset + len(block.sizes)]]
             offset += len(chunk)
             assert block.rows[block.stops].tobytes() == np.array([rec.value_input for rec in chunk]).tobytes()
             assert list(block.starts[1:]) == list(block.stops[:-1] + 1)
             assert (block.starts[0], block.stops[-1]) == (0, len(block.rows) - 1)
             _, logits, values = _score(params, block.rows, block.stops)
-            segments = zip(chunk, block.starts, block.stops, block.chosen, values)
-            for rec, start, stop, chosen, value in segments:
+            for rec, start, stop, value in zip(chunk, block.starts, block.stops, values):
                 assert block.rows[start:stop].tobytes() == rec.select_inputs.tobytes()
-                assert chosen == start + rec.action_index
                 _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
                 np.testing.assert_allclose(logits[start : stop + 1], oracle_logits, rtol=1e-12, atol=1e-12)
                 assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
-        assert offset == len(steps)
+            block_steps = [rec for rec in steps if rec.decision in {c.decision for c in chunk}]
+            block_steps.sort(key=lambda rec: order.index(rec.decision))  # stable: step order within a decision
+            assert list(block.visits) == [sum(rec.decision == c.decision for rec in block_steps) for c in chunk]
+            first_index = offset - len(chunk)
+            assert list(block.step_decision) == [order.index(rec.decision) - first_index for rec in block_steps]
+            chosen = [block.starts[d] + rec.action_index for d, rec in zip(block.step_decision, block_steps)]
+            assert list(block.chosen) == chosen
+            assert list(block.old_log_prob) == [rec.log_prob for rec in block_steps]
+            assert list(block.returns) == [rec.return_ for rec in block_steps]
+            packed_steps.extend(block_steps)
+        assert offset == len(order)
+        assert sorted(map(id, packed_steps)) == sorted(map(id, steps))
 
     def test_zero_heads_give_uniform_log_probs(self):
         graph, features, spec = dense_setup(5)
@@ -620,7 +653,7 @@ class TestRollout:
 
 
 class TestSample:
-    """`_sample` is `Generator.choice(len(p), p=p)` done by hand."""
+    """`_sample` over `_cdf` is `Generator.choice(len(p), p=p)` done by hand."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -636,13 +669,13 @@ class TestSample:
         probs = np.array(weights) / sum(weights)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(n_draws):
-            assert _sample(probs, ours) == int(theirs.choice(len(probs), p=probs))
+            assert _sample(_cdf(probs), ours) == int(theirs.choice(len(probs), p=probs))
         assert ours.random() == theirs.random()  # both consumed the stream alike
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probabilities_raise(self, bad):
         with pytest.raises(ValueError, match="NaN or inf"):
-            _sample(np.array([0.25, bad, 0.75]), np.random.default_rng(0))
+            _cdf(np.array([0.25, bad, 0.75]))
 
 
 class TestDecisionCache:
@@ -688,6 +721,131 @@ class TestDecisionCache:
             assert not rec.select_inputs.flags.writeable and not rec.value_input.flags.writeable
         # the shared cache was hit: some records of one update share their arrays
         assert len({id(rec.select_inputs) for rec in records}) < len({id(rec.select_inputs) for rec in fresh_records})
+
+
+def fresh_copy(graph):
+    """The same graph with no group routed yet."""
+    return ShareabilityGraph(graph.net, graph.trips.values(), graph.edges.values(), graph.objective)
+
+
+def routed_groups(monkeypatch, run):
+    """`run()`'s result and the trip ids of every group `route_for_group`
+    routed meanwhile, in call order."""
+    routed = []
+    original = shareability.route_for_group
+
+    def recording(net, trips):
+        routed.append(tuple(t.trip_id for t in trips))
+        return original(net, trips)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shareability, "route_for_group", recording)
+        result = run()
+    return result, routed
+
+
+def replay_decode(graph, features, spec, capacity, choose):
+    """Oracle driver: the focal pass with `candidate_actions` and `step` asked
+    at every visit; `choose(state, select_ids)` gives the action index."""
+    assigned = set()
+    groups = []
+    for focal in sorted(graph.trips):
+        if focal in assigned:
+            continue
+        state = initial_state(graph, features, focal, frozenset(assigned), capacity)
+        while len(state.selected) < capacity - 1:
+            select_ids = candidate_actions(state)
+            index = choose(state, select_ids)
+            if index == len(select_ids):
+                break
+            state, _, _ = step(state, select_ids[index], spec)
+        groups.append(tuple(sorted((focal,) + state.selected)))
+        assigned.update(groups[-1])
+    return groups
+
+
+class TestMoveMemo:
+    """`train` keeps one move memo for the run: each group's legal Selects and
+    their rewards are asked once.  It must route no group a replay that asks
+    `candidate_actions` at every visit would not, and change no record."""
+
+    def test_routes_exactly_the_groups_a_replay_routes(self, monkeypatch):
+        graph, features, spec, params = setup_150()
+
+        def argmax(state, select_ids):
+            _, logits, _ = _score(params, _decision_rows(state, select_ids), -1)
+            return int(np.argmax(_softmax(logits)))
+
+        fresh = fresh_copy(graph)
+        solution, routed = routed_groups(monkeypatch, lambda: match_all(fresh, features, params, spec, capacity=4))
+        fresh = fresh_copy(graph)
+        replay, replayed = routed_groups(
+            monkeypatch,
+            lambda: solution_for(fresh, canonical_groups(replay_decode(fresh, features, spec, 4, argmax))),
+        )
+        assert solution.groups == replay.groups
+        assert routed == replayed
+        assert {len(group) for group in routed} >= {3, 4}  # and the solo routes of `solution_for`
+
+        fresh = fresh_copy(graph)
+        result, routed = routed_groups(monkeypatch, lambda: rollout(fresh, features, params, spec, 4, seed=1))
+        actions = iter(rec.action_index for rec in all_records(result))
+        fresh = fresh_copy(graph)
+        groups, replayed = routed_groups(
+            monkeypatch, lambda: replay_decode(fresh, features, spec, 4, lambda state, select_ids: next(actions))
+        )
+        assert result.groups == canonical_groups(groups)
+        assert next(actions, None) is None
+        assert routed == replayed
+        assert {len(group) for group in routed} == {3, 4}
+
+    @pytest.mark.parametrize("capacity, penalty", [(2, 0.0), (3, 0.0), (4, 0.0), (3, 2000.0)])
+    def test_shared_memo_changes_no_record(self, capacity, penalty, monkeypatch):
+        graph, features, spec, _ = setup_150()
+        if penalty:
+            spec = RewardSpec(social_penalty_weight=penalty, profile=ToleranceProfile(tau0=600.0, s=0.5))
+        cfg = PPOConfig(rollouts_per_update=3, epochs_per_update=2, seed=5)
+        runs = []
+        for share in (True, False):
+            results = []
+            asked = []
+            original_rollout, original_selectable = policy.rollout, policy._selectable
+
+            def recording(*args, moves, **kwargs):
+                result = original_rollout(*args, moves=moves if share else None, **kwargs)
+                results.append(result)
+                return result
+
+            def selectable(state, v):
+                asked.append((state.focal, state.selected, v))
+                return original_selectable(state, v)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(policy, "rollout", recording)
+                patch.setattr(policy, "_selectable", selectable)
+                params, history = train(graph, features, spec, capacity, cfg, n_updates=3, hidden=8)
+            runs.append((params, history, [rec for result in results for rec in all_records(result)], asked))
+        (params, history, records, asked), (fresh_params, fresh_history, fresh_records, fresh_asked) = runs
+
+        for name in PolicyParams.ARRAY_NAMES:
+            assert params.arrays()[name].tobytes() == fresh_params.arrays()[name].tobytes(), name
+        assert history == fresh_history
+        assert len(records) == len(fresh_records)
+        for rec, fresh in zip(records, fresh_records):
+            assert rec.select_inputs.tobytes() == fresh.select_inputs.tobytes()
+            assert rec.value_input.tobytes() == fresh.value_input.tobytes()
+            assert (rec.action_index, rec.log_prob, rec.reward, rec.value, rec.return_, rec.decision) == (
+                fresh.action_index,
+                fresh.log_prob,
+                fresh.reward,
+                fresh.value,
+                fresh.return_,
+                fresh.decision,
+            )
+        # the shared memo was hit: each (group, trip) is asked at most twice
+        # per run, once for its legality and once more by `step` if taken
+        assert len(asked) < len(fresh_asked)
+        assert max(collections.Counter(asked).values()) <= 2
 
 
 class TestPPOUpdate:
@@ -763,11 +921,33 @@ class TestBatchedSurrogate:
         assert clip_branches(params, steps, cfg.clip_epsilon) == cases
         assert_matches_per_step(params, steps, cfg)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_decisions=st.sampled_from((1, 2, 5, SURROGATE_BLOCK, SURROGATE_BLOCK + 1)),
+        visits=st.integers(2, 4),
+        stop_only=st.booleans(),
+        offset=st.integers(0, 3),
+        entropy_coeff=st.sampled_from((0.0, 0.01, 0.5)),
+    )
+    def test_steps_sharing_a_decision_match_per_step_oracle(
+        self, seed, n_decisions, visits, stop_only, offset, entropy_coeff
+    ):
+        # steps that share a decision's rows but differ in action, old
+        # log-prob and return; the decision is scored once, each step counts
+        rng = np.random.default_rng(seed)
+        params = randomized_params(rng)
+        cfg = PPOConfig(entropy_coeff=entropy_coeff)
+        steps = drawn_steps(rng, params, n_decisions * visits, stop_only, offset, cfg.clip_epsilon, n_decisions)
+        assert packed_counts(steps) == (-(-n_decisions // SURROGATE_BLOCK), n_decisions, len(steps))
+        assert_matches_per_step(params, steps, cfg)
+
     @pytest.mark.parametrize("capacity", (2, 3, 4))
     def test_matches_per_step_oracle_on_rollout_records(self, capacity):
         _, _, _, params = setup_150()
         steps = all_records(rollout_150(capacity, seed=1)) + all_records(rollout_150(capacity, seed=2))
-        assert len(steps) > SURROGATE_BLOCK
+        n_blocks, n_decisions, _ = packed_counts(steps)
+        assert n_blocks > 1 and n_decisions < len(steps)
         assert {rec.select_inputs.shape[0] for rec in steps} > {0, 1, 10}
         assert_matches_per_step(perturbed(params, np.random.default_rng(capacity), 0.05), steps, PPOConfig())
 
@@ -780,7 +960,8 @@ class TestBatchedSurrogate:
             for seed in (1, 2, 3)
             for rec in all_records(rollout_150(3, seed))
         ]
-        assert len(steps) > 2 * SURROGATE_BLOCK
+        n_blocks, n_decisions, _ = packed_counts(steps)
+        assert n_blocks > 2 and n_decisions < len(steps)
         eval_params = perturbed(params, np.random.default_rng(8), 0.2)
         cfg = PPOConfig()
         assert len(clip_branches(eval_params, steps, cfg.clip_epsilon)) == 4
