@@ -3,9 +3,11 @@
 All distances downstream (solo routes, shared routes, savings weights) come
 from this module.  Networks are immutable after construction.  Nodes are
 indexed in ascending id order, and one adjacency list by node index serves
-every query.  The first query from an origin runs Dijkstra once over that list
-and keeps the whole tree (distance and time per node index), so every later
-query from the same origin, on the same network object, is a lookup.
+every query.  Each origin keeps one resumable Dijkstra over that list (its
+distance and time per node index, its heap and a settled mark): a query
+continues it only until the asked node is settled, so a node settled once is a
+lookup for every later query from the same origin on the same network object,
+and no tree is grown further than some query needed.
 """
 
 import heapq
@@ -134,30 +136,39 @@ class RoadNetwork:
                 best_id, best_d = nid, exact
         return best_id
 
-    def _single_source(self, origin):
-        """Distance and time from `origin` to every node, as lists by node
-        index (inf where unreachable); computed once per origin.
-
-        Heap entries are (distance, index) and index order is id order, so
-        nodes settle by (distance, id), and a node's time comes from the first
-        settled predecessor that reaches its final distance.
-        """
-        cached = self._sssp.get(origin)
-        if cached is not None:
-            return cached
+    def _new_tree(self, origin):
+        """A fresh shortest-path tree from `origin`: distance and time lists by
+        node index (inf where not reached yet), the (distance, index) heap and
+        a settled mark per node index; nothing is settled yet."""
         source = self._index.get(origin)
         if source is None:
             raise KeyError(f"unknown node {origin}")
-        adjacency = self._adjacency
-        dist = [math.inf] * len(adjacency)
-        time = [math.inf] * len(adjacency)
+        n = len(self._adjacency)
+        dist = [math.inf] * n
+        time = [math.inf] * n
         dist[source] = time[source] = 0.0
-        heap = [(0.0, source)]
+        tree = (dist, time, [(0.0, source)], bytearray(n))
+        self._sssp[origin] = tree
+        return tree
+
+    def _settle(self, tree, target):
+        """Continue `tree`'s Dijkstra until node index `target` is settled or
+        the heap is empty (then `target` is unreachable).
+
+        Heap entries are (distance, index) and index order is id order, so
+        nodes settle by (distance, id), and a node's time comes from the first
+        settled predecessor that reaches its final distance.  Pops happen in
+        the order of one uninterrupted run, and a settled node's distance and
+        time never change again, so every answer is that of the full tree.
+        """
+        dist, time, heap, settled = tree
+        adjacency = self._adjacency
         pop, push = heapq.heappop, heapq.heappush
         while heap:
             d, u = pop(heap)
-            if d > dist[u]:  # a stale entry; edge lengths > 0, so u is settled
+            if settled[u]:  # a stale entry; edge lengths > 0
                 continue
+            settled[u] = 1
             tu = time[u]
             for v, length, t in adjacency[u]:
                 nd = d + length
@@ -165,19 +176,20 @@ class RoadNetwork:
                     dist[v] = nd
                     time[v] = tu + t
                     push(heap, (nd, v))
-        result = (dist, time)
-        self._sssp[origin] = result
-        return result
+            if u == target:
+                return
 
     def distance_time(self, origin, dest):
         """(distance_m, time_s) of the minimum-distance path; time is summed
         along that path, not minimized.  An unknown origin raises KeyError;
         an unknown or unreachable destination, NoRouteError."""
-        dist, time = self._single_source(origin)
+        tree = self._sssp.get(origin) or self._new_tree(origin)
         i = self._index.get(dest)
-        if i is None or dist[i] == math.inf:
+        if i is not None and not tree[3][i]:
+            self._settle(tree, i)
+        if i is None or tree[0][i] == math.inf:
             raise NoRouteError(f"no route from node {origin} to node {dest}")
-        return dist[i], time[i]
+        return tree[0][i], tree[1][i]
 
     def shortest_path(self, origin, dest) -> Route:
         """`distance_time` as a `Route`; origin == dest yields a zero-length
@@ -228,13 +240,15 @@ def write_network(net: RoadNetwork, path):
             fh.write(f"E {u} {v} {length:.6f} {time:.6f}\n")
 
 
-def read_records(path, kind, widths, parse) -> list:
+def read_records(path, kind, widths, parse, lines=None) -> list:
     """`parse(fields)` of each record of a flat-file artifact, in file order.
 
     Blank lines and `#` lines are skipped.  `widths` maps each record tag to
     its field count (tag included), or to None for a variable count.  Any
     other line, and a ValueError or KeyError from `parse`, raise a ValueError
-    that starts with `<path>:<line>:`.
+    that starts with `<path>:<line>:`; a NoRouteError from `parse` is raised
+    again with that prefix.  If `lines` is a list, each record's line number
+    is appended to it.
     """
     records = []
     with open(path) as fh:
@@ -250,6 +264,10 @@ def read_records(path, kind, widths, parse) -> list:
                 raise ValueError(f"{path}:{lineno}: {kind} record names an unknown id {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+            except NoRouteError as exc:
+                raise NoRouteError(f"{path}:{lineno}: {kind} record cannot be routed: {exc}") from exc
+            if lines is not None:
+                lines.append(lineno)
     return records
 
 

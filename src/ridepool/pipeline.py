@@ -9,11 +9,11 @@ One `run_pipeline` call parses each input artifact at most once: its
 `RunArtifacts` parses `network.txt`, `trips.txt`, `graph.txt` and
 `features.txt` the first time a stage asks and hands the same objects to
 every later stage, so one `RoadNetwork` (and its shortest-path cache) serves
-the whole call and each origin's tree is computed once.  `gen` snaps the
-drawn demand but routes nothing: `trips.txt` holds no route.  Every artifact
-is written by one stage that precedes all of its readers in `STAGES`, so a
-parse is never stale.  Separate stage calls (`ridepool graph`, then
-`ridepool embed`, ...) each parse their inputs anew.
+the whole call and each origin's tree is grown once, only as far as asked.
+`gen` snaps the drawn demand but routes nothing: `trips.txt` holds no route.
+Every artifact is written by one stage that precedes all of its readers in
+`STAGES`, so a parse is never stale.  Separate stage calls (`ridepool graph`,
+then `ridepool embed`, ...) each parse their inputs anew.
 """
 
 import functools

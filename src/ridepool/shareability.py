@@ -13,6 +13,11 @@ A pair and a group of 3 or 4 riders are routed by one rule: the shortest stop
 order in which each pickup comes before its own dropoff and the vehicle never
 runs empty between the first pickup and the last dropoff; ties go to the first
 such order in lexicographic stop order (pickups by trip id, then dropoffs).
+Groups of 3 and 4 are searched depth first (``_cheapest_order``).  The graph
+build and ``read_graph`` route all their pairs in one bulk pass
+(``_route_pairs``): every pair's eight legs are read at once and the first
+shortest of its four allowed orders wins, the same route, bit for bit, that
+the search gives one pair at a time (``best_shared_route``).
 """
 
 import bisect
@@ -216,6 +221,73 @@ def best_shared_route(net: RoadNetwork, a: TripRequest, b: TripRequest) -> Share
     return _cheapest_order(net, sorted((a, b), key=lambda t: t.trip_id))
 
 
+# A pair's stops, a before b by trip id: 0 = P_a, 1 = P_b, 2 = D_a, 3 = D_b.
+# Its four allowed orders in lexicographic stop order, and the eight legs they
+# drive (the legs ``_cheapest_order`` routes for two riders).
+_PAIR_ORDERS = ((0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2))
+_PAIR_LEGS = ((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (2, 3), (3, 2))
+_PAIR_ORDER_LEGS = tuple(tuple(_PAIR_LEGS.index(leg) for leg in zip(o, o[1:])) for o in _PAIR_ORDERS)
+
+
+def _route_pairs(net: RoadNetwork, pairs):
+    """The ``_cheapest_order`` routes of many pairs (a, b), a.trip_id <=
+    b.trip_id, from their eight legs, read first and then summed in bulk.
+
+    Returns `(errors, distance, time, routes)`: for each pair with a leg that
+    has no route, in pair order, the NoRouteError ``best_shared_route`` raises
+    for it (legs are read in the search's order); the winning order's total
+    distance and time per pair, inf for a pair in `errors`; and `routes(ks)`,
+    the ``SharedRoute`` of each pair index in `ks`, none of them in `errors`.
+    The four orders' totals are the same left-to-right float sums the
+    depth-first search forms, and ``np.argmin`` keeps the first minimum, its
+    tie rule.
+    """
+    distance_time = net.distance_time
+    dist, time, errors = [], [], {}
+    for k, (a, b) in enumerate(pairs):
+        stops = (a.origin, b.origin, a.dest, b.dest)
+        for i, j in _PAIR_LEGS:
+            try:
+                d, t = distance_time(stops[i], stops[j])
+            except NoRouteError as exc:
+                errors.setdefault(k, exc)
+                d = t = math.inf
+            dist.append(d)
+            time.append(t)
+    leg_dist = np.array(dist, dtype=float).reshape(len(pairs), len(_PAIR_LEGS))
+    leg_time = np.array(time, dtype=float).reshape(len(pairs), len(_PAIR_LEGS))
+    total_dist = np.column_stack([(leg_dist[:, i] + leg_dist[:, j]) + leg_dist[:, k] for i, j, k in _PAIR_ORDER_LEGS])
+    total_time = np.column_stack([(leg_time[:, i] + leg_time[:, j]) + leg_time[:, k] for i, j, k in _PAIR_ORDER_LEGS])
+    best = np.argmin(total_dist, axis=1)
+    rows = np.arange(len(pairs))
+    routed = np.isfinite(leg_dist).all(axis=1)
+    orders = best.tolist()
+
+    def routes(ks):
+        # legs are the floats `distance_time` returned, so no new float is made
+        shared = []
+        for k in ks:
+            a, b = pairs[k]
+            order = orders[k]
+            stops = (("P", a.trip_id), ("P", b.trip_id), ("D", a.trip_id), ("D", b.trip_id))
+            at = len(_PAIR_LEGS) * k
+            shared.append(
+                _evaluate_order(
+                    {a.trip_id: a, b.trip_id: b},
+                    tuple(stops[s] for s in _PAIR_ORDERS[order]),
+                    [(dist[at + leg], time[at + leg]) for leg in _PAIR_ORDER_LEGS[order]],
+                )
+            )
+        return shared
+
+    return (
+        errors,
+        np.where(routed, total_dist[rows, best], math.inf),
+        np.where(routed, total_time[rows, best], math.inf),
+        routes,
+    )
+
+
 def _cheapest_order(net: RoadNetwork, trips) -> SharedRoute:
     """Route of 2..4 riders, sorted by trip id, in the shortest stop order in
     which each pickup comes before its own dropoff and the vehicle never runs
@@ -380,18 +452,20 @@ def build_shareability_graph(
     trips = sorted(trips, key=lambda t: t.trip_id)
     if not trips:
         raise ValueError("cannot build a shareability graph without trips")
-    edges = []
-    for a, b in _gated_pairs(trips, constraints):
-        try:
-            shared = best_shared_route(net, a, b)
-        except NoRouteError as exc:
-            log.warning("skipping pair (%s, %s): %s", a.trip_id, b.trip_id, exc)
-            continue
-        distance_saved = a.solo_route.distance + b.solo_route.distance - shared.total_distance
-        weight = edge_weight(shared, a, b, objective)
-        keep = distance_saved > 0.0 if objective is Objective.VEHICLE else weight > 0.0
-        if keep:
-            edges.append(ShareabilityEdge(a.trip_id, b.trip_id, weight, shared))
+    pairs = _gated_pairs(trips, constraints)
+    errors, distance, time, routes = _route_pairs(net, pairs)
+    for k, exc in errors.items():
+        log.warning("skipping pair (%s, %s): %s", pairs[k][0].trip_id, pairs[k][1].trip_id, exc)
+    # -inf savings for the pairs in `errors`, so they are never kept
+    if objective is Objective.TIME:
+        saved = np.array([a.solo_route.time + b.solo_route.time for a, b in pairs], dtype=float) - time
+    else:  # distance weights, and the vehicle objective's keep rule
+        saved = np.array([a.solo_route.distance + b.solo_route.distance for a, b in pairs], dtype=float) - distance
+    kept = np.flatnonzero(saved > 0.0).tolist()
+    edges = [
+        ShareabilityEdge(a.trip_id, b.trip_id, edge_weight(shared, a, b, objective), shared)
+        for (a, b), shared in zip((pairs[k] for k in kept), routes(kept))
+    ]
     return ShareabilityGraph(net, trips, edges, objective)
 
 
@@ -439,19 +513,34 @@ def write_graph(graph: ShareabilityGraph, path):
 def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> ShareabilityGraph:
     """Rebuild a graph from exported edges.
 
-    Shared routes are re-derived on the network (the export keeps only the
-    totals); the exported weight is kept as the edge weight.  A pair may
-    appear once, in either order.
+    Shared routes are re-derived on the network in one bulk ``_route_pairs``
+    call (the export keeps only the totals); the exported weight is kept as
+    the edge weight.  A pair may appear once, in either order; a pair with no
+    shared route raises NoRouteError naming its record's line.
     """
     by_id = {t.trip_id: t for t in trips}
     seen = set()
+    # flat lists rather than a tuple per record: less stays alive while the
+    # routes are built, which showed in peak memory
+    ids, pairs, weights = [], [], []
 
     def parse(fields):
-        a, b = int(fields[1]), int(fields[2])
+        a, b, weight = int(fields[1]), int(fields[2]), float(fields[3])
         pair = (min(a, b), max(a, b))
         if pair in seen:
             raise ValueError(f"a second record for the pair {a} {b}")
         seen.add(pair)
-        return ShareabilityEdge(a, b, float(fields[3]), best_shared_route(net, by_id[a], by_id[b]))
+        ta, tb = by_id[a], by_id[b]
+        pairs.append((ta, tb) if a <= b else (tb, ta))
+        ids.append((a, b))
+        weights.append(weight)
 
-    return ShareabilityGraph(net, trips, read_records(path, "graph", {"G": 6}, parse), objective)
+    read_records(path, "graph", {"G": 6}, parse)
+    errors, _, _, routes = _route_pairs(net, pairs)
+    if errors:
+        k, exc = next(iter(errors.items()))  # the first record without a route
+        lines = []
+        read_records(path, "graph", {"G": 6}, lambda fields: None, lines)
+        raise NoRouteError(f"{path}:{lines[k]}: graph record cannot be routed: {exc}") from exc
+    edges = [ShareabilityEdge(a, b, w, route) for (a, b), w, route in zip(ids, weights, routes(range(len(pairs))))]
+    return ShareabilityGraph(net, trips, edges, objective)

@@ -535,6 +535,39 @@ class TestMalformedArtifacts:
         return cfg_path, out
 
 
+class TestUnroutableRecords:
+    """A network of two components, {0, 1} and {2, 3}: a record that needs a
+    route between them exits 2 naming its file and line."""
+
+    NETWORK = "N 0 0.0 0.0\nN 1 0.0 0.01\nN 2 0.05 0.0\nN 3 0.05 0.01\nE 0 1 1000.0 100.0\nE 2 3 1000.0 100.0\n"
+    POINTS = {0: "0.0 0.0", 1: "0.0 0.01", 2: "0.05 0.0", 3: "0.05 0.01"}
+
+    def write_run(self, tmp_path, trips, graph=None):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / pipeline.NETWORK_FILE).write_text(self.NETWORK)
+        (out / pipeline.TRIPS_FILE).write_text(
+            "".join(f"T {tid} {tid} {self.POINTS[o]} {self.POINTS[d]} 0.000\n" for tid, o, d in trips)
+        )
+        if graph is not None:
+            (out / pipeline.GRAPH_FILE).write_text("".join(f"G {a} {b} 1.000000 0.0 0.0\n" for a, b in graph))
+        return out
+
+    def test_trip_without_a_solo_route_names_its_line(self, tmp_path, capsys):
+        out = self.write_run(tmp_path, [(0, 0, 1), (1, 2, 3), (2, 0, 3)])
+        assert run_cli(["graph", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pipeline.TRIPS_FILE}:3: " in err
+        assert "no route from node 0 to node 3" in err
+
+    def test_graph_pair_with_an_unreachable_leg_names_its_line(self, tmp_path, capsys):
+        out = self.write_run(tmp_path, [(0, 0, 1), (1, 2, 3), (2, 1, 0)], graph=[(0, 2), (1, 0)])
+        assert run_cli(["train", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pipeline.GRAPH_FILE}:2: " in err
+        assert "no route from node 0 to node 2" in err
+
+
 def read_dir(path):
     return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
 
@@ -588,18 +621,18 @@ class TestRunArtifacts:
 
 
 def count_dijkstra_runs(monkeypatch):
-    """Counter of Dijkstra runs per (network, origin), over every network;
-    the networks are kept alive so their ids stay unique."""
+    """Counter of shortest-path trees created per (network, origin), over
+    every network; a tree is resumed, never restarted, so each creation is
+    one Dijkstra run.  The networks are kept alive so their ids stay unique."""
     runs, networks = collections.Counter(), []
-    single_source = RoadNetwork._single_source
+    new_tree = RoadNetwork._new_tree
 
-    def counted_single_source(net, origin):
-        if origin not in net._sssp:
-            networks.append(net)
-            runs[id(net), origin] += 1
-        return single_source(net, origin)
+    def counted_new_tree(net, origin):
+        networks.append(net)
+        runs[id(net), origin] += 1
+        return new_tree(net, origin)
 
-    monkeypatch.setattr(RoadNetwork, "_single_source", counted_single_source)
+    monkeypatch.setattr(RoadNetwork, "_new_tree", counted_new_tree)
     return runs
 
 

@@ -1,3 +1,5 @@
+import collections
+import heapq
 import itertools
 import math
 import random
@@ -300,6 +302,72 @@ class TestDijkstraAgainstNetworkx:
                     assert net.distance_time(origin, dest) == (dist[dest], time), (seed, origin, dest)
                     compared += 1
         assert compared > 50_000
+
+
+def full_dijkstra(edges, directed, origin):
+    """Distance and time by node id of one uninterrupted Dijkstra run from
+    `origin`, for the nodes it reaches: nodes settle by (distance, id), and
+    each node's neighbours are relaxed by (id, length, time), so a node's
+    time comes from the first settled predecessor reaching its final
+    distance, over the fastest of equal-length parallel edges."""
+    near = collections.defaultdict(list)
+    for u, v, length, time in edges:
+        near[u].append((v, length, time))
+        if not directed:
+            near[v].append((u, length, time))
+    dist, time, done = {origin: 0.0}, {origin: 0.0}, set()
+    heap = [(0.0, origin)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, length, t in sorted(near[u]):
+            if d + length < dist.get(v, math.inf):
+                dist[v], time[v] = d + length, time[u] + t
+                heapq.heappush(heap, (d + length, v))
+    return dist, time
+
+
+@st.composite
+def _query_case(draw):
+    """A small network, directed or not and often disconnected, with all-equal,
+    few-valued or random lengths, plus a sequence of (origin, dest) queries
+    (dest 999 is no node).  Ids have gaps and are listed in descending order,
+    so an index mix-up would show."""
+    ids = [3 * i + 1 for i in range(draw(st.integers(1, 9)))]
+    lengths = draw(
+        st.sampled_from([st.just(1000.0), st.sampled_from((500.0, 1000.0, 1500.0)), st.floats(1.0, 1000.0)])
+    )
+    edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids), lengths, st.sampled_from((10.0, 20.0, 35.0)))
+    edges = draw(st.lists(edge, max_size=3 * len(ids)))
+    queries = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids + [999])), min_size=1, max_size=30))
+    nodes = {nid: GeoPoint(0.0, 0.001 * nid) for nid in reversed(ids)}
+    return nodes, edges, draw(st.booleans()), queries
+
+
+class TestPartialTrees:
+    @settings(max_examples=300, deadline=None)
+    @given(_query_case())
+    def test_any_query_order_answers_like_a_full_run(self, case):
+        nodes, edges, directed, queries = case
+        net = RoadNetwork(nodes, edges, directed=directed)
+        for origin, dest in queries:
+            dist, time = full_dijkstra(edges, directed, origin)
+            if dest in dist:
+                assert net.distance_time(origin, dest) == (dist[dest], time[dest])
+            else:
+                with pytest.raises(NoRouteError):
+                    net.distance_time(origin, dest)
+
+    def test_a_query_settles_only_as_far_as_its_destination(self):
+        net = build_grid_network(1, 10, 1000.0, 10.0)  # a line, 0 - 1 - ... - 9
+        assert net.distance_time(0, 2) == (2000.0, 200.0)
+        settled = net._sssp[0][3]
+        assert [i for i, done in enumerate(settled) if done] == [0, 1, 2]
+        assert net.distance_time(0, 5) == (5000.0, 500.0)
+        assert net.distance_time(0, 1) == (1000.0, 100.0)
+        assert [i for i, done in enumerate(settled) if done] == [0, 1, 2, 3, 4, 5]
 
 
 class TestNetworkIO:

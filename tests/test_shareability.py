@@ -1,4 +1,7 @@
 import itertools
+import logging
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,13 @@ from ridepool.geo import (
 from ridepool.shareability import (
     Objective,
     PairingConstraints,
+    ShareabilityEdge,
+    ShareabilityGraph,
     SharedRoute,
     TripRequest,
+    _cheapest_order,
     _gated_pairs,
+    _route_pairs,
     best_shared_route,
     build_shareability_graph,
     edge_weight,
@@ -31,6 +38,7 @@ from ridepool.shareability import (
     write_graph,
     write_trips,
 )
+from ridepool.scenario import generate_scenario, load_config
 from conftest import scenario_instance, trip_on
 
 _SHARED_LINE_NET = build_grid_network(1, 4, 1000.0, 10.0)
@@ -400,6 +408,168 @@ class TestGroupRouting:
             route_for_group(net, trips)
 
 
+# Six nodes 1.1 km apart with drawn edges in either direction: often
+# disconnected, so some trips have no solo route and some pairs no shared one.
+# Round lengths make ties; random lengths and times make sums that round, so
+# totals summed in another order would show.
+_island_edges = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.one_of(st.sampled_from((1000.0, 2000.0)), st.floats(1.0, 3000.0)),
+        st.one_of(st.just(100.0), st.floats(1.0, 300.0)),
+    ).filter(lambda e: e[0] != e[1]),
+    max_size=8,
+)
+_any_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
+_EVERY_PAIR = PairingConstraints(radius_m=1e7, max_departure_gap_s=1e9)
+
+
+@st.composite
+def _pair_trips(draw, node_pairs):
+    """2-7 riders with distinct ids and drawn endpoints and departures."""
+    ids = draw(st.lists(st.integers(0, 99), min_size=2, max_size=7, unique=True))
+    return [(tid, *draw(node_pairs), draw(st.sampled_from((0.0, 60.0, 300.0)))) for tid in ids]
+
+
+def routable_trips(net, riders):
+    """The riders whose solo trip has a route, as trips sorted by id."""
+    trips = []
+    for tid, o, d, dep in sorted(riders):
+        try:
+            trips.append(trip_on(net, tid, o, d, departure=dep))
+        except NoRouteError:
+            pass
+    return trips
+
+
+def assert_bulk_pairs_match_scalar(net, trips):
+    """Every pair of `trips`: the bulk router skips it exactly where the scalar
+    search raises NoRouteError, and otherwise gives an equal SharedRoute whose
+    totals are the four-order oracle's."""
+    pairs = list(itertools.combinations(trips, 2))
+    errors, distance, time, routes = _route_pairs(net, pairs)
+    routed, expected_routes = [], []
+    for k, (a, b) in enumerate(pairs):
+        try:
+            expected = _cheapest_order(net, [a, b])
+        except NoRouteError as exc:
+            assert str(errors[k]) == str(exc)
+            assert distance[k] == time[k] == math.inf
+            with pytest.raises(NoRouteError):
+                pair_route_oracle(net, a, b)
+            continue
+        assert k not in errors
+        assert routes([k]) == [expected]
+        assert (distance[k], time[k]) == (expected.total_distance, expected.total_time)
+        assert (expected.total_distance, expected.total_time) == pair_route_oracle(net, a, b)
+        routed.append(k)
+        expected_routes.append(expected)
+    assert routes(routed) == expected_routes
+
+
+def scalar_build_edges(net, trips, objective, constraints):
+    """The graph build with each gated pair routed through best_shared_route
+    and the keep rule written out, in gate order."""
+    edges = []
+    for a, b in _gated_pairs(sorted(trips, key=lambda t: t.trip_id), constraints):
+        try:
+            shared = best_shared_route(net, a, b)
+        except NoRouteError:
+            continue
+        weight = edge_weight(shared, a, b, objective)
+        saved = a.solo_route.distance + b.solo_route.distance - shared.total_distance
+        if (saved if objective is Objective.VEHICLE else weight) > 0.0:
+            edges.append(ShareabilityEdge(a.trip_id, b.trip_id, weight, shared))
+    return edges
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def assert_build_matches_scalar(net, trips, constraints):
+    """Same edges in the same insertion order for every objective, and one
+    warning per skipped pair naming the scalar search's NoRouteError."""
+    skipped = []
+    for a, b in _gated_pairs(trips, constraints):
+        try:
+            best_shared_route(net, a, b)
+        except NoRouteError as exc:
+            skipped.append(f"skipping pair ({a.trip_id}, {b.trip_id}): {exc}")
+    logger = logging.getLogger("ridepool.shareability")
+    for objective in Objective:
+        handler = _Messages()
+        logger.addHandler(handler)
+        try:
+            graph = build_shareability_graph(net, trips, objective, constraints)
+        finally:
+            logger.removeHandler(handler)
+        assert list(graph.edges.values()) == scalar_build_edges(net, trips, objective, constraints)
+        assert handler.messages == skipped
+
+
+class TestBulkPairRouting:
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_trips(_lattice_pairs))
+    def test_matches_scalar_search_on_tie_heavy_lattice(self, riders):
+        assert_bulk_pairs_match_scalar(_TIE_LATTICE, routable_trips(_TIE_LATTICE, riders))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_trips(_forward_pairs), _chords)
+    def test_matches_scalar_search_on_directed_network(self, riders, chords):
+        net = _directed_net(chords)
+        assert_bulk_pairs_match_scalar(net, routable_trips(net, riders))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_pair_trips(_any_pairs), _island_edges, st.booleans())
+    def test_skips_exactly_the_unroutable_pairs_on_disconnected_networks(self, riders, edges, directed):
+        net = RoadNetwork({i: GeoPoint(0.0, 0.01 * i) for i in range(6)}, edges, directed=directed)
+        assert_bulk_pairs_match_scalar(net, routable_trips(net, riders))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_scalar_search_on_random_lengths(self, seed):
+        # random lengths and times, so that sums round and a total summed in
+        # another order, or a different tie rule, would show
+        rng = random.Random(seed)
+        nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(12)}
+        edges = [(u, v, rng.uniform(1.0, 2000.0), rng.uniform(1.0, 200.0)) for u in range(12) for v in range(12)]
+        net = RoadNetwork(nodes, [e for e in edges if e[0] != e[1] and rng.random() < 0.3], directed=seed % 2 == 1)
+        riders = [(tid, *rng.sample(range(12), 2), rng.choice((0.0, 90.0))) for tid in range(10)]
+        trips = routable_trips(net, riders)
+        assert len(trips) > 5
+        assert_bulk_pairs_match_scalar(net, trips)
+
+    def test_no_pairs(self, line_net):
+        errors, distance, time, routes = _route_pairs(line_net, [])
+        assert errors == {}
+        assert distance.shape == time.shape == (0,)
+        assert routes([]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(_pair_trips(_any_pairs), _island_edges, st.booleans())
+    def test_build_matches_scalar_build_on_disconnected_networks(self, riders, edges, directed):
+        net = RoadNetwork({i: GeoPoint(0.0, 0.01 * i) for i in range(6)}, edges, directed=directed)
+        trips = routable_trips(net, riders)
+        if trips:
+            assert_build_matches_scalar(net, trips, _EVERY_PAIR)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_pair_trips(_lattice_pairs))
+    def test_build_matches_scalar_build_on_tie_heavy_lattice(self, riders):
+        assert_build_matches_scalar(_TIE_LATTICE, routable_trips(_TIE_LATTICE, riders), _EVERY_PAIR)
+
+    @pytest.mark.parametrize("seed", [1, 5, 13])
+    def test_build_matches_scalar_build_on_seeded_instances(self, seed):
+        net, trips, _ = scenario_instance(seed=seed, n_trips=30, departure_span=900.0)
+        assert_build_matches_scalar(net, trips, PairingConstraints())
+
+
 class TestEdgeWeight:
     def test_identical_trips_distance_weight(self, line_net):
         a = trip_on(line_net, 0, 0, 2)
@@ -541,3 +711,18 @@ class TestTripAndGraphIO:
         path.write_text("T 0 0 0.0\n")
         with pytest.raises(ValueError):
             read_trips(path, build_grid_network(2, 2, 1000.0, 10.0))
+
+
+class TestRealisticSize:
+    @pytest.mark.parametrize("objective", [o.value for o in Objective])
+    def test_400_trip_graph_equals_scalar_build_byte_for_byte(self, objective, tmp_path):
+        cfg = load_config(
+            text=f"[network]\nrows = 20\ncols = 20\n[demand]\nn_trips = 400\n[run]\nobjective = {objective}\n"
+        )
+        net, trips = generate_scenario(cfg)
+        bulk, scalar = tmp_path / "bulk.txt", tmp_path / "scalar.txt"
+        write_graph(build_shareability_graph(net, trips, cfg.objective, cfg.constraints), bulk)
+        edges = scalar_build_edges(net, trips, cfg.objective, cfg.constraints)
+        write_graph(ShareabilityGraph(net, trips, edges, cfg.objective), scalar)
+        assert len(edges) > 1000
+        assert bulk.read_bytes() == scalar.read_bytes()
