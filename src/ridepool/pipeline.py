@@ -190,10 +190,10 @@ def stage_match(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     policy_path = _artifact(out_dir, POLICY_FILE, "train")
     params = policy_mod.read_policy(policy_path)
     width = len(next(iter(features.values())))
-    if params.w_hidden.shape[0] != 2 * width + 2:
+    if params.w_hidden.shape[0] != policy_mod.input_width(width):
         raise ValueError(
             f"{policy_path}: input width {params.w_hidden.shape[0]} does not fit features of width {width}"
-            f" (expected {2 * width + 2})"
+            f" (expected {policy_mod.input_width(width)})"
         )
     spec = reward_spec(cfg)
     solution = policy_mod.match_all(graph, features, params, spec, capacity=cfg.capacity)

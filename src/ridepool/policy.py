@@ -5,45 +5,51 @@ Each focal trip runs an episode over the state (context vector, graph,
 selected co-riders): the policy scores every still-available neighbor plus a
 Stop action, samples one, and is rewarded with the marginal pooling savings
 of the pick under the graph's objective.  An action is the picked trip's id,
-or None for Stop.  A two-layer perceptron scores a decision as one row block
-(the candidate set varies per state): one row per candidate, then the value
-row, which sits where the Stop logit goes.  One tanh hidden layer runs over
-the whole block; the logit head scores the candidate rows, the Stop logit is
-a learned scalar, and the value head reads the value row.  That network is
-evaluated in one place, `_score`, by the rollout, the greedy decode and the
-update alike; which Selects are legal is decided in one place, `_selectable`;
-discounted returns are formed in one place, `fill_returns`.  Updates use the
-clipped probability-ratio surrogate with exact hand-rolled backprop, which
-keeps the gradients finite-difference checkable.
+or None for Stop.  A two-layer perceptron scores input rows: one tanh hidden
+layer, then a logit head and a value head on every row.  A decision reads
+one row per candidate, then its value row, which sits where the Stop logit
+goes: the candidates' logits, a learned scalar Stop logit, and the value
+row's value.  That network is evaluated in one place, `_score`, by the
+rollout, the greedy decode and the update alike; which Selects are legal is
+decided in one place, `_selectable`; discounted returns are formed in one
+place, `fill_returns`.  Updates use the clipped probability-ratio surrogate
+with exact hand-rolled backprop, which keeps the gradients finite-difference
+checkable.
 
-Training pays once per distinct decision, not once per visit, and every
-memo is exact: a hit returns what a miss would have computed.
+A row is a pure function of (focal trip, candidate, depth), depth being the
+number of co-riders already selected, so each `train` or `match_all` call
+builds one read-only `RowTable` of every row the graph can ask for, each
+distinct row once, and pays for each row at most once per parameter set.
+Every cache is exact: a hit returns what a miss would have computed.
 - Once per run, `train` keeps a move memo keyed by group (focal trip,
   selected co-riders): whether Select(v) is legal, asked of `_selectable`
   only for trips not yet assigned, and, once taken, its reward from `step`.
   Neither depends on the parameters, so the memo lives for every update.
-- Once per update, the rollouts share a decision cache keyed by (focal trip,
-  selected co-riders, candidate ids), which fixes the row block: its rows,
-  probabilities, value and sampling cdf are computed on first sight and
-  reused, read-only.  A decision met again costs one draw and a bisect.  The
-  cache is dropped with the parameters; the greedy decode starts both memos
-  empty, so it routes exactly the groups a per-visit `candidate_actions`
-  would.
+- Once per parameter set (one update's rollouts, or the greedy decode),
+  `_ScoredTable` scores the table ROW_CHUNK rows per `_score` call, each
+  chunk when a decision first needs one of its rows, and caches decisions
+  by (focal trip, selected co-riders, candidate ids), which fixes their row
+  ids: a decision gathers its rows' logits and its value row's value and
+  forms its probabilities and sampling cdf on first sight; met again it
+  costs one draw and a bisect.  The greedy decode starts both caches empty,
+  so it routes exactly the groups a per-visit `candidate_actions` would.
 
-The update is batched and scores each distinct decision once: the recorded
-steps are grouped by decision key, and once per update the decisions' row
-blocks are stacked SURROGATE_BLOCK decisions at a time, row i giving logit
-i; every epoch reuses the packed blocks.  Per block `_score` runs one matmul
-and one tanh, the softmax, log-softmax and entropy are `reduceat` segment
-reductions per decision, each step reads its decision's by index for its
-ratio, clip branch, entropy and value error, and the steps' logit and value
-upstreams are summed per decision with `bincount`, so each gradient, the
-shared layer's included, is one matmul or sum.  This is the per-step
+The update is batched and scores each distinct row once per epoch: the
+recorded steps carry row ids into the table and are grouped by decision key
+once per update; every epoch runs `_score` over the distinct rows the
+decisions read, ROW_CHUNK rows at a time, gathers each decision's logits
+into one segmented vector, whose softmax, log-softmax and entropy are
+`reduceat` segment reductions, reads each step's ratio, clip branch,
+entropy and value error by index, and scatters the steps' logit and value
+upstreams back onto the rows with `bincount`, so each gradient, the shared
+layer's included, is one matmul or sum per chunk.  This is the per-step
 objective and gradient summed in a different order.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +62,7 @@ from .tolerance import ToleranceProfile, rejection_cost
 MAX_CAPACITY = 4
 WEIGHT_INPUT_SCALE = 1e-3  # meters/seconds -> O(1) inputs
 VALUE_LOSS_COEFF = 0.5
-SURROGATE_BLOCK = 64  # distinct decisions per packed surrogate block; bounds the update's temporary memory
+ROW_CHUNK = 256  # rows per `_score` call and per backward matmul; bounds their temporaries
 
 
 class InfeasibleActionError(Exception):
@@ -146,9 +152,15 @@ class PolicyParams:
         return PolicyParams(**{name: arr.copy() for name, arr in self.arrays().items()})
 
 
+def input_width(feature_dim) -> int:
+    """The network's input width for context vectors of `feature_dim`: the
+    focal and candidate contexts, the scaled edge weight, the group fill."""
+    return 2 * feature_dim + 2
+
+
 def init_policy_params(feature_dim, hidden=64, seed=0) -> PolicyParams:
     """Seeded hidden layer, zeroed heads, so the initial policy is uniform."""
-    sizes = {"input": 2 * feature_dim + 2, "hidden": hidden}
+    sizes = {"input": input_width(feature_dim), "hidden": hidden}
     arrays = {name: np.zeros([sizes[dim] for dim in dims]) for name, dims in PolicyParams.ARRAY_DIMS.items()}
     arrays["w_hidden"] = np.random.default_rng(seed).uniform(-0.1, 0.1, size=arrays["w_hidden"].shape)
     return PolicyParams(**arrays)
@@ -196,44 +208,95 @@ def candidate_actions(state: MatchState):
     return [v for v in state.graph.neighbors(state.focal) if _selectable(state, v)]
 
 
-def _decision_rows(state: MatchState, select_ids) -> np.ndarray:
-    """One decision's row block, written into one preallocated array: a row
-    per candidate (focal context + candidate context + scaled edge weight +
-    normalized group size), then the value row (focal context, zeros for the
-    candidate and its weight, normalized group size)."""
-    width = len(state.context)
-    rows = np.empty((len(select_ids) + 1, 2 * width + 2))
-    rows[:, :width] = state.context
-    for i, v in enumerate(select_ids):
-        rows[i, width:-2] = state.features[state.graph.trips[v].user_id]
-    rows[:-1, -2] = [state.graph.edge(state.focal, v).weight * WEIGHT_INPUT_SCALE for v in select_ids]
-    rows[-1, width:-1] = 0.0
-    rows[:, -1] = len(state.selected) / MAX_CAPACITY
-    return rows
+class RowTable:
+    """Every input row the policy can be asked to score on one graph at one
+    capacity, each distinct row once, read-only.
+
+    A row is a pure function of (focal trip, candidate, depth): the focal
+    trip's context, the candidate's context, their edge weight times
+    WEIGHT_INPUT_SCALE, and the group fill depth / MAX_CAPACITY.  The value
+    row of (focal trip, depth) has zeros for the candidate's context and
+    weight.  The rows are gathered from a context matrix (a row per trip,
+    then a zero row that stands in for the value row's candidate), the
+    directed neighbour-id and weight arrays, each focal trip's neighbours in
+    ascending id followed by its value entry, and a depth column.  Rows
+    equal byte for byte are stored once, so equal inputs get equal scores
+    (and `match_all`'s tie to the lowest trip id holds): a row's bytes are
+    its four parts' bytes, so they are compared as byte ids of the contexts,
+    the weight and the depth.  Rows are numbered depth by depth, in order of
+    first appearance.
+
+    A column that depends on more of the state than (focal trip, candidate,
+    depth) cannot live here.  It would enter as a rank-1 term on the
+    pre-activation: a decision adds its column times that column's row of
+    `w_hidden` to the table rows' shared `rows @ w_hidden` before the tanh.
+    """
+
+    def __init__(self, graph: ShareabilityGraph, features, capacity):
+        trip_ids = np.array(list(graph.trips), dtype=np.int64)  # ascending
+        n, width = len(trip_ids), len(next(iter(features.values())))
+        contexts = np.zeros((n + 1, width))
+        contexts[:n] = [features[trip.user_id] for trip in graph.trips.values()]
+        endpoints = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * len(graph.edges))
+        pairs = np.searchsorted(trip_ids, endpoints).reshape(-1, 2)
+        weights = np.array([edge.weight for edge in graph.edges.values()]) * WEIGHT_INPUT_SCALE
+        focal = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
+        other = np.concatenate([pairs[:, 1], pairs[:, 0], np.full(n, n)])  # n: the zero context
+        weight = np.concatenate([weights, weights, np.zeros(n)])
+        # stable sorts only (np.unique sorts stably when asked for indices):
+        # each further sort kernel a fresh process touches costs start-up
+        # time and resident memory
+        order = np.argsort(focal * (n + 1) + other, kind="stable")
+        focal, other, weight = focal[order], other[order], weight[order]
+
+        context_ids = {}
+        context_id = np.array([context_ids.setdefault(row.tobytes(), len(context_ids)) for row in contexts])
+        weight_id = np.unique(weight.view(np.int64), return_index=True, return_inverse=True)[2]
+        key = (context_id[focal] * (n + 1) + context_id[other]) * len(weight) + weight_id
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first, kind="stable")
+        rank = np.empty_like(by_appearance)
+        rank[by_appearance] = np.arange(len(first))
+        keep = first[by_appearance]  # each row's first entry
+        self._entry_row = rank[inverse]  # directed entry -> its row at depth 0
+        self._per_depth = len(keep)
+
+        rows = np.empty((capacity - 1, len(keep), input_width(width)))
+        rows[:, :, :width] = contexts[focal[keep]]
+        rows[:, :, width:-2] = contexts[other[keep]]
+        rows[:, :, -2] = weight[keep]
+        rows[:, :, -1] = (np.arange(capacity - 1) / MAX_CAPACITY)[:, None]
+        self.rows = rows.reshape(-1, rows.shape[-1])
+        self.rows.flags.writeable = False
+        # a value entry's neighbour id is one past every trip id, so it sorts last
+        self._value_key = int(trip_ids.max(initial=-1)) + 1
+        self._neighbors = np.append(trip_ids, self._value_key)[other]
+        counts = np.bincount(focal, minlength=n)
+        ends = np.cumsum(counts)
+        self._entries = dict(zip(trip_ids.tolist(), zip((ends - counts).tolist(), ends.tolist())))
+
+    def decision_rows(self, focal, depth, candidates: tuple) -> np.ndarray:
+        """Row ids of a decision at `depth`: the candidates' (neighbours of
+        the focal trip, in ascending id), then the focal trip's value row."""
+        start, stop = self._entries[focal]
+        entries = self._neighbors[start:stop].searchsorted(candidates + (self._value_key,))
+        return self._entry_row[start + entries] + depth * self._per_depth
 
 
-def _score(params: PolicyParams, rows: np.ndarray, stops):
-    """The network's forward pass, over one decision's row block or a packed
-    block of them.  `stops` indexes the value rows, one per decision, each at
-    its decision's Stop position.
+def _score(params: PolicyParams, rows: np.ndarray):
+    """The network's forward pass over a stack of input rows.
 
-    Returns the hidden layer, the logits (row by row: a candidate row's from
-    the logit head, `params.stop_logit` at `stops`) and the values of the
-    `stops` rows.
+    Returns the hidden layer, and each row's logit (from the logit head) and
+    value (from the value head); a decision takes its candidate rows'
+    logits, `params.stop_logit` in its value row's place, and its value
+    row's value.
     """
     hidden = rows @ params.w_hidden
     hidden += params.b_hidden
     np.tanh(hidden, out=hidden)
     logits = hidden @ params.w_logit + float(params.b_logit)
-    logits[stops] = float(params.stop_logit)
-    values = hidden[stops] @ params.w_value + float(params.b_value)
+    values = hidden @ params.w_value + float(params.b_value)
     return hidden, logits, values
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def step(state: MatchState, action, spec: RewardSpec):
@@ -267,17 +330,28 @@ def _group_rejection_cost(graph, group, profile) -> float:
 @dataclass
 class StepRecord:
     """One visit of a decision: everything needed to re-evaluate it during
-    updates.  Steps with the same `decision` key share their row block (in a
-    rollout, the very arrays) and are scored once per update pass."""
+    updates.  Its inputs are rows of a row table; steps with the same
+    `decision` key read the same rows (in a rollout, the very id array) and
+    are scored once per update pass."""
 
-    select_inputs: np.ndarray  # (k, input_dim) in sorted candidate order
-    value_input: np.ndarray  # (input_dim,); a rollout's two are views of one row block
+    rows: np.ndarray  # the row table's rows, one array for every record of a call
+    row_ids: np.ndarray  # (k + 1,): the candidates' rows in sorted candidate order, then the value row
     action_index: int  # 0..k-1 = that select; k = stop
     log_prob: float
     reward: float
     value: float
     return_: float = 0.0
     decision: tuple = None  # (focal, selected, candidate ids); None: a decision of its own
+
+    @property
+    def select_inputs(self) -> np.ndarray:
+        """(k, input_dim): the candidates' rows, in sorted candidate order."""
+        return self.rows[self.row_ids[:-1]]
+
+    @property
+    def value_input(self) -> np.ndarray:
+        """(input_dim,): the value row."""
+        return self.rows[self.row_ids[-1]]
 
 
 @dataclass
@@ -291,18 +365,18 @@ class RolloutResult:
         return [episode[0].return_ for episode in self.episodes]
 
 
-def _run_policy(graph, features, params, spec, capacity, pick, scored, moves) -> RolloutResult:
+def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> RolloutResult:
     """Shared driver: focal trips in ascending id, assigned trips excluded.
 
     `moves` maps each focal trip to its `_Group` memo; it must only ever see
-    one graph, feature map, capacity and reward spec.  `scored` maps a
-    decision (focal, selected, candidates) to its read-only `_Decision` under
-    `params`; a decision met again reuses its entry, so it must also only ever
-    see one set of parameters.  `pick` chooses an action index from an
-    entry."""
+    one graph, feature map, capacity and reward spec.  `scored` is the
+    graph's row table under one set of parameters (`_ScoredTable`); a
+    decision met again reuses its entry.  `pick` chooses an action index
+    from an entry."""
     assigned = set()
     episodes = []
     groups = []
+    rows = scored.table.rows
     for focal in sorted(graph.trips):
         if focal in assigned:
             continue
@@ -313,13 +387,10 @@ def _run_policy(graph, features, params, spec, capacity, pick, scored, moves) ->
         records = []
         while len(group.state.selected) < capacity - 1:
             select_ids = [v for v in neighbors if v not in assigned and group.selectable(v)]
-            key = (focal, group.state.selected, tuple(select_ids))
-            entry = scored.get(key)
-            if entry is None:
-                entry = scored[key] = _score_decision(params, group.state, select_ids)
+            entry = scored.decision((focal, group.state.selected, tuple(select_ids)))
             index = pick(entry)
-            log_prob = float(np.log(entry.probs[index]))
-            record = StepRecord(entry.select_rows, entry.value_row, index, log_prob, 0.0, entry.value, decision=key)
+            log_prob = entry.log_probs[index]
+            record = StepRecord(rows, entry.row_ids, index, log_prob, 0.0, entry.value, decision=entry.key)
             records.append(record)
             if index == len(select_ids):
                 break
@@ -364,30 +435,67 @@ class _Group:
 class _Decision(NamedTuple):
     """One decision scored under one set of parameters, read-only."""
 
-    select_rows: np.ndarray  # views of the decision's row block
-    value_row: np.ndarray
-    probs: np.ndarray  # the select rows in row order, then Stop
+    key: tuple  # (focal, selected, candidate ids)
+    row_ids: np.ndarray  # the candidates' rows, then the value row
+    log_probs: list  # the candidates in row order, then Stop
     value: float
     cdf: list  # what `_sample` draws from
 
 
-def _score_decision(params, state, select_ids) -> _Decision:
-    rows = _decision_rows(state, select_ids)
-    _, logits, value = _score(params, rows, -1)
-    probs = _softmax(logits)
-    rows.flags.writeable = False
-    probs.flags.writeable = False
-    return _Decision(rows[:-1], rows[-1], probs, float(value), _cdf(probs))
+class _ScoredTable:
+    """A row table under one set of parameters: each row's logit and value,
+    scored ROW_CHUNK rows per `_score` call when a decision first needs a
+    row of the chunk, and the decisions met so far, keyed by (focal trip,
+    selected co-riders, candidate ids)."""
+
+    __slots__ = ("table", "params", "logits", "values", "scored", "decisions")
+
+    def __init__(self, table: RowTable, params: PolicyParams):
+        self.table = table
+        self.params = params
+        self.logits = np.empty(len(table.rows))
+        self.values = np.empty(len(table.rows))
+        self.scored = np.zeros(-(-len(table.rows) // ROW_CHUNK), dtype=bool)
+        self.decisions = {}
+
+    def decision(self, key) -> _Decision:
+        """The decision `key`, scored on first sight.  Its softmax and cdf
+        run on Python floats: a decision has few candidates, and numpy's
+        cost per call would dominate."""
+        entry = self.decisions.get(key)
+        if entry is None:
+            focal, selected, candidates = key
+            row_ids = self.table.decision_rows(focal, len(selected), candidates)
+            chunks = row_ids // ROW_CHUNK
+            if not self.scored[chunks].all():
+                for chunk in set(chunks[~self.scored[chunks]].tolist()):
+                    self._score_chunk(chunk)
+            row_ids.flags.writeable = False
+            logits = self.logits[row_ids].tolist()
+            logits[-1] = float(self.params.stop_logit)
+            top = max(logits)
+            exps = [math.exp(x - top) for x in logits]
+            total = sum(exps)
+            log_total = math.log(total)
+            log_probs = [x - top - log_total for x in logits]
+            value = float(self.values[row_ids[-1]])
+            entry = self.decisions[key] = _Decision(key, row_ids, log_probs, value, _cdf([e / total for e in exps]))
+        return entry
+
+    def _score_chunk(self, chunk):
+        rows = slice(chunk * ROW_CHUNK, (chunk + 1) * ROW_CHUNK)
+        _, self.logits[rows], self.values[rows] = _score(self.params, self.table.rows[rows])
+        self.scored[chunk] = True
 
 
 def _cdf(probs) -> list:
     """The cumulative distribution `Generator.choice` draws from: the
-    cumulative sum divided by its last entry."""
-    cdf = probs.cumsum()
-    if not np.isfinite(cdf[-1]):
+    cumulative sum (left to right, as `np.cumsum` adds) divided by its last
+    entry."""
+    cdf = list(accumulate(probs))
+    if not math.isfinite(cdf[-1]):
         raise ValueError(f"probabilities contain NaN or inf: {probs}")
-    cdf /= cdf[-1]
-    return cdf.tolist()
+    return [c / cdf[-1] for c in cdf]
 
 
 def _sample(cdf, rng) -> int:
@@ -400,50 +508,103 @@ def _sample(cdf, rng) -> int:
 def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None, moves=None) -> RolloutResult:
     """Sampled trajectories over all focal trips; deterministic per seed.
 
-    `scored` and `moves` are the decision cache and the move memo of
+    `scored` and `moves` are the scored row table and the move memo of
     `_run_policy`; leaving either out gives a fresh one.  Rollouts under the
-    same parameters (one update's, in `train`) may share a decision cache,
-    and rollouts on the same graph, features, capacity and spec (all of a
+    same parameters (one update's, in `train`) may share a scored table, and
+    rollouts on the same graph, features, capacity and spec (all of a
     `train` run's) may share a move memo; neither changes any record."""
     rng = np.random.default_rng(seed)
-    scored = {} if scored is None else scored
+    scored = _ScoredTable(RowTable(graph, features, capacity), params) if scored is None else scored
     moves = {} if moves is None else moves
-    return _run_policy(graph, features, params, spec, capacity, lambda entry: _sample(entry.cdf, rng), scored, moves)
+    return _run_policy(graph, features, spec, capacity, lambda entry: _sample(entry.cdf, rng), scored, moves)
 
 
 def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     """Greedy decode (argmax action, ties to the lowest trip id) into a full
     matching solution with routed groups."""
-    result = _run_policy(
-        graph, features, params, spec, capacity, lambda entry: int(np.argmax(entry.probs)), {}, {}
-    )
+    scored = _ScoredTable(RowTable(graph, features, capacity), params)
+    result = _run_policy(graph, features, spec, capacity, lambda entry: int(np.argmax(entry.log_probs)), scored, {})
     return solution_for(graph, result.groups)
 
 
-def surrogate_objective(params: PolicyParams, blocks, cfg: PPOConfig):
+def surrogate_objective(params: PolicyParams, packed, cfg: PPOConfig):
     """Mean clipped-surrogate objective with entropy bonus and value penalty,
     plus its exact gradient.  Maximized by ppo_update; finite-difference
     checkable as one scalar function of the parameters.
 
-    `blocks` are the steps packed by `_pack_steps`, so the numpy work runs
-    once per block, not once per step, and each distinct decision is scored
-    once, not once per step that took it."""
+    `packed` holds the steps as `_pack_steps` packs them, so each distinct
+    row is scored once and each distinct decision's softmax formed once,
+    not once per step that took it.  The softmax, log-softmax and entropy
+    are segment reductions (`reduceat` over the segment starts), one per
+    decision; each step reads its decision's by index, and the steps'
+    upstream gradients are summed per decision and per row (`bincount`).
+    The distinct rows' hidden layer is kept from the forward pass to the
+    backward one."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-    total = sum(_surrogate_block(params, block, cfg, grads) for block in blocks)
-    n = sum(len(block.step_decision) for block in blocks)
+    sizes, starts, stops, step_decision = packed.sizes, packed.starts, packed.stops, packed.step_decision
+    chunks = [slice(start, start + ROW_CHUNK) for start in range(0, len(packed.row_ids), ROW_CHUNK)]
+    hidden = np.empty((len(packed.row_ids), len(params.b_hidden)))
+    row_logits = np.empty(len(packed.row_ids))
+    row_values = np.empty(len(packed.row_ids))
+    for chunk in chunks:
+        hidden[chunk], row_logits[chunk], row_values[chunk] = _score(params, packed.rows[packed.row_ids[chunk]])
+    logits = row_logits[packed.segment_rows]
+    logits[stops] = float(params.stop_logit)
+    values = row_values[packed.segment_rows[stops]]
+
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), sizes)
+    log_probs = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), sizes)
+    probs = np.exp(log_probs)
+    entropy = -np.add.reduceat(probs * log_probs, starts)
+    ratio = np.exp(log_probs[packed.chosen] - packed.old_log_prob)
+    unclipped = ratio * packed.advantage
+    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * packed.advantage
+    value_error = values[step_decision] - packed.returns
+    total = float(
+        np.minimum(unclipped, clipped).sum()
+        + cfg.entropy_coeff * (packed.visits * entropy).sum()
+        - VALUE_LOSS_COEFF * (value_error**2).sum()
+    )
+
+    # d(surrogate)/d(logits): flows only while the unclipped branch is active
+    gain = np.where(unclipped <= clipped, unclipped, 0.0)
+    upstream = np.bincount(packed.chosen, weights=gain, minlength=len(logits))
+    upstream -= probs * np.repeat(np.bincount(step_decision, weights=gain, minlength=len(sizes)), sizes)
+    upstream += np.repeat(cfg.entropy_coeff * packed.visits, sizes) * (-probs * (log_probs + np.repeat(entropy, sizes)))
+    grads["stop_logit"] += upstream[stops].sum()
+    upstream[stops] = 0.0  # a value row's logit is the Stop logit, not the logit head's
+    d_value = np.bincount(step_decision, weights=-VALUE_LOSS_COEFF * 2.0 * value_error, minlength=len(sizes))
+
+    # per row: the upstreams of every segment position and value that read it
+    row_logit_grad = np.bincount(packed.segment_rows, weights=upstream, minlength=len(packed.row_ids))
+    row_value_grad = np.bincount(packed.segment_rows[stops], weights=d_value, minlength=len(packed.row_ids))
+    grads["w_logit"] += hidden.T @ row_logit_grad
+    grads["b_logit"] += row_logit_grad.sum()
+    grads["w_value"] += hidden.T @ row_value_grad
+    grads["b_value"] += row_value_grad.sum()
+
+    # back through both heads into the shared layer; (1 - h^2) is written over h
+    d_pre = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
+    for chunk in chunks:
+        d_pre[chunk] *= row_logit_grad[chunk, None] * params.w_logit + row_value_grad[chunk, None] * params.w_value
+        grads["w_hidden"] += packed.rows[packed.row_ids[chunk]].T @ d_pre[chunk]
+    grads["b_hidden"] += d_pre.sum(axis=0)
+    n = len(step_decision)
     return total / n, {name: grad / n for name, grad in grads.items()}
 
 
 @dataclass(frozen=True)
-class _PackedBlock:
-    """What the surrogate of a block of decisions needs beyond the
-    parameters: the decisions' row blocks stacked, so each decision is one
-    segment of the packed logits, its value row giving its Stop logit, and
-    per step the decision it took and what it recorded."""
+class _PackedSteps:
+    """What the surrogate of a batch of steps needs beyond the parameters:
+    the distinct table rows its decisions read; each distinct decision as
+    one segment of the packed logits, its value row giving its Stop logit;
+    and per step the decision it took and what it recorded."""
 
-    rows: np.ndarray  # (select rows + decisions, input_dim)
-    sizes: np.ndarray  # segment length per decision: its select rows + its value row
-    starts: np.ndarray  # first row of each segment
+    rows: np.ndarray  # the row table's rows
+    row_ids: np.ndarray  # the distinct rows the decisions read, ascending
+    segment_rows: np.ndarray  # per segment position: its row's index into row_ids
+    sizes: np.ndarray  # segment length per decision: its candidate rows + its value row
+    starts: np.ndarray  # first position of each segment
     stops: np.ndarray  # each segment's value row, which gives its Stop logit
     visits: np.ndarray  # steps per decision
     step_decision: np.ndarray  # per step: the index of its decision's segment
@@ -453,33 +614,30 @@ class _PackedBlock:
     advantage: np.ndarray  # return minus the rollout-time value
 
 
-def _pack_steps(steps) -> list:
-    """The steps grouped by decision key, in order of first appearance, and
-    packed SURROGATE_BLOCK decisions to a block."""
+def _pack_steps(steps) -> _PackedSteps:
+    """The steps grouped by decision key, in order of first appearance (a
+    decision's rows are read from its first step), and the distinct rows
+    they read.  Every step must read the same row table."""
+    rows = steps[0].rows
     by_decision = {}
     for rec in steps:
+        if rec.rows is not rows:
+            raise ValueError("steps read different row tables")
         by_decision.setdefault(id(rec) if rec.decision is None else rec.decision, []).append(rec)
     decisions = list(by_decision.values())
-    return [
-        _pack_block(decisions[start : start + SURROGATE_BLOCK]) for start in range(0, len(decisions), SURROGATE_BLOCK)
-    ]
-
-
-def _pack_block(decisions) -> _PackedBlock:
-    """One block from its decisions, each the list of steps that took it;
-    a decision's row block is read from its first step."""
-    sizes = np.array([steps[0].select_inputs.shape[0] + 1 for steps in decisions])
+    sizes = np.array([len(steps[0].row_ids) for steps in decisions])
     ends = np.cumsum(sizes)
     starts = ends - sizes
     visits = np.array([len(steps) for steps in decisions])
     step_decision = np.repeat(np.arange(len(decisions)), visits)
+    row_ids, segment_rows = np.unique(np.concatenate([steps[0].row_ids for steps in decisions]), return_inverse=True)
     action_index, old_log_prob, returns, old_value = np.array(
         [(rec.action_index, rec.log_prob, rec.return_, rec.value) for steps in decisions for rec in steps]
     ).T
-    return _PackedBlock(
-        rows=np.concatenate(
-            [rows for steps in decisions for rows in (steps[0].select_inputs, steps[0].value_input[None])]
-        ),
+    return _PackedSteps(
+        rows=rows,
+        row_ids=row_ids,
+        segment_rows=segment_rows,
         sizes=sizes,
         starts=starts,
         stops=ends - 1,
@@ -490,57 +648,6 @@ def _pack_block(decisions) -> _PackedBlock:
         returns=returns,
         advantage=returns - old_value,
     )
-
-
-def _surrogate_block(params: PolicyParams, block: _PackedBlock, cfg: PPOConfig, grads) -> float:
-    """Summed surrogate of a packed block of steps; adds its gradient to
-    `grads`.  `_score` runs once per block, and the softmax, log-softmax and
-    entropy are segment reductions (`reduceat` over the segment starts), one
-    per decision; each step reads its decision's by index, and the steps'
-    upstream gradients are summed per row and per decision (`bincount`)."""
-    sizes, starts, stops, step_decision = block.sizes, block.starts, block.stops, block.step_decision
-    hidden, logits, values = _score(params, block.rows, stops)
-
-    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), sizes)
-    log_probs = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), sizes)
-    probs = np.exp(log_probs)
-    entropy = -np.add.reduceat(probs * log_probs, starts)
-    ratio = np.exp(log_probs[block.chosen] - block.old_log_prob)
-    unclipped = ratio * block.advantage
-    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * block.advantage
-    value_error = values[step_decision] - block.returns
-    total = float(
-        np.minimum(unclipped, clipped).sum()
-        + cfg.entropy_coeff * (block.visits * entropy).sum()
-        - VALUE_LOSS_COEFF * (value_error**2).sum()
-    )
-
-    # d(surrogate)/d(logits): flows only while the unclipped branch is active
-    gain = np.where(unclipped <= clipped, unclipped, 0.0)
-    upstream = np.bincount(block.chosen, weights=gain, minlength=len(logits))
-    upstream -= probs * np.repeat(np.bincount(step_decision, weights=gain, minlength=len(sizes)), sizes)
-    upstream += np.repeat(cfg.entropy_coeff * block.visits, sizes) * (-probs * (log_probs + np.repeat(entropy, sizes)))
-    grads["stop_logit"] += upstream[stops].sum()
-    upstream[stops] = 0.0  # a value row feeds the value head, not the logit head
-    grads["w_logit"] += hidden.T @ upstream
-    grads["b_logit"] += upstream.sum()
-
-    d_value = np.bincount(step_decision, weights=-VALUE_LOSS_COEFF * 2.0 * value_error, minlength=len(sizes))
-    grads["w_value"] += hidden[stops].T @ d_value
-    grads["b_value"] += d_value.sum()
-
-    # back through both heads into the shared layer, each row through its
-    # own head; (1 - h^2) is written over h
-    upstream[stops] = d_value
-    d_pre = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
-    d_pre *= upstream[:, None]
-    value_pre = d_pre[stops]
-    value_pre *= params.w_value
-    d_pre *= params.w_logit
-    d_pre[stops] = value_pre
-    grads["w_hidden"] += block.rows.T @ d_pre
-    grads["b_hidden"] += d_pre.sum(axis=0)
-    return total
 
 
 def fill_returns(episodes, gamma):
@@ -559,14 +666,15 @@ def ppo_update(params: PolicyParams, episodes, cfg: PPOConfig) -> PolicyParams:
     """Full-batch gradient ascent on the clipped surrogate for
     epochs_per_update passes.  Advantages use the rollout-time value baseline;
     old log-probabilities stay fixed across passes, so the steps are packed
-    into blocks once and every pass reuses them."""
+    once and every pass reuses them.  The episodes must read one row table,
+    as one `train` update's rollouts do."""
     steps = fill_returns(episodes, cfg.gamma)
     if not steps:
         raise ValueError("cannot update from empty trajectories")
     params = params.copy()
-    blocks = _pack_steps(steps)
+    packed = _pack_steps(steps)
     for _ in range(cfg.epochs_per_update):
-        _, grads = surrogate_objective(params, blocks, cfg)
+        _, grads = surrogate_objective(params, packed, cfg)
         for name, grad in grads.items():
             getattr(params, name)[...] += cfg.learning_rate * grad
     return params
@@ -574,16 +682,18 @@ def ppo_update(params: PolicyParams, episodes, cfg: PPOConfig) -> PolicyParams:
 
 def train(graph, features, spec, capacity=2, cfg=None, n_updates=100, hidden=64):
     """Rollout/update loop; returns the trained parameters and the mean
-    episodic reward per update.  The rollouts of one update share one
-    decision cache (see `rollout`)."""
+    episodic reward per update.  The run builds one row table; the rollouts
+    of one update share it scored under that update's parameters (see
+    `rollout`)."""
     cfg = cfg or PPOConfig()
     feature_dim = len(next(iter(features.values())))
     params = init_policy_params(feature_dim, hidden=hidden, seed=cfg.seed)
+    table = RowTable(graph, features, capacity) if n_updates else None
     history = []
     moves = {}
     for update in range(n_updates):
         episodes = []
-        scored = {}
+        scored = _ScoredTable(table, params)
         for r in range(cfg.rollouts_per_update):
             result = rollout(
                 graph, features, params, spec, capacity, seed=[cfg.seed, update, r], scored=scored, moves=moves

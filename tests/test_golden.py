@@ -69,7 +69,7 @@ GOLDEN = {
         "matching.txt": "5d027084aa8ffd9f31d5f98b3b05d5d052cd3870958ea14660391a931f8350ac",
         "metrics.csv": "06b50b4663ae5243ca41b9302c367fb690c022dfd8dc4b62635ef369981dd6ef",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
-        "policy.txt": "729c990f3a524d8300106096b7f509b1583153cf660c46c9ae420a1e53175d67",
+        "policy.txt": "620dd1f91776c86fcc4726252c9e3a576c7f4d91c178e5f6ba40f06251a399af",
         "report.json": "54bf512cc12b8de056965f57c93651f7533c9ae18b253e9db929942307334656",
         "sweep.txt": "f5c5114a5a972fb0eb628946b23dec12e85cee6623f9be8a1f73f8313574e07e",
         "trips.txt": "7aadee94478df6b264a725a7fd2a73092ef4baf96f853fbfc7721bf9709b7eac",
@@ -81,7 +81,7 @@ GOLDEN = {
         "matching.txt": "2bd495261240d0db1fa53985a3bc1f16878bdc4053e915a5f57b61e81d2aa16f",
         "metrics.csv": "16a6a6aedbeef4c1ba241bbc66e797a77700049bc0e0272799b102c27ea6ec32",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
-        "policy.txt": "617682d57ee53c6016c42d665e46d9cd8109cec9c8075d4035a28ed180d3fd58",
+        "policy.txt": "12bab58008a83e021f977948b90dcb3a4d802964e4917bf43fc879f40b9ed911",
         "report.json": "26d48d804772fd695f40e7a5df3f9d6c8c5d6d6869c2338ba8901776582f38c2",
         "sweep.txt": "2220df3c5868078e3243d3fdb94a87bd767de028681b9033838ae1cb3972c60a",
         "trips.txt": "7aadee94478df6b264a725a7fd2a73092ef4baf96f853fbfc7721bf9709b7eac",
@@ -93,7 +93,7 @@ GOLDEN = {
         "matching.txt": "2bd495261240d0db1fa53985a3bc1f16878bdc4053e915a5f57b61e81d2aa16f",
         "metrics.csv": "16a6a6aedbeef4c1ba241bbc66e797a77700049bc0e0272799b102c27ea6ec32",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
-        "policy.txt": "e99d268b46c01e93eeada11d475268f9f9204900afca60cf09aaf7d6767a7129",
+        "policy.txt": "ea27515e17da76c3c440730b91d986a5c2daadb96e4ffdcbfb2dd8380d71e86c",
         "report.json": "26d48d804772fd695f40e7a5df3f9d6c8c5d6d6869c2338ba8901776582f38c2",
         "sweep.txt": "2220df3c5868078e3243d3fdb94a87bd767de028681b9033838ae1cb3972c60a",
         "trips.txt": "7aadee94478df6b264a725a7fd2a73092ef4baf96f853fbfc7721bf9709b7eac",
@@ -105,7 +105,7 @@ GOLDEN = {
         "matching.txt": "deddb103f68453d40f46252a2acdda373224ca32beac7d378d2624d223766359",
         "metrics.csv": "da1dbbc064b4af5e65d70a2db784b8de8816da24d647c2a6cc870cdb4664e574",
         "network.txt": "c8b0e84f6a820d7a2ed1abe66773541382fb7a44e887d76feaccae064dc88eba",
-        "policy.txt": "b4ba6e8c2a036a9a7010d71f78c0fd3955fd6c88ae4f51eea3a4a58b1cebeae1",
+        "policy.txt": "7ae79d05c9cb17f8a92259e1328e80a46e9d5f634978f6a8c1229d977fc2a43a",
         "report.json": "6f32eb73975c808cefd0af2c3ec13c7ea0c3b9ab6edccc2f76d1e7925667a29a",
         "sweep.txt": "8f2996d0710ae2f9c8924ce8f8df08d1e8a1884bf681c648c23084cac21887d2",
         "trips.txt": "7aadee94478df6b264a725a7fd2a73092ef4baf96f853fbfc7721bf9709b7eac",

@@ -14,7 +14,7 @@ from ridepool import policy, shareability
 from ridepool.baselines import brute_force_optimal, canonical_groups, check_partition, solution_for
 from ridepool.policy import (
     MAX_CAPACITY,
-    SURROGATE_BLOCK,
+    ROW_CHUNK,
     VALUE_LOSS_COEFF,
     WEIGHT_INPUT_SCALE,
     InfeasibleActionError,
@@ -22,6 +22,7 @@ from ridepool.policy import (
     PPOConfig,
     PolicyParams,
     RewardSpec,
+    RowTable,
     StepRecord,
     candidate_actions,
     fill_returns,
@@ -36,11 +37,10 @@ from ridepool.policy import (
     train,
     write_policy,
     _cdf,
-    _decision_rows,
     _pack_steps,
     _sample,
     _score,
-    _softmax,
+    _ScoredTable,
 )
 from ridepool.geo import NoRouteError
 from ridepool.shareability import Objective, ShareabilityGraph
@@ -75,22 +75,32 @@ def unflatten_params(vector, template):
     return PolicyParams(**arrays)
 
 
+def on_one_table(blocks):
+    """One row table stacked from decisions' row blocks (each its candidate
+    rows, then its value row), and each block's row ids into it."""
+    rows = np.concatenate(blocks)
+    rows.flags.writeable = False
+    ends = np.cumsum([len(block) for block in blocks])
+    return rows, [np.arange(end - len(block), end) for block, end in zip(blocks, ends)]
+
+
 def random_step_records(rng, params, n_steps):
     """Synthetic decisions with O(1) rewards; old log-probs from `params`."""
     input_dim = params.w_hidden.shape[0]
+    blocks = [rng.normal(0.0, 1.0, size=(int(rng.integers(0, 4)) + 1, input_dim)) for _ in range(n_steps)]
+    rows, row_ids = on_one_table(blocks)
     records = []
-    for _ in range(n_steps):
-        k = int(rng.integers(0, 4))
-        inputs = rng.normal(0.0, 1.0, size=(k, input_dim))
-        _, logits, _, _ = score_one(params, inputs, np.zeros(input_dim))
-        probs = _softmax(logits)
+    for ids in row_ids:
+        k = len(ids) - 1
+        _, logits, _, _ = score_one(params, rows[ids[:-1]], np.zeros(input_dim))
+        shifted = logits - logits.max()
         index = int(rng.integers(0, k + 1))
         records.append(
             StepRecord(
-                select_inputs=inputs,
-                value_input=rng.normal(0.0, 1.0, size=input_dim),
+                rows=rows,
+                row_ids=ids,
                 action_index=index,
-                log_prob=float(np.log(probs[index])),
+                log_prob=float(shifted[index] - math.log(np.exp(shifted).sum())),
                 reward=float(rng.normal()),
                 value=float(rng.normal()),
                 return_=float(rng.normal()),
@@ -206,10 +216,17 @@ def setup_150():
 
 
 @functools.lru_cache(maxsize=None)
+def scored_150(capacity):
+    """`setup_150`'s row table under its parameters, shared by its rollouts."""
+    graph, features, _, params = setup_150()
+    return _ScoredTable(RowTable(graph, features, capacity), params)
+
+
+@functools.lru_cache(maxsize=None)
 def rollout_150(capacity, seed=1):
     """Sampled pass over `setup_150` with its returns filled in."""
     graph, features, spec, params = setup_150()
-    result = rollout(graph, features, params, spec, capacity=capacity, seed=seed)
+    result = rollout(graph, features, params, spec, capacity=capacity, seed=seed, scored=scored_150(capacity))
     fill_returns(result.episodes, 1.0)
     return result
 
@@ -228,16 +245,16 @@ def worst_fd_error(params, records, cfg, h=1e-5):
     """Worst relative error between backprop and central differences of the
     surrogate at `params`, over every parameter."""
     theta = flatten_params(params)
-    blocks = _pack_steps(records)
-    _, grads = surrogate_objective(params, blocks, cfg)
+    packed = _pack_steps(records)
+    _, grads = surrogate_objective(params, packed, cfg)
     analytic = np.concatenate([np.asarray(grads[n]).ravel() for n in PolicyParams.ARRAY_NAMES])
     worst = 0.0
     for i in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        j_up, _ = surrogate_objective(unflatten_params(up, params), blocks, cfg)
-        j_down, _ = surrogate_objective(unflatten_params(down, params), blocks, cfg)
+        j_up, _ = surrogate_objective(unflatten_params(up, params), packed, cfg)
+        j_down, _ = surrogate_objective(unflatten_params(down, params), packed, cfg)
         fd = (j_up - j_down) / (2.0 * h)
         worst = max(worst, abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6))
     return worst
@@ -267,24 +284,31 @@ def clip_branches(params, steps, eps):
     return set(branches)
 
 
-def drawn_steps(rng, params, n_steps, stop_only, offset, eps, n_decisions=None):
+def drawn_steps(rng, params, n_rows, stop_only, offset, eps, visits=None):
     """Synthetic decisions whose ratios at `params` are placed so that step i
-    is case (i + offset) % 4 of (advantage sign) x (clip branch).  With
-    `n_decisions`, step i takes decision i % n_decisions: the same row block
-    and decision key, its own action, old log-prob and return."""
+    is case (i + offset) % 4 of (advantage sign) x (clip branch).  The
+    decisions read `n_rows` distinct rows of one table: each row at least
+    once, some again, in the same or another decision, as a candidate row
+    or as a value row.  With `visits`, each decision is taken by `visits`
+    steps (step i takes decision i % decisions): the same rows and decision
+    key, its own action, old log-prob and return."""
+    rows = rng.normal(0.0, 1.0, size=(n_rows, params.w_hidden.shape[0]))
+    rows.flags.writeable = False
+    sizes = []
+    while sum(sizes) < n_rows + n_rows // 4:
+        sizes.append(1 if stop_only else int(rng.integers(1, 6)))
+    slots = np.concatenate([rng.permutation(n_rows), rng.integers(0, n_rows, size=sum(sizes) - n_rows)])
+    rng.shuffle(slots)
     decisions = []
-    for d in range(n_steps if n_decisions is None else n_decisions):
-        k = 0 if stop_only else int(rng.integers(0, 5))
-        inputs = rng.normal(0.0, 1.0, size=(k, params.w_hidden.shape[0]))
-        value_input = rng.normal(0.0, 1.0, size=params.w_hidden.shape[0])
-        _, logits, _, _ = score_one(params, inputs, value_input)
+    for d, ids in enumerate(np.split(slots, np.cumsum(sizes)[:-1])):
+        _, logits, _, _ = score_one(params, rows[ids[:-1]], rows[ids[-1]])
         shifted = logits - logits.max()
         log_probs = shifted - math.log(np.exp(shifted).sum())
-        decisions.append((inputs, value_input, log_probs, None if n_decisions is None else ("drawn", d)))
+        decisions.append((ids, log_probs, None if visits is None else ("drawn", d)))
     records = []
-    for i in range(n_steps):
-        inputs, value_input, log_probs, key = decisions[i % len(decisions)]
-        index = int(rng.integers(0, inputs.shape[0] + 1))
+    for i in range(len(decisions) * (visits or 1)):
+        ids, log_probs, key = decisions[i % len(decisions)]
+        index = int(rng.integers(0, len(ids)))
         positive, clipped = divmod((i + offset) % 4, 2)
         # the clipped branch is the min past 1 + eps for A > 0, below 1 - eps for A < 0
         if positive:
@@ -295,8 +319,8 @@ def drawn_steps(rng, params, n_steps, stop_only, offset, eps, n_decisions=None):
         value = float(rng.normal())
         records.append(
             StepRecord(
-                select_inputs=inputs,
-                value_input=value_input,
+                rows=rows,
+                row_ids=ids,
                 action_index=index,
                 log_prob=float(log_probs[index] - math.log(ratio)),
                 reward=0.0,
@@ -309,9 +333,16 @@ def drawn_steps(rng, params, n_steps, stop_only, offset, eps, n_decisions=None):
 
 
 def packed_counts(steps):
-    """(blocks, decisions, steps) that `_pack_steps` packs."""
-    blocks = _pack_steps(steps)
-    return len(blocks), sum(len(block.sizes) for block in blocks), sum(len(block.step_decision) for block in blocks)
+    """(distinct rows, decisions, steps) that `_pack_steps` packs."""
+    packed = _pack_steps(steps)
+    return len(packed.row_ids), len(packed.sizes), len(packed.step_decision)
+
+
+def value_row_rowwise(state):
+    """Oracle: the value row, the focal context then zeros for the candidate
+    and its weight, then the group fill."""
+    fill = len(state.selected) / MAX_CAPACITY
+    return np.concatenate([state.context, np.zeros(len(state.context) + 1), [fill]])
 
 
 class TestCandidateActions:
@@ -448,61 +479,53 @@ class TestScore:
         records = all_records(rollout(graph, features, params, spec, capacity=3, seed=2))
         assert any(rec.select_inputs.shape[0] > 1 for rec in records)
         for rec in records:
-            rows = np.vstack([rec.select_inputs, rec.value_input])
-            _, logits, value = _score(params, rows, len(rows) - 1)
+            _, logits, values = _score(params, np.vstack([rec.select_inputs, rec.value_input]))
+            logits[-1] = params.stop_logit
             _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
             np.testing.assert_allclose(logits, oracle_logits, rtol=1e-12, atol=1e-12)
-            assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
+            assert values[-1] == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
+            assert rec.value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
             shifted = logits - logits.max()
             log_probs = shifted - math.log(np.exp(shifted).sum())
-            assert value == rec.value
             assert abs(log_probs[rec.action_index] - rec.log_prob) <= 1e-12
-        # the same forward pass over all records packed at once
-        rows = np.concatenate([np.vstack([rec.select_inputs, rec.value_input]) for rec in records])
-        stops = np.cumsum([rec.select_inputs.shape[0] + 1 for rec in records]) - 1
-        _, _, values = _score(params, rows, stops)
+        # the same forward pass over all records' value rows at once
+        _, _, values = _score(params, np.array([rec.value_input for rec in records]))
         np.testing.assert_allclose(values, [rec.value for rec in records], rtol=1e-12)
 
-    def test_packed_blocks_hold_each_step_in_order(self):
-        # each distinct decision once, in order of first appearance: its select
-        # rows, then its value row at the segment's Stop logit; the segments
-        # tile the rows and give each decision its own logits, and each step,
-        # in step order within its decision, reads its decision's segment
-        _, _, _, params = setup_150()
+    def test_packed_steps_hold_each_step_in_order(self):
+        # each distinct decision once, in order of first appearance: its
+        # candidate rows, then its value row at the segment's Stop logit; the
+        # segments tile the packed logits and read the distinct rows, and each
+        # step, in step order within its decision, reads its decision's segment
         steps = all_records(rollout_150(3, seed=1)) + all_records(rollout_150(3, seed=2))
         order = list(dict.fromkeys(rec.decision for rec in steps))
         assert len(order) < len(steps)  # the two rollouts share decisions
-        blocks = _pack_steps(steps)
-        assert len(blocks) > 1
+        packed = _pack_steps(steps)
+        assert packed.rows is steps[0].rows
         first = {}
         for rec in steps:
             first.setdefault(rec.decision, rec)
-        offset = 0
-        packed_steps = []
-        for block in blocks:
-            chunk = [first[key] for key in order[offset : offset + len(block.sizes)]]
-            offset += len(chunk)
-            assert block.rows[block.stops].tobytes() == np.array([rec.value_input for rec in chunk]).tobytes()
-            assert list(block.starts[1:]) == list(block.stops[:-1] + 1)
-            assert (block.starts[0], block.stops[-1]) == (0, len(block.rows) - 1)
-            _, logits, values = _score(params, block.rows, block.stops)
-            for rec, start, stop, value in zip(chunk, block.starts, block.stops, values):
-                assert block.rows[start:stop].tobytes() == rec.select_inputs.tobytes()
-                _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
-                np.testing.assert_allclose(logits[start : stop + 1], oracle_logits, rtol=1e-12, atol=1e-12)
-                assert value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
-            block_steps = [rec for rec in steps if rec.decision in {c.decision for c in chunk}]
-            block_steps.sort(key=lambda rec: order.index(rec.decision))  # stable: step order within a decision
-            assert list(block.visits) == [sum(rec.decision == c.decision for rec in block_steps) for c in chunk]
-            first_index = offset - len(chunk)
-            assert list(block.step_decision) == [order.index(rec.decision) - first_index for rec in block_steps]
-            chosen = [block.starts[d] + rec.action_index for d, rec in zip(block.step_decision, block_steps)]
-            assert list(block.chosen) == chosen
-            assert list(block.old_log_prob) == [rec.log_prob for rec in block_steps]
-            assert list(block.returns) == [rec.return_ for rec in block_steps]
-            packed_steps.extend(block_steps)
-        assert offset == len(order)
-        assert sorted(map(id, packed_steps)) == sorted(map(id, steps))
+        assert list(packed.row_ids) == sorted({i for rec in steps for i in rec.row_ids.tolist()})
+        assert len(packed.row_ids) < sum(len(first[key].row_ids) for key in order)  # decisions share rows
+        assert list(packed.starts[1:]) == list(packed.stops[:-1] + 1)
+        assert (packed.starts[0], packed.stops[-1]) == (0, len(packed.segment_rows) - 1)
+        for key, start, stop in zip(order, packed.starts, packed.stops, strict=True):
+            assert list(packed.row_ids[packed.segment_rows[start : stop + 1]]) == list(first[key].row_ids)
+        ordered = sorted(steps, key=lambda rec: order.index(rec.decision))  # stable: step order within a decision
+        assert list(packed.visits) == [sum(rec.decision == key for rec in steps) for key in order]
+        assert list(packed.step_decision) == [order.index(rec.decision) for rec in ordered]
+        chosen = [packed.starts[d] + rec.action_index for d, rec in zip(packed.step_decision, ordered)]
+        assert list(packed.chosen) == chosen
+        assert list(packed.old_log_prob) == [rec.log_prob for rec in ordered]
+        assert list(packed.returns) == [rec.return_ for rec in ordered]
+
+    def test_steps_of_different_tables_rejected(self):
+        params = randomized_params(np.random.default_rng(0))
+        steps = random_step_records(np.random.default_rng(1), params, 2) + random_step_records(
+            np.random.default_rng(2), params, 2
+        )
+        with pytest.raises(ValueError, match="different row tables"):
+            _pack_steps(steps)
 
     def test_zero_heads_give_uniform_log_probs(self):
         graph, features, spec = dense_setup(5)
@@ -512,6 +535,77 @@ class TestScore:
         for rec in records:
             k = rec.select_inputs.shape[0]
             assert abs(rec.log_prob + math.log(k + 1)) <= 1e-12
+
+
+class TestRowTable:
+    """One row per distinct (focal trip, candidate, depth) input, built by
+    gather and scored chunk by chunk on demand."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_linked=st.integers(1, 6),
+        n_isolated=st.integers(0, 2),
+        capacity=st.integers(2, 4),
+    )
+    def test_every_row_matches_the_row_wise_build(self, data, n_linked, n_isolated, capacity):
+        # few distinct weights and contexts (zeros among them), so that many
+        # rows coincide; isolated trips have no candidate, only a value row
+        pairs = [(a, b) for a in range(n_linked) for b in range(a + 1, n_linked)]
+        linked = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        weights = st.sampled_from((5.0, 5.0 + 2**-40, 1234.5, 0.25))
+        graph = weighted_graph({pair: data.draw(weights) for pair in linked}, n_trips=n_linked + n_isolated)
+        contexts = st.sampled_from(((0.0, 0.0, 0.0), (1.0, -2.0, 0.5), (1.0, -2.0, 0.5 + 2**-50)))
+        features = {tid: np.array(data.draw(contexts)) for tid in graph.trips}
+        table = RowTable(graph, features, capacity)
+        assert not table.rows.flags.writeable
+        reached = set()
+        for focal in graph.trips:
+            neighbors = graph.neighbors(focal)
+            for depth in range(capacity - 1):
+                state = replace(initial_state(graph, features, focal, capacity=capacity), selected=(None,) * depth)
+                ids = table.decision_rows(focal, depth, neighbors)
+                assert table.rows[ids[:-1]].tobytes() == select_inputs_rowwise(state, neighbors).tobytes()
+                assert table.rows[ids[-1]].tobytes() == value_row_rowwise(state).tobytes()
+                for picked in (neighbors[::2], neighbors[1:]):
+                    assert list(table.decision_rows(focal, depth, picked)[:-1]) == [
+                        ids[neighbors.index(v)] for v in picked
+                    ]
+                reached.update(ids.tolist())
+        # every row is some input's, and no two rows are equal byte for byte
+        assert reached == set(range(len(table.rows)))
+        assert len({row.tobytes() for row in table.rows}) == len(table.rows)
+
+    def test_lazy_chunks_score_as_the_whole_table(self):
+        graph, features, spec, params = setup_150()
+        table = RowTable(graph, features, 4)
+        assert len(table.rows) > 3 * ROW_CHUNK
+        _, whole_logits, whole_values = _score(params, table.rows)
+        scored = _ScoredTable(table, params)
+        focal = max(graph.trips, key=lambda t: len(graph.neighbors(t)))
+        entry = scored.decision((focal, (), graph.neighbors(focal)))
+        assert set(np.flatnonzero(scored.scored)) == set((entry.row_ids // ROW_CHUNK).tolist())
+        rollout(graph, features, params, spec, 4, seed=1, scored=scored)
+        assert 1 < scored.scored.sum() < len(scored.scored)  # chunks no decision asked for stay unscored
+        for chunk in np.flatnonzero(scored.scored):
+            rows = slice(chunk * ROW_CHUNK, (chunk + 1) * ROW_CHUNK)
+            np.testing.assert_allclose(scored.logits[rows], whole_logits[rows], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(scored.values[rows], whole_values[rows], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_tied", (3, 6))
+    def test_identical_rows_tie_to_the_lowest_trip_id(self, n_tied):
+        # zero contexts and equal weights: every candidate of trip 0 has the
+        # same row, so the same logit, and the decode takes the lowest id
+        graph = weighted_graph({(0, v): 5.0 for v in range(1, n_tied + 1)}, n_trips=n_tied + 2)
+        features = {tid: np.zeros(4) for tid in graph.trips}
+        params = randomized_params(np.random.default_rng(2), feature_dim=4, hidden=64)
+        params.stop_logit.fill(-50.0)
+        table = RowTable(graph, features, 2)
+        ids = table.decision_rows(0, 0, graph.neighbors(0))
+        assert len(set(ids[:-1].tolist())) == 1
+        entry = _ScoredTable(table, params).decision((0, (), graph.neighbors(0)))
+        assert len(set(entry.log_probs[:-1])) == 1
+        assert match_all(graph, features, params, RewardSpec()).groups[0] == (0, 1)
 
 
 class TestStep:
@@ -630,7 +724,7 @@ class TestRollout:
         # replay each episode of the rollout, and of three rollouts sharing one
         # decision cache, and rebuild every candidate block row by row
         graph, features, spec, params = setup_150()
-        scored = {}
+        scored = _ScoredTable(RowTable(graph, features, capacity), params)
         shared = [rollout(graph, features, params, spec, capacity, seed, scored=scored) for seed in (1, 2, 3)]
         for result in [rollout_150(capacity)] + shared:
             episodes = iter(result.episodes)
@@ -649,7 +743,7 @@ class TestRollout:
                         state, _, _ = step(state, select_ids[rec.action_index], spec)
                 assigned.update((focal,) + state.selected)
             assert next(episodes, None) is None
-        assert len(scored) < sum(len(all_records(result)) for result in shared)  # some decisions were reused
+        assert len(scored.decisions) < sum(len(all_records(result)) for result in shared)  # some were reused
 
 
 class TestSample:
@@ -679,8 +773,9 @@ class TestSample:
 
 
 class TestDecisionCache:
-    """The rollouts of one update share a decision cache; it must change no
-    parameter, reward or record against a fresh cache per rollout."""
+    """The rollouts of one update share the row table's scores and the
+    decision cache; they must change no parameter, reward or record against
+    fresh ones per rollout."""
 
     @pytest.mark.parametrize("capacity, penalty", [(2, 0.0), (3, 0.0), (4, 0.0), (3, 2000.0)])
     def test_shared_cache_changes_nothing(self, capacity, penalty, monkeypatch):
@@ -694,7 +789,8 @@ class TestDecisionCache:
             original = policy.rollout
 
             def recording(*args, scored, **kwargs):
-                result = original(*args, scored=scored if share else None, **kwargs)
+                unshared = _ScoredTable(scored.table, scored.params)  # no row scored, no decision met
+                result = original(*args, scored=scored if share else unshared, **kwargs)
                 results.append(result)
                 return result
 
@@ -718,9 +814,9 @@ class TestDecisionCache:
                 fresh.reward,
                 fresh.value,
             )
-            assert not rec.select_inputs.flags.writeable and not rec.value_input.flags.writeable
+            assert not rec.row_ids.flags.writeable and not rec.rows.flags.writeable
         # the shared cache was hit: some records of one update share their arrays
-        assert len({id(rec.select_inputs) for rec in records}) < len({id(rec.select_inputs) for rec in fresh_records})
+        assert len({id(rec.row_ids) for rec in records}) < len({id(rec.row_ids) for rec in fresh_records})
 
 
 def fresh_copy(graph):
@@ -773,8 +869,8 @@ class TestMoveMemo:
         graph, features, spec, params = setup_150()
 
         def argmax(state, select_ids):
-            _, logits, _ = _score(params, _decision_rows(state, select_ids), -1)
-            return int(np.argmax(_softmax(logits)))
+            _, logits, _, _ = score_one(params, select_inputs_rowwise(state, select_ids), value_row_rowwise(state))
+            return int(np.argmax(logits))
 
         fresh = fresh_copy(graph)
         solution, routed = routed_groups(monkeypatch, lambda: match_all(fresh, features, params, spec, capacity=4))
@@ -893,7 +989,7 @@ class TestPPOUpdate:
 
     def test_returns_discounting(self):
         recs = [
-            StepRecord(np.zeros((0, 3)), np.zeros(3), 0, 0.0, reward, 0.0)
+            StepRecord(np.zeros((1, 3)), np.zeros(1, dtype=np.intp), 0, 0.0, reward, 0.0)
             for reward in (1.0, 2.0, 4.0)
         ]
         fill_returns([recs], gamma=0.5)
@@ -901,53 +997,55 @@ class TestPPOUpdate:
 
 
 class TestBatchedSurrogate:
-    """`surrogate_objective` packs steps into blocks; it must agree with the
-    per-step oracle to rounding and stay finite-difference exact."""
+    """`surrogate_objective` scores each distinct row once and each distinct
+    decision once; it must agree with the per-step oracle to rounding and
+    stay finite-difference exact."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_steps=st.sampled_from((1, 2, SURROGATE_BLOCK - 1, SURROGATE_BLOCK, SURROGATE_BLOCK + 1)),
+        n_rows=st.sampled_from((1, 2, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1)),
         stop_only=st.booleans(),
         offset=st.integers(0, 3),
         entropy_coeff=st.sampled_from((0.0, 0.01, 0.5)),
     )
-    def test_matches_per_step_oracle(self, seed, n_steps, stop_only, offset, entropy_coeff):
+    def test_matches_per_step_oracle(self, seed, n_rows, stop_only, offset, entropy_coeff):
         rng = np.random.default_rng(seed)
         params = randomized_params(rng)
         cfg = PPOConfig(entropy_coeff=entropy_coeff)
-        steps = drawn_steps(rng, params, n_steps, stop_only, offset, cfg.clip_epsilon)
-        cases = {((i + offset) % 4 >= 2, (i + offset) % 2 == 0) for i in range(n_steps)}
+        steps = drawn_steps(rng, params, n_rows, stop_only, offset, cfg.clip_epsilon)
+        assert packed_counts(steps) == (n_rows, len(steps), len(steps))
+        cases = {((i + offset) % 4 >= 2, (i + offset) % 2 == 0) for i in range(len(steps))}
         assert clip_branches(params, steps, cfg.clip_epsilon) == cases
         assert_matches_per_step(params, steps, cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_decisions=st.sampled_from((1, 2, 5, SURROGATE_BLOCK, SURROGATE_BLOCK + 1)),
+        n_rows=st.sampled_from((1, 2, 5, ROW_CHUNK, ROW_CHUNK + 1)),
         visits=st.integers(2, 4),
         stop_only=st.booleans(),
         offset=st.integers(0, 3),
         entropy_coeff=st.sampled_from((0.0, 0.01, 0.5)),
     )
     def test_steps_sharing_a_decision_match_per_step_oracle(
-        self, seed, n_decisions, visits, stop_only, offset, entropy_coeff
+        self, seed, n_rows, visits, stop_only, offset, entropy_coeff
     ):
         # steps that share a decision's rows but differ in action, old
         # log-prob and return; the decision is scored once, each step counts
         rng = np.random.default_rng(seed)
         params = randomized_params(rng)
         cfg = PPOConfig(entropy_coeff=entropy_coeff)
-        steps = drawn_steps(rng, params, n_decisions * visits, stop_only, offset, cfg.clip_epsilon, n_decisions)
-        assert packed_counts(steps) == (-(-n_decisions // SURROGATE_BLOCK), n_decisions, len(steps))
+        steps = drawn_steps(rng, params, n_rows, stop_only, offset, cfg.clip_epsilon, visits)
+        assert packed_counts(steps) == (n_rows, len(steps) // visits, len(steps))
         assert_matches_per_step(params, steps, cfg)
 
     @pytest.mark.parametrize("capacity", (2, 3, 4))
     def test_matches_per_step_oracle_on_rollout_records(self, capacity):
         _, _, _, params = setup_150()
         steps = all_records(rollout_150(capacity, seed=1)) + all_records(rollout_150(capacity, seed=2))
-        n_blocks, n_decisions, _ = packed_counts(steps)
-        assert n_blocks > 1 and n_decisions < len(steps)
+        n_rows, n_decisions, _ = packed_counts(steps)
+        assert n_rows > ROW_CHUNK and n_decisions < len(steps)
         assert {rec.select_inputs.shape[0] for rec in steps} > {0, 1, 10}
         assert_matches_per_step(perturbed(params, np.random.default_rng(capacity), 0.05), steps, PPOConfig())
 
@@ -960,8 +1058,8 @@ class TestBatchedSurrogate:
             for seed in (1, 2, 3)
             for rec in all_records(rollout_150(3, seed))
         ]
-        n_blocks, n_decisions, _ = packed_counts(steps)
-        assert n_blocks > 2 and n_decisions < len(steps)
+        n_rows, n_decisions, _ = packed_counts(steps)
+        assert n_rows > 2 * ROW_CHUNK and n_decisions < len(steps)
         eval_params = perturbed(params, np.random.default_rng(8), 0.2)
         cfg = PPOConfig()
         assert len(clip_branches(eval_params, steps, cfg.clip_epsilon)) == 4
