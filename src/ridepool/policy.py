@@ -9,41 +9,45 @@ or None for Stop.  A two-layer perceptron scores input rows: one tanh hidden
 layer, then a logit head and a value head on every row.  A decision reads
 one row per candidate, then its value row, which sits where the Stop logit
 goes: the candidates' logits, a learned scalar Stop logit, and the value
-row's value.  That network is evaluated in one place, `_score`, by the
-rollout, the greedy decode and the update alike; which Selects are legal is
-decided in one place, `_selectable`; discounted returns are formed in one
-place, `fill_returns`.  Updates use the clipped probability-ratio surrogate
-with exact hand-rolled backprop, which keeps the gradients finite-difference
-checkable.
+row's value.  That network is evaluated in one place, `_activate`, from
+the rows' pre-activations, by the rollout, the greedy decode and the update
+alike; which Selects are legal is decided in one place, `_selectable`;
+discounted returns are formed in one place, `fill_returns`.  Updates use
+the clipped probability-ratio surrogate with exact hand-rolled backprop,
+which keeps the gradients finite-difference checkable.
 
 A row is a pure function of (focal trip, candidate, depth), depth being the
 number of co-riders already selected, so each `train` or `match_all` call
-builds one read-only `RowTable` of every row the graph can ask for, each
-distinct row once, and pays for each row at most once per parameter set.
-Every cache is exact: a hit returns what a miss would have computed.
+builds one read-only `RowTable` that names every row the graph can ask for,
+each distinct row once, and pays for each row at most once per parameter
+set.  The table stores no rows: it gathers them from the trips' contexts,
+and a row's pre-activation is a sum over its parts, the fill column among
+them as a rank-1 term.  Every cache is exact: a hit returns what a miss
+would have computed.
 - Once per run, `train` keeps a move memo keyed by group (focal trip,
   selected co-riders): whether Select(v) is legal, asked of `_selectable`
   only for trips not yet assigned, and, once taken, its reward from `step`.
   Neither depends on the parameters, so the memo lives for every update.
 - Once per parameter set (one update's rollouts, or the greedy decode),
-  `_ScoredTable` scores the table ROW_CHUNK rows per `_score` call, each
-  chunk when a decision first needs one of its rows, and caches decisions
-  by (focal trip, selected co-riders, candidate ids), which fixes their row
-  ids: a decision gathers its rows' logits and its value row's value and
-  forms its probabilities and sampling cdf on first sight; met again it
-  costs one draw and a bisect.  The greedy decode starts both caches empty,
-  so it routes exactly the groups a per-visit `candidate_actions` would.
+  `_ScoredTable` scores the table ROW_CHUNK row ids at a time, each chunk
+  when a decision first needs one of its rows, from the contexts projected
+  once through the hidden layer's weights, and caches decisions by (focal
+  trip, selected co-riders, candidate ids), which fixes their row ids: a
+  decision gathers its rows' logits and its value row's value and forms
+  its probabilities and sampling cdf on first sight; met again it costs
+  one draw and a bisect.  The greedy decode starts both caches empty, so
+  it routes exactly the groups a per-visit `candidate_actions` would.
 
 The update is batched and scores each distinct row once per epoch: the
-recorded steps carry row ids into the table and are grouped by decision key
-once per update; every epoch runs `_score` over the distinct rows the
-decisions read, ROW_CHUNK rows at a time, gathers each decision's logits
-into one segmented vector, whose softmax, log-softmax and entropy are
-`reduceat` segment reductions, reads each step's ratio, clip branch,
-entropy and value error by index, and scatters the steps' logit and value
-upstreams back onto the rows with `bincount`, so each gradient, the shared
-layer's included, is one matmul or sum per chunk.  This is the per-step
-objective and gradient summed in a different order.
+recorded steps carry row ids into the table and are grouped by decision key,
+and the distinct rows the decisions read are gathered, once per update;
+every epoch runs `_score` over those rows, ROW_CHUNK rows at a time, gathers
+each decision's logits into one segmented vector, whose softmax,
+log-softmax and entropy are `reduceat` segment reductions, reads each
+step's ratio, clip branch, entropy and value error by index, and scatters
+the steps' logit and value upstreams back onto the rows with `bincount`, so
+each gradient, the shared layer's included, is one matmul or sum per chunk.
+This is the per-step objective and gradient summed in a different order.
 """
 
 import math
@@ -216,20 +220,21 @@ class RowTable:
     trip's context, the candidate's context, their edge weight times
     WEIGHT_INPUT_SCALE, and the group fill depth / MAX_CAPACITY.  The value
     row of (focal trip, depth) has zeros for the candidate's context and
-    weight.  The rows are gathered from a context matrix (a row per trip,
-    then a zero row that stands in for the value row's candidate), the
-    directed neighbour-id and weight arrays, each focal trip's neighbours in
-    ascending id followed by its value entry, and a depth column.  Rows
-    equal byte for byte are stored once, so equal inputs get equal scores
-    (and `match_all`'s tie to the lowest trip id holds): a row's bytes are
-    its four parts' bytes, so they are compared as byte ids of the contexts,
-    the weight and the depth.  Rows are numbered depth by depth, in order of
-    first appearance.
+    weight.  Rows equal byte for byte share one row id, so equal inputs get
+    equal scores (and `match_all`'s tie to the lowest trip id holds); row
+    ids run depth by depth, in order of first appearance within a depth.
 
-    A column that depends on more of the state than (focal trip, candidate,
-    depth) cannot live here.  It would enter as a rank-1 term on the
-    pre-activation: a decision adds its column times that column's row of
-    `w_hidden` to the table rows' shared `rows @ w_hidden` before the tanh.
+    No row is stored: a row is gathered (`inputs`) from a context matrix (a
+    row per trip, then a zero row that stands in for the value row's
+    candidate) by its two context indices, and its weight and depth; the
+    depths' rows differ only in the fill column.  So a row's pre-activation
+    is a sum of one term per part: each context times its block of
+    `w_hidden` (`_ScoredTable` projects the context matrix once per
+    parameter set), and the weight and the fill, each a rank-1 term, times
+    its row of `w_hidden`.  A column that depends on more of the state than
+    (focal trip, candidate, depth) cannot live here; it would enter the same
+    way, a decision adding its column times that column's row of `w_hidden`
+    to its rows' pre-activations before the tanh.
     """
 
     def __init__(self, graph: ShareabilityGraph, features, capacity):
@@ -237,37 +242,47 @@ class RowTable:
         n, width = len(trip_ids), len(next(iter(features.values())))
         contexts = np.zeros((n + 1, width))
         contexts[:n] = [features[trip.user_id] for trip in graph.trips.values()]
-        endpoints = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * len(graph.edges))
-        pairs = np.searchsorted(trip_ids, endpoints).reshape(-1, 2)
-        weights = np.array([edge.weight for edge in graph.edges.values()]) * WEIGHT_INPUT_SCALE
-        focal = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
-        other = np.concatenate([pairs[:, 1], pairs[:, 0], np.full(n, n)])  # n: the zero context
-        weight = np.concatenate([weights, weights, np.zeros(n)])
+        pairs = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * len(graph.edges))
+        if n and trip_ids[-1] - trip_ids[0] == n - 1:
+            pairs -= trip_ids[0]  # consecutive ids: a trip's position is its id minus the first
+        else:
+            pairs = np.searchsorted(trip_ids, pairs)
+        pairs = pairs.reshape(-1, 2)
+        # the edges' weights, then the value rows' zero
+        weights = np.zeros(len(graph.edges) + 1)
+        weights[:-1] = [edge.weight for edge in graph.edges.values()]
+        weights *= WEIGHT_INPUT_SCALE
         # stable sorts only (np.unique sorts stably when asked for indices):
         # each further sort kernel a fresh process touches costs start-up
         # time and resident memory
+        weight_ids = np.unique(weights.view(np.int64), return_index=True, return_inverse=True)[2]
+        focal = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
+        other = np.concatenate([pairs[:, 1], pairs[:, 0], np.full(n, n)])  # n: the zero context
+        weight = np.concatenate([weights[:-1], weights[:-1], np.full(n, weights[-1])])
+        weight_id = np.concatenate([weight_ids[:-1], weight_ids[:-1], np.full(n, weight_ids[-1])])
         order = np.argsort(focal * (n + 1) + other, kind="stable")
-        focal, other, weight = focal[order], other[order], weight[order]
+        focal, other, weight, weight_id = focal[order], other[order], weight[order], weight_id[order]
 
+        # a row's bytes are its parts' bytes, so depth-0 rows are compared as
+        # byte ids of their contexts and weight; a depth adds a fixed offset
         context_ids = {}
         context_id = np.array([context_ids.setdefault(row.tobytes(), len(context_ids)) for row in contexts])
-        weight_id = np.unique(weight.view(np.int64), return_index=True, return_inverse=True)[2]
-        key = (context_id[focal] * (n + 1) + context_id[other]) * len(weight) + weight_id
+        key = (context_id[focal] * (n + 1) + context_id[other]) * len(weights) + weight_id
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         by_appearance = np.argsort(first, kind="stable")
         rank = np.empty_like(by_appearance)
         rank[by_appearance] = np.arange(len(first))
         keep = first[by_appearance]  # each row's first entry
         self._entry_row = rank[inverse]  # directed entry -> its row at depth 0
-        self._per_depth = len(keep)
 
-        rows = np.empty((capacity - 1, len(keep), input_width(width)))
-        rows[:, :, :width] = contexts[focal[keep]]
-        rows[:, :, width:-2] = contexts[other[keep]]
-        rows[:, :, -2] = weight[keep]
-        rows[:, :, -1] = (np.arange(capacity - 1) / MAX_CAPACITY)[:, None]
-        self.rows = rows.reshape(-1, rows.shape[-1])
-        self.rows.flags.writeable = False
+        self.contexts = contexts
+        self.focal_context = focal[keep]
+        self.other_context = other[keep]
+        self.weight = weight[keep]
+        for arr in (self.contexts, self.focal_context, self.other_context, self.weight):
+            arr.flags.writeable = False
+        self.per_depth = len(keep)
+        self.depths = capacity - 1
         # a value entry's neighbour id is one past every trip id, so it sorts last
         self._value_key = int(trip_ids.max(initial=-1)) + 1
         self._neighbors = np.append(trip_ids, self._value_key)[other]
@@ -275,12 +290,27 @@ class RowTable:
         ends = np.cumsum(counts)
         self._entries = dict(zip(trip_ids.tolist(), zip((ends - counts).tolist(), ends.tolist())))
 
+    def __len__(self):
+        """The number of row ids: the distinct rows of every depth."""
+        return self.depths * self.per_depth
+
     def decision_rows(self, focal, depth, candidates: tuple) -> np.ndarray:
         """Row ids of a decision at `depth`: the candidates' (neighbours of
         the focal trip, in ascending id), then the focal trip's value row."""
         start, stop = self._entries[focal]
         entries = self._neighbors[start:stop].searchsorted(candidates + (self._value_key,))
-        return self._entry_row[start + entries] + depth * self._per_depth
+        return self._entry_row[start + entries] + depth * self.per_depth
+
+    def inputs(self, row_ids) -> np.ndarray:
+        """(len(row_ids), input_dim): the rows `row_ids` name, gathered."""
+        depth, row = np.divmod(row_ids, self.per_depth)
+        width = self.contexts.shape[1]
+        rows = np.empty((len(row), input_width(width)))
+        rows[:, :width] = self.contexts[self.focal_context[row]]
+        rows[:, width:-2] = self.contexts[self.other_context[row]]
+        rows[:, -2] = self.weight[row]
+        rows[:, -1] = depth / MAX_CAPACITY
+        return rows
 
 
 def _score(params: PolicyParams, rows: np.ndarray):
@@ -291,12 +321,18 @@ def _score(params: PolicyParams, rows: np.ndarray):
     logits, `params.stop_logit` in its value row's place, and its value
     row's value.
     """
-    hidden = rows @ params.w_hidden
-    hidden += params.b_hidden
-    np.tanh(hidden, out=hidden)
-    logits = hidden @ params.w_logit + float(params.b_logit)
-    values = hidden @ params.w_value + float(params.b_value)
-    return hidden, logits, values
+    pre = rows @ params.w_hidden
+    pre += params.b_hidden
+    return _activate(params, pre)
+
+
+def _activate(params: PolicyParams, pre: np.ndarray):
+    """`_score` from the rows' pre-activation, rows @ w_hidden + b_hidden,
+    on; the hidden layer is written over `pre`."""
+    np.tanh(pre, out=pre)
+    logits = pre @ params.w_logit + float(params.b_logit)
+    values = pre @ params.w_value + float(params.b_value)
+    return pre, logits, values
 
 
 def step(state: MatchState, action, spec: RewardSpec):
@@ -334,7 +370,7 @@ class StepRecord:
     `decision` key read the same rows (in a rollout, the very id array) and
     are scored once per update pass."""
 
-    rows: np.ndarray  # the row table's rows, one array for every record of a call
+    table: RowTable  # whose `inputs` gives the rows; one table for every record of a call
     row_ids: np.ndarray  # (k + 1,): the candidates' rows in sorted candidate order, then the value row
     action_index: int  # 0..k-1 = that select; k = stop
     log_prob: float
@@ -346,12 +382,12 @@ class StepRecord:
     @property
     def select_inputs(self) -> np.ndarray:
         """(k, input_dim): the candidates' rows, in sorted candidate order."""
-        return self.rows[self.row_ids[:-1]]
+        return self.table.inputs(self.row_ids[:-1])
 
     @property
     def value_input(self) -> np.ndarray:
         """(input_dim,): the value row."""
-        return self.rows[self.row_ids[-1]]
+        return self.table.inputs(self.row_ids[-1:])[0]
 
 
 @dataclass
@@ -376,7 +412,6 @@ def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> Rollout
     assigned = set()
     episodes = []
     groups = []
-    rows = scored.table.rows
     for focal in sorted(graph.trips):
         if focal in assigned:
             continue
@@ -390,7 +425,7 @@ def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> Rollout
             entry = scored.decision((focal, group.state.selected, tuple(select_ids)))
             index = pick(entry)
             log_prob = entry.log_probs[index]
-            record = StepRecord(rows, entry.row_ids, index, log_prob, 0.0, entry.value, decision=entry.key)
+            record = StepRecord(scored.table, entry.row_ids, index, log_prob, 0.0, entry.value, decision=entry.key)
             records.append(record)
             if index == len(select_ids):
                 break
@@ -444,19 +479,26 @@ class _Decision(NamedTuple):
 
 class _ScoredTable:
     """A row table under one set of parameters: each row's logit and value,
-    scored ROW_CHUNK rows per `_score` call when a decision first needs a
-    row of the chunk, and the decisions met so far, keyed by (focal trip,
-    selected co-riders, candidate ids)."""
+    scored ROW_CHUNK row ids at a time when a decision first needs a row of
+    the chunk, and the decisions met so far, keyed by (focal trip, selected
+    co-riders, candidate ids).  A chunk's pre-activations are summed from
+    the parts of its rows (see `RowTable`), not multiplied out of gathered
+    rows."""
 
-    __slots__ = ("table", "params", "logits", "values", "scored", "decisions")
+    __slots__ = ("table", "params", "logits", "values", "scored", "decisions", "_focal_part", "_other_part")
 
     def __init__(self, table: RowTable, params: PolicyParams):
         self.table = table
         self.params = params
-        self.logits = np.empty(len(table.rows))
-        self.values = np.empty(len(table.rows))
-        self.scored = np.zeros(-(-len(table.rows) // ROW_CHUNK), dtype=bool)
+        self.logits = np.empty(len(table))
+        self.values = np.empty(len(table))
+        self.scored = np.zeros(-(-len(table) // ROW_CHUNK), dtype=bool)
         self.decisions = {}
+        # each context's term in a row's pre-activation, as the focal trip's
+        # and as the candidate's
+        width, w_hidden = table.contexts.shape[1], params.w_hidden
+        self._focal_part = table.contexts @ w_hidden[:width]
+        self._other_part = table.contexts @ w_hidden[width : 2 * width]
 
     def decision(self, key) -> _Decision:
         """The decision `key`, scored on first sight.  Its softmax and cdf
@@ -483,8 +525,15 @@ class _ScoredTable:
         return entry
 
     def _score_chunk(self, chunk):
-        rows = slice(chunk * ROW_CHUNK, (chunk + 1) * ROW_CHUNK)
-        _, self.logits[rows], self.values[rows] = _score(self.params, self.table.rows[rows])
+        table, w_hidden = self.table, self.params.w_hidden
+        span = slice(chunk * ROW_CHUNK, min((chunk + 1) * ROW_CHUNK, len(table)))
+        depth, row = np.divmod(np.arange(span.start, span.stop), table.per_depth)
+        pre = self._focal_part[table.focal_context[row]]
+        pre += self._other_part[table.other_context[row]]
+        pre += table.weight[row, None] * w_hidden[-2]
+        pre += (depth / MAX_CAPACITY)[:, None] * w_hidden[-1]
+        pre += self.params.b_hidden
+        _, self.logits[span], self.values[span] = _activate(self.params, pre)
         self.scored[chunk] = True
 
 
@@ -547,7 +596,7 @@ def surrogate_objective(params: PolicyParams, packed, cfg: PPOConfig):
     row_logits = np.empty(len(packed.row_ids))
     row_values = np.empty(len(packed.row_ids))
     for chunk in chunks:
-        hidden[chunk], row_logits[chunk], row_values[chunk] = _score(params, packed.rows[packed.row_ids[chunk]])
+        hidden[chunk], row_logits[chunk], row_values[chunk] = _score(params, packed.rows[chunk])
     logits = row_logits[packed.segment_rows]
     logits[stops] = float(params.stop_logit)
     values = row_values[packed.segment_rows[stops]]
@@ -587,7 +636,7 @@ def surrogate_objective(params: PolicyParams, packed, cfg: PPOConfig):
     d_pre = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
     for chunk in chunks:
         d_pre[chunk] *= row_logit_grad[chunk, None] * params.w_logit + row_value_grad[chunk, None] * params.w_value
-        grads["w_hidden"] += packed.rows[packed.row_ids[chunk]].T @ d_pre[chunk]
+        grads["w_hidden"] += packed.rows[chunk].T @ d_pre[chunk]
     grads["b_hidden"] += d_pre.sum(axis=0)
     n = len(step_decision)
     return total / n, {name: grad / n for name, grad in grads.items()}
@@ -600,8 +649,8 @@ class _PackedSteps:
     one segment of the packed logits, its value row giving its Stop logit;
     and per step the decision it took and what it recorded."""
 
-    rows: np.ndarray  # the row table's rows
     row_ids: np.ndarray  # the distinct rows the decisions read, ascending
+    rows: np.ndarray  # those rows, gathered from the row table
     segment_rows: np.ndarray  # per segment position: its row's index into row_ids
     sizes: np.ndarray  # segment length per decision: its candidate rows + its value row
     starts: np.ndarray  # first position of each segment
@@ -618,10 +667,10 @@ def _pack_steps(steps) -> _PackedSteps:
     """The steps grouped by decision key, in order of first appearance (a
     decision's rows are read from its first step), and the distinct rows
     they read.  Every step must read the same row table."""
-    rows = steps[0].rows
+    table = steps[0].table
     by_decision = {}
     for rec in steps:
-        if rec.rows is not rows:
+        if rec.table is not table:
             raise ValueError("steps read different row tables")
         by_decision.setdefault(id(rec) if rec.decision is None else rec.decision, []).append(rec)
     decisions = list(by_decision.values())
@@ -635,8 +684,8 @@ def _pack_steps(steps) -> _PackedSteps:
         [(rec.action_index, rec.log_prob, rec.return_, rec.value) for steps in decisions for rec in steps]
     ).T
     return _PackedSteps(
-        rows=rows,
         row_ids=row_ids,
+        rows=table.inputs(row_ids),
         segment_rows=segment_rows,
         sizes=sizes,
         starts=starts,

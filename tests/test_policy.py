@@ -46,7 +46,7 @@ from ridepool.geo import NoRouteError
 from ridepool.shareability import Objective, ShareabilityGraph
 from ridepool.tolerance import ToleranceProfile
 
-from conftest import features_for, scenario_instance, weighted_graph
+from conftest import features_for, scenario_instance, stub_trip, weighted_graph
 
 
 def routed_setup(seed=3, n_trips=8, **kwargs):
@@ -75,29 +75,38 @@ def unflatten_params(vector, template):
     return PolicyParams(**arrays)
 
 
+class StackedRows:
+    """A row table of explicit rows: row id i names `rows[i]`."""
+
+    def __init__(self, rows):
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def inputs(self, row_ids):
+        return self.rows[row_ids]
+
+
 def on_one_table(blocks):
     """One row table stacked from decisions' row blocks (each its candidate
     rows, then its value row), and each block's row ids into it."""
-    rows = np.concatenate(blocks)
-    rows.flags.writeable = False
     ends = np.cumsum([len(block) for block in blocks])
-    return rows, [np.arange(end - len(block), end) for block, end in zip(blocks, ends)]
+    return StackedRows(np.concatenate(blocks)), [np.arange(end - len(block), end) for block, end in zip(blocks, ends)]
 
 
 def random_step_records(rng, params, n_steps):
     """Synthetic decisions with O(1) rewards; old log-probs from `params`."""
     input_dim = params.w_hidden.shape[0]
     blocks = [rng.normal(0.0, 1.0, size=(int(rng.integers(0, 4)) + 1, input_dim)) for _ in range(n_steps)]
-    rows, row_ids = on_one_table(blocks)
+    table, row_ids = on_one_table(blocks)
     records = []
     for ids in row_ids:
         k = len(ids) - 1
-        _, logits, _, _ = score_one(params, rows[ids[:-1]], np.zeros(input_dim))
+        _, logits, _, _ = score_one(params, table.inputs(ids[:-1]), np.zeros(input_dim))
         shifted = logits - logits.max()
         index = int(rng.integers(0, k + 1))
         records.append(
             StepRecord(
-                rows=rows,
+                table=table,
                 row_ids=ids,
                 action_index=index,
                 log_prob=float(shifted[index] - math.log(np.exp(shifted).sum())),
@@ -292,8 +301,7 @@ def drawn_steps(rng, params, n_rows, stop_only, offset, eps, visits=None):
     or as a value row.  With `visits`, each decision is taken by `visits`
     steps (step i takes decision i % decisions): the same rows and decision
     key, its own action, old log-prob and return."""
-    rows = rng.normal(0.0, 1.0, size=(n_rows, params.w_hidden.shape[0]))
-    rows.flags.writeable = False
+    table = StackedRows(rng.normal(0.0, 1.0, size=(n_rows, params.w_hidden.shape[0])))
     sizes = []
     while sum(sizes) < n_rows + n_rows // 4:
         sizes.append(1 if stop_only else int(rng.integers(1, 6)))
@@ -301,7 +309,7 @@ def drawn_steps(rng, params, n_rows, stop_only, offset, eps, visits=None):
     rng.shuffle(slots)
     decisions = []
     for d, ids in enumerate(np.split(slots, np.cumsum(sizes)[:-1])):
-        _, logits, _, _ = score_one(params, rows[ids[:-1]], rows[ids[-1]])
+        _, logits, _, _ = score_one(params, table.inputs(ids[:-1]), table.inputs(ids[-1]))
         shifted = logits - logits.max()
         log_probs = shifted - math.log(np.exp(shifted).sum())
         decisions.append((ids, log_probs, None if visits is None else ("drawn", d)))
@@ -319,7 +327,7 @@ def drawn_steps(rng, params, n_rows, stop_only, offset, eps, visits=None):
         value = float(rng.normal())
         records.append(
             StepRecord(
-                rows=rows,
+                table=table,
                 row_ids=ids,
                 action_index=index,
                 log_prob=float(log_probs[index] - math.log(ratio)),
@@ -476,13 +484,23 @@ class TestScore:
     def test_rescoring_reproduces_rollout_records(self):
         graph, features, spec = dense_setup(7)
         params = randomized_params(np.random.default_rng(3), feature_dim=len(features[0]), hidden=6)
-        records = all_records(rollout(graph, features, params, spec, capacity=3, seed=2))
+        scored = _ScoredTable(RowTable(graph, features, 3), params)
+        records = all_records(rollout(graph, features, params, spec, capacity=3, seed=2, scored=scored))
         assert any(rec.select_inputs.shape[0] > 1 for rec in records)
         for rec in records:
+            # bit for bit what the table the rollout used scored for these rows
+            table_logits = scored.logits[rec.row_ids]
+            table_logits[-1] = params.stop_logit
+            top = table_logits.max()
+            exps = [math.exp(x - top) for x in table_logits]
+            assert rec.value == scored.values[rec.row_ids[-1]]
+            assert rec.log_prob == table_logits[rec.action_index] - top - math.log(sum(exps))
+            # and, to rounding, what the network gives for the rows rebuilt
             _, logits, values = _score(params, np.vstack([rec.select_inputs, rec.value_input]))
             logits[-1] = params.stop_logit
             _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
             np.testing.assert_allclose(logits, oracle_logits, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(table_logits, oracle_logits, rtol=1e-12, atol=1e-12)
             assert values[-1] == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
             assert rec.value == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
             shifted = logits - logits.max()
@@ -501,7 +519,7 @@ class TestScore:
         order = list(dict.fromkeys(rec.decision for rec in steps))
         assert len(order) < len(steps)  # the two rollouts share decisions
         packed = _pack_steps(steps)
-        assert packed.rows is steps[0].rows
+        assert packed.rows.tobytes() == steps[0].table.inputs(packed.row_ids).tobytes()
         first = {}
         for rec in steps:
             first.setdefault(rec.decision, rec)
@@ -537,9 +555,16 @@ class TestScore:
             assert abs(rec.log_prob + math.log(k + 1)) <= 1e-12
 
 
+def relabelled(graph, label):
+    """`graph` with trip id t renamed `label(t)`."""
+    trips = [stub_trip(label(tid)) for tid in graph.trips]
+    edges = [replace(edge, trip_a=label(edge.trip_a), trip_b=label(edge.trip_b)) for edge in graph.edges.values()]
+    return ShareabilityGraph(graph.net, trips, edges, graph.objective)
+
+
 class TestRowTable:
-    """One row per distinct (focal trip, candidate, depth) input, built by
-    gather and scored chunk by chunk on demand."""
+    """One row id per distinct (focal trip, candidate, depth) input; rows
+    gathered on demand and scored chunk by chunk from their parts."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -547,40 +572,45 @@ class TestRowTable:
         n_linked=st.integers(1, 6),
         n_isolated=st.integers(0, 2),
         capacity=st.integers(2, 4),
+        first_id=st.sampled_from((0, 7)),
+        id_step=st.sampled_from((1, 3)),
     )
-    def test_every_row_matches_the_row_wise_build(self, data, n_linked, n_isolated, capacity):
+    def test_every_row_matches_the_row_wise_build(self, data, n_linked, n_isolated, capacity, first_id, id_step):
         # few distinct weights and contexts (zeros among them), so that many
-        # rows coincide; isolated trips have no candidate, only a value row
+        # rows coincide; isolated trips have no candidate, only a value row;
+        # trip ids consecutive from 0 or 7, or spaced 3 apart
         pairs = [(a, b) for a in range(n_linked) for b in range(a + 1, n_linked)]
         linked = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
         weights = st.sampled_from((5.0, 5.0 + 2**-40, 1234.5, 0.25))
         graph = weighted_graph({pair: data.draw(weights) for pair in linked}, n_trips=n_linked + n_isolated)
+        graph = relabelled(graph, lambda tid: first_id + id_step * tid)
         contexts = st.sampled_from(((0.0, 0.0, 0.0), (1.0, -2.0, 0.5), (1.0, -2.0, 0.5 + 2**-50)))
         features = {tid: np.array(data.draw(contexts)) for tid in graph.trips}
         table = RowTable(graph, features, capacity)
-        assert not table.rows.flags.writeable
+        for part in (table.contexts, table.focal_context, table.other_context, table.weight):
+            assert not part.flags.writeable
         reached = set()
         for focal in graph.trips:
             neighbors = graph.neighbors(focal)
             for depth in range(capacity - 1):
                 state = replace(initial_state(graph, features, focal, capacity=capacity), selected=(None,) * depth)
                 ids = table.decision_rows(focal, depth, neighbors)
-                assert table.rows[ids[:-1]].tobytes() == select_inputs_rowwise(state, neighbors).tobytes()
-                assert table.rows[ids[-1]].tobytes() == value_row_rowwise(state).tobytes()
+                assert table.inputs(ids[:-1]).tobytes() == select_inputs_rowwise(state, neighbors).tobytes()
+                assert table.inputs(ids[-1:]).tobytes() == value_row_rowwise(state).tobytes()
                 for picked in (neighbors[::2], neighbors[1:]):
                     assert list(table.decision_rows(focal, depth, picked)[:-1]) == [
                         ids[neighbors.index(v)] for v in picked
                     ]
                 reached.update(ids.tolist())
         # every row is some input's, and no two rows are equal byte for byte
-        assert reached == set(range(len(table.rows)))
-        assert len({row.tobytes() for row in table.rows}) == len(table.rows)
+        assert reached == set(range(len(table)))
+        assert len({row.tobytes() for row in table.inputs(np.arange(len(table)))}) == len(table)
 
     def test_lazy_chunks_score_as_the_whole_table(self):
         graph, features, spec, params = setup_150()
         table = RowTable(graph, features, 4)
-        assert len(table.rows) > 3 * ROW_CHUNK
-        _, whole_logits, whole_values = _score(params, table.rows)
+        assert len(table) > 3 * ROW_CHUNK
+        _, whole_logits, whole_values = _score(params, table.inputs(np.arange(len(table))))
         scored = _ScoredTable(table, params)
         focal = max(graph.trips, key=lambda t: len(graph.neighbors(t)))
         entry = scored.decision((focal, (), graph.neighbors(focal)))
@@ -814,7 +844,7 @@ class TestDecisionCache:
                 fresh.reward,
                 fresh.value,
             )
-            assert not rec.row_ids.flags.writeable and not rec.rows.flags.writeable
+            assert not rec.row_ids.flags.writeable
         # the shared cache was hit: some records of one update share their arrays
         assert len({id(rec.row_ids) for rec in records}) < len({id(rec.row_ids) for rec in fresh_records})
 
@@ -989,7 +1019,7 @@ class TestPPOUpdate:
 
     def test_returns_discounting(self):
         recs = [
-            StepRecord(np.zeros((1, 3)), np.zeros(1, dtype=np.intp), 0, 0.0, reward, 0.0)
+            StepRecord(StackedRows(np.zeros((1, 3))), np.zeros(1, dtype=np.intp), 0, 0.0, reward, 0.0)
             for reward in (1.0, 2.0, 4.0)
         ]
         fill_returns([recs], gamma=0.5)
