@@ -6,13 +6,13 @@ adjacency L (users first, then cells):
 
     E_l = act((L @ E_{l-1} + E_{l-1}) @ W1_l + (L @ E_{l-1}) * (E_{l-1} @ W2_l))
 
-with `*` element-wise.  L is zero outside its user x cell block, so it is kept
-as that block alone (`BipartiteLaplacian`, the sparse propagation of
-LightGCN, He et al. 2020): memory grows with users x cells, not with
-(users + cells)^2.  Per-layer user rows are concatenated into the final
-context vector, layer 0 included.  No supervised training happens here:
-weights are seeded random and fixed, which keeps runs reproducible; plugging
-in a trained initializer is an extension point, not a requirement.
+with `*` element-wise.  L is zero outside its user x cell block and in empty
+cells' columns, so it is kept as its user x occupied-cell block alone
+(`BipartiteLaplacian`, the sparse propagation of LightGCN, He et al. 2020):
+memory grows with users x occupied cells.  Per-layer user rows are concatenated
+into the final context vector, layer 0 included.  No supervised training
+happens here: weights are seeded random and fixed, which keeps runs
+reproducible; a trained initializer is an extension point, not a requirement.
 """
 
 import math
@@ -73,9 +73,10 @@ def encode_location(grid: GridIndex, p: GeoPoint) -> int:
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Binary user x cell visit matrix; row order follows sorted user ids."""
+    """Binary user x occupied-cell visit matrix: rows by sorted user id, columns by ascending cell id."""
 
     user_ids: tuple
+    cells: tuple
     matrix: np.ndarray
 
 
@@ -97,15 +98,16 @@ class EmbeddingConfig:
 
 
 def build_interaction_matrix(trips, grid: GridIndex) -> InteractionMatrix:
-    """A[u][c] = 1 iff user u has a trip endpoint (origin or dest) in cell c."""
-    user_ids = tuple(sorted({t.user_id for t in trips}))
-    index = {uid: i for i, uid in enumerate(user_ids)}
-    A = np.zeros((len(user_ids), grid.n_cells), dtype=np.int64)
-    for t in trips:
-        row = index[t.user_id]
-        A[row, encode_location(grid, t.origin_point)] = 1
-        A[row, encode_location(grid, t.dest_point)] = 1
-    return InteractionMatrix(user_ids=user_ids, matrix=A)
+    """A[u][j] = 1 iff user u has a trip endpoint (origin or dest) in cell cells[j]."""
+    visits = [(t.user_id, encode_location(grid, p)) for t in trips for p in (t.origin_point, t.dest_point)]
+    user_ids = tuple(sorted({uid for uid, _ in visits}))
+    cells = tuple(sorted({cell for _, cell in visits}))
+    row = {uid: i for i, uid in enumerate(user_ids)}
+    col = {cell: j for j, cell in enumerate(cells)}
+    A = np.zeros((len(user_ids), len(cells)), dtype=np.int64)
+    for uid, cell in visits:
+        A[row[uid], col[cell]] = 1
+    return InteractionMatrix(user_ids=user_ids, cells=cells, matrix=A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +142,10 @@ def _inv_sqrt(degree):
 def build_laplacian(interactions: InteractionMatrix) -> BipartiteLaplacian:
     """Degree-normalized user x cell block; zero-degree users and cells keep
     zero rows and columns instead of dividing by zero."""
-    A = interactions.matrix.astype(np.float64)
-    return BipartiteLaplacian(_inv_sqrt(A.sum(axis=1))[:, None] * A * _inv_sqrt(A.sum(axis=0))[None, :])
+    block = interactions.matrix.astype(np.float64)
+    block *= _inv_sqrt(interactions.matrix.sum(axis=1))[:, None]
+    block *= _inv_sqrt(interactions.matrix.sum(axis=0))
+    return BipartiteLaplacian(block)
 
 
 def propagate(prev: np.ndarray, lap, w1: np.ndarray, w2: np.ndarray, activation="relu") -> np.ndarray:
@@ -157,18 +161,29 @@ def propagate(prev: np.ndarray, lap, w1: np.ndarray, w2: np.ndarray, activation=
 
 
 def compute_user_features(trips, grid: GridIndex, cfg: EmbeddingConfig) -> dict:
-    """Seeded propagation over the trips' interaction graph.
-
+    """Seeded propagation over the trips' interaction graph, drawing as over
+    the whole grid with the empty cells' layer-0 rows skipped, not drawn.
     Returns user_id -> concatenated per-layer rows.
     """
     interactions = build_interaction_matrix(trips, grid)
     lap = build_laplacian(interactions)
-    n = lap.shape[0]
     rng = np.random.default_rng(cfg.init_seed)
-    layers = [rng.uniform(-cfg.init_scale, cfg.init_scale, size=(n, cfg.dim))]
+
+    def skip(cells):  # PCG64 spends one 64-bit output per double; its period is 2**128
+        rng.bit_generator.advance(cells * cfg.dim % 2**128)
+
+    def draw(rows):
+        return rng.uniform(-cfg.init_scale, cfg.init_scale, size=(rows, cfg.dim))
+
+    layer0, passed = [draw(len(interactions.user_ids))], 0
+    for cell in interactions.cells:
+        skip(cell - passed)
+        layer0.append(draw(1))
+        passed = cell + 1
+    skip(grid.n_cells - passed)
+    layers = [np.concatenate(layer0)]
     for _ in range(cfg.layers):
-        w1 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.dim, cfg.dim))
-        w2 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(cfg.dim, cfg.dim))
+        w1, w2 = draw(cfg.dim), draw(cfg.dim)
         layers.append(propagate(layers[-1], lap, w1, w2, cfg.activation))
     stacked = np.concatenate(layers, axis=1)
     return {uid: stacked[i].copy() for i, uid in enumerate(interactions.user_ids)}
