@@ -193,8 +193,8 @@ def write_features(features: dict, path):
     """`U <user_id> <v_0> ... <v_k>` with 9-significant-digit values."""
     with open(path, "w") as fh:
         for uid in sorted(features):
-            values = " ".join(f"{v:.9g}" for v in features[uid])
-            fh.write(f"U {uid} {values}\n")
+            values = features[uid].tolist()  # Python floats format faster than numpy scalars
+            fh.write(f"U {uid}" + " %.9g" * len(values) % tuple(values) + "\n")
 
 
 def read_features(path) -> dict:

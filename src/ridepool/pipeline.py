@@ -6,10 +6,12 @@ file-driven; `sweep` runs in memory.  All stages rewrite the run manifest
 (config echo + version + seed) and are byte-deterministic for a fixed config.
 
 One `run_pipeline` call parses each input artifact at most once: its
-`RunArtifacts` parses `network.txt`, `trips.txt`, `graph.txt` and
-`features.txt` the first time a stage asks and hands the same objects to
+`RunArtifacts` parses `network.txt`, `trips.txt`, `graph.txt`, `features.txt`
+and `policy.txt` the first time a stage asks and hands the same objects to
 every later stage, so one `RoadNetwork` (and its shortest-path cache) serves
 the whole call and each origin's tree is grown once, only as far as asked.
+A call that trains parses no checkpoint: `stage_train` hands `match` its
+parameters, the very floats that `policy.txt` reads back to.
 `gen` snaps the drawn demand but routes nothing: `trips.txt` holds no route.
 Every artifact is written by one stage that precedes all of its readers in
 `STAGES`, so a parse is never stale.  Separate stage calls (`ridepool graph`,
@@ -163,6 +165,18 @@ class RunArtifacts:
             raise ValueError(f"{path}: no row for users {missing}")
         return features
 
+    @functools.cached_property
+    def policy(self):
+        path = _artifact(self.out_dir, POLICY_FILE, "train")
+        params = policy_mod.read_policy(path)
+        width = len(next(iter(self.features.values())))
+        if params.w_hidden.shape[0] != policy_mod.input_width(width):
+            raise ValueError(
+                f"{path}: input width {params.w_hidden.shape[0]} does not fit features of width {width}"
+                f" (expected {policy_mod.input_width(width)})"
+            )
+        return params
+
 
 def stage_gen(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     net, draws = draw_demand(cfg)  # trips.txt holds no route, so none is computed
@@ -183,20 +197,12 @@ def stage_embed(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
 def stage_train(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     params, _ = train_scenario(artifacts.graph, artifacts.features, cfg)
     policy_mod.write_policy(params, os.path.join(out_dir, POLICY_FILE))
+    artifacts.policy = params  # its `.17g` records read back to exactly these floats
 
 
 def stage_match(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     graph, features = artifacts.graph, artifacts.features
-    policy_path = _artifact(out_dir, POLICY_FILE, "train")
-    params = policy_mod.read_policy(policy_path)
-    width = len(next(iter(features.values())))
-    if params.w_hidden.shape[0] != policy_mod.input_width(width):
-        raise ValueError(
-            f"{policy_path}: input width {params.w_hidden.shape[0]} does not fit features of width {width}"
-            f" (expected {policy_mod.input_width(width)})"
-        )
-    spec = reward_spec(cfg)
-    solution = policy_mod.match_all(graph, features, params, spec, capacity=cfg.capacity)
+    solution = policy_mod.match_all(graph, features, artifacts.policy, reward_spec(cfg), capacity=cfg.capacity)
     if cfg.tolerance_enabled:
         rng = np.random.default_rng([cfg.seed, 7001])  # separate stream from demand/training
         draws = {tid: rng.random() for tid in sorted(graph.trips)}

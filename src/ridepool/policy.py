@@ -757,8 +757,9 @@ def write_policy(params: PolicyParams, path):
     """One record per array: `P <name> <ndim> <dims...> <values...>`."""
     with open(path, "w") as fh:
         for name, arr in params.arrays().items():
-            fields = ["P", name, str(arr.ndim), *map(str, arr.shape), *(f"{v:.17g}" for v in arr.ravel())]
-            fh.write(" ".join(fields) + "\n")
+            values = arr.ravel().tolist()  # Python floats format faster than numpy scalars
+            record = f"P {name} {arr.ndim}" + " %d" * arr.ndim % arr.shape + " %.17g" * len(values) % tuple(values)
+            fh.write(record + "\n")
 
 
 def read_policy(path) -> PolicyParams:

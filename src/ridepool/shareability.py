@@ -9,18 +9,18 @@ depend on the build objective:
 * ``distance`` - meters saved: solo_a + solo_b - shared;
 * ``time``     - seconds saved, same shape.
 
-A pair and a group of 3 or 4 riders are routed by one rule: the shortest stop
-order in which each pickup comes before its own dropoff and the vehicle never
-runs empty between the first pickup and the last dropoff; ties go to the first
-such order in lexicographic stop order (pickups by trip id, then dropoffs).
-Groups of 3 and 4 are searched depth first (``_cheapest_order``).  The graph
-build and ``read_graph`` route all their pairs in one bulk pass
-(``_route_pairs``): every pair's eight legs are read at once and the first
-shortest of its four allowed orders wins, the same route, bit for bit, that
-the search gives one pair at a time (``best_shared_route``).
+Groups of 2, 3 and 4 riders are routed by one rule and one router
+(``_route_groups``): the shortest stop order in which each pickup comes
+before its own dropoff and the vehicle never runs empty between the first
+pickup and the last dropoff; ties go to the first such order in
+lexicographic stop order (pickups by trip id, then dropoffs).  The allowed
+orders of k riders (4, 60 or 1 776) are listed once per process, each
+group's legs are read once, and every order's total is compared in bulk.
+The graph build and ``read_graph`` route all their pairs in one call.
 """
 
 import bisect
+import functools
 import logging
 import math
 
@@ -187,27 +187,29 @@ def _gated_pairs(trips, constraints: PairingConstraints):
     return pairs
 
 
-def _evaluate_order(trips_by_id, ordering, legs) -> SharedRoute:
-    """Totals and per-rider delay/detour of a stop sequence, given the
-    (distance, time) of each leg between consecutive stops, summed left to
-    right from 0.0."""
-    start = max(t.desired_departure for t in trips_by_id.values())
+def _evaluate_order(trips, order, legs) -> SharedRoute:
+    """Totals and per-rider delay/detour of the stop sequence `order` of
+    `trips` (stop i < k is trips[i]'s pickup and stop k + i its dropoff),
+    given the (distance, time) of each leg between consecutive stops, summed
+    left to right from 0.0."""
+    k = len(trips)
+    start = max(t.desired_departure for t in trips)
     cum_d = 0.0
     cum_t = 0.0
-    at_pickup = {ordering[0][1]: 0.0}
+    at_pickup = {order[0]: 0.0}
     delay = {}
     detour = {}
-    for (kind, tid), (d, t) in zip(ordering[1:], legs):
+    for stop, (d, t) in zip(order[1:], legs):
         cum_d += d
         cum_t += t
-        if kind == "P":
-            at_pickup[tid] = cum_d
+        if stop < k:
+            at_pickup[stop] = cum_d
         else:
-            trip = trips_by_id[tid]
-            detour[tid] = (cum_d - at_pickup[tid]) - trip.solo_route.distance
-            delay[tid] = (start + cum_t) - trip.desired_departure - trip.solo_route.time
+            trip = trips[stop - k]
+            detour[trip.trip_id] = (cum_d - at_pickup[stop - k]) - trip.solo_route.distance
+            delay[trip.trip_id] = (start + cum_t) - trip.desired_departure - trip.solo_route.time
     return SharedRoute(
-        ordering=tuple(ordering),
+        ordering=tuple(("P", trips[s].trip_id) if s < k else ("D", trips[s - k].trip_id) for s in order),
         total_distance=cum_d,
         total_time=cum_t,
         per_rider_delay=delay,
@@ -217,141 +219,119 @@ def _evaluate_order(trips_by_id, ordering, legs) -> SharedRoute:
 
 def best_shared_route(net: RoadNetwork, a: TripRequest, b: TripRequest) -> SharedRoute:
     """Shortest of the four orders that pick both riders up before either is
-    dropped off (the ``_cheapest_order`` rule), whichever trip comes first."""
-    return _cheapest_order(net, sorted((a, b), key=lambda t: t.trip_id))
+    dropped off (the ``_route_groups`` rule), whichever trip comes first."""
+    return _route_group(net, sorted((a, b), key=lambda t: t.trip_id))
 
 
-# A pair's stops, a before b by trip id: 0 = P_a, 1 = P_b, 2 = D_a, 3 = D_b.
-# Its four allowed orders in lexicographic stop order, and the eight legs they
-# drive (the legs ``_cheapest_order`` routes for two riders).
-_PAIR_ORDERS = ((0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2))
-_PAIR_LEGS = ((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (2, 3), (3, 2))
-_PAIR_ORDER_LEGS = tuple(tuple(_PAIR_LEGS.index(leg) for leg in zip(o, o[1:])) for o in _PAIR_ORDERS)
+@functools.cache
+def _stop_orders(k):
+    """The allowed stop orders of `k` riders and the legs they drive.
+
+    Stop i < k is rider i's pickup and stop k + i its dropoff.  An order is
+    allowed when each pickup comes before its own dropoff and the vehicle
+    never runs empty before the last stop.  The orders are grown one stop at
+    a time, each prefix by every stop allowed next, in increasing order, so
+    they come out in lexicographic order (the order ``itertools.permutations``
+    yields), without the permutations that break the rule: 4, 60 and 1 776
+    orders for 2, 3 and 4 riders.  Returns `(orders, legs, order_legs)`: the
+    (orders, 2k) array of orders, the (from, to) stop pairs that some order
+    drives in row-major order, and a (2k - 1, orders) array whose column o
+    holds order o's legs, first leg first, as indices into `legs`.
+    """
+    n = 2 * k
+    orders = np.zeros((1, 0), dtype=np.intp)
+    placed = np.zeros((1, n), dtype=bool)
+    for at in range(n):
+        riding = placed[:, :k] & ~placed[:, k:]
+        may_drop = riding & ((riding.sum(axis=1) > 1) | (at == n - 1))[:, None]
+        prefix, stop = np.nonzero(np.concatenate([~placed[:, :k], may_drop], axis=1))
+        orders = np.concatenate([orders[prefix], stop[:, None]], axis=1)
+        placed = placed[prefix]
+        placed[np.arange(len(stop)), stop] = True
+    codes = orders[:, :-1] * n + orders[:, 1:]  # leg (i, j) as i * n + j
+    driven = np.bincount(codes.ravel(), minlength=n * n) > 0
+    index = np.cumsum(driven) - 1
+    legs = [divmod(code, n) for code in np.flatnonzero(driven).tolist()]
+    return orders, legs, np.ascontiguousarray(index[codes].T)
 
 
-def _route_pairs(net: RoadNetwork, pairs):
-    """The ``_cheapest_order`` routes of many pairs (a, b), a.trip_id <=
-    b.trip_id, from their eight legs, read first and then summed in bulk.
+# leg lengths gathered at once while the groups' orders are compared
+_ROUTE_CHUNK = 1 << 16
 
-    Returns `(errors, distance, time, routes)`: for each pair with a leg that
-    has no route, in pair order, the NoRouteError ``best_shared_route`` raises
-    for it (legs are read in the search's order); the winning order's total
-    distance and time per pair, inf for a pair in `errors`; and `routes(ks)`,
-    the ``SharedRoute`` of each pair index in `ks`, none of them in `errors`.
-    The four orders' totals are the same left-to-right float sums the
-    depth-first search forms, and ``np.argmin`` keeps the first minimum, its
-    tie rule.
+
+def _route_groups(net: RoadNetwork, groups):
+    """Routes of many groups of the same size, 2..4 riders each sorted by
+    trip id, in the shortest allowed stop order (``_stop_orders``), ties to
+    the first in lexicographic stop order.
+
+    Each group's legs are read through ``distance_time`` in row-major stop
+    order, only those some allowed order drives, so a group raises
+    NoRouteError exactly when some allowed order cannot be driven.  Each
+    order's total is its legs summed left to right, the float
+    ``_evaluate_order`` forms, and ``np.argmin`` keeps the first minimum.
+    Groups are compared a chunk at a time, so that at most `_ROUTE_CHUNK`
+    leg lengths are gathered at once.
+
+    Returns `(errors, distance, time, routes)`: for each group with a leg
+    that has no route, in group order, the NoRouteError of its first such
+    leg; the winning order's total distance and time per group, inf for a
+    group in `errors`; and `routes(ks)`, the ``SharedRoute`` of each group
+    index in `ks`, none of them in `errors`.
     """
     distance_time = net.distance_time
-    dist, time, errors = [], [], {}
-    for k, (a, b) in enumerate(pairs):
-        stops = (a.origin, b.origin, a.dest, b.dest)
-        for i, j in _PAIR_LEGS:
-            try:
-                d, t = distance_time(stops[i], stops[j])
-            except NoRouteError as exc:
-                errors.setdefault(k, exc)
-                d = t = math.inf
-            dist.append(d)
-            time.append(t)
-    leg_dist = np.array(dist, dtype=float).reshape(len(pairs), len(_PAIR_LEGS))
-    leg_time = np.array(time, dtype=float).reshape(len(pairs), len(_PAIR_LEGS))
-    total_dist = np.column_stack([(leg_dist[:, i] + leg_dist[:, j]) + leg_dist[:, k] for i, j, k in _PAIR_ORDER_LEGS])
-    total_time = np.column_stack([(leg_time[:, i] + leg_time[:, j]) + leg_time[:, k] for i, j, k in _PAIR_ORDER_LEGS])
-    best = np.argmin(total_dist, axis=1)
-    rows = np.arange(len(pairs))
-    routed = np.isfinite(leg_dist).all(axis=1)
-    orders = best.tolist()
+    orders, legs, order_legs = _stop_orders(len(groups[0]) if groups else 2)
+    errors, dist, time = {}, [], []
+    riders = list(zip(*groups))  # riders[r]: every group's r-th rider
+    stop_nodes = zip(*[[t.origin for t in r] for r in riders], *[[t.dest for t in r] for r in riders])
+    for g, nodes in enumerate(stop_nodes):
+        try:
+            for i, j in legs:
+                d, t = distance_time(nodes[i], nodes[j])
+                dist.append(d)
+                time.append(t)
+        except NoRouteError as exc:
+            errors[g] = exc
+            dist[g * len(legs) :] = time[g * len(legs) :] = [math.inf] * len(legs)
+    leg_dist_time = np.fromiter(dist + time, float, 2 * len(dist)).reshape(2, len(groups), len(legs))
+    best = np.empty(len(groups), dtype=np.intp)
+    step = max(1, _ROUTE_CHUNK // order_legs.size)
+    for lo in range(0, len(groups), step):
+        gathered = np.take(leg_dist_time[0, lo : lo + step], order_legs, axis=1)  # (groups, legs, orders)
+        total = gathered[:, 0] + gathered[:, 1]
+        for at in range(2, len(order_legs)):
+            total += gathered[:, at]
+        best[lo : lo + step] = np.argmin(total, axis=1)
+    # the winning order's distance and time legs per group, summed the same way
+    won = leg_dist_time[:, np.arange(len(groups))[:, None], order_legs[:, best].T]
+    totals = won[:, :, 0] + won[:, :, 1]
+    for at in range(2, len(order_legs)):
+        totals += won[:, :, at]
+    if errors:
+        totals[:, list(errors)] = math.inf
 
     def routes(ks):
-        # legs are the floats `distance_time` returned, so no new float is made
-        shared = []
-        for k in ks:
-            a, b = pairs[k]
-            order = orders[k]
-            stops = (("P", a.trip_id), ("P", b.trip_id), ("D", a.trip_id), ("D", b.trip_id))
-            at = len(_PAIR_LEGS) * k
-            shared.append(
-                _evaluate_order(
-                    {a.trip_id: a, b.trip_id: b},
-                    tuple(stops[s] for s in _PAIR_ORDERS[order]),
-                    [(dist[at + leg], time[at + leg]) for leg in _PAIR_ORDER_LEGS[order]],
-                )
-            )
-        return shared
-
-    return (
-        errors,
-        np.where(routed, total_dist[rows, best], math.inf),
-        np.where(routed, total_time[rows, best], math.inf),
-        routes,
-    )
-
-
-def _cheapest_order(net: RoadNetwork, trips) -> SharedRoute:
-    """Route of 2..4 riders, sorted by trip id, in the shortest stop order in
-    which each pickup comes before its own dropoff and the vehicle never runs
-    empty between the first pickup and the last dropoff.
-
-    Stop i < k is rider i's pickup and stop k + i its dropoff.  Orders are
-    searched depth first over a stop-to-stop leg matrix in lexicographic
-    index order (the order ``itertools.permutations`` yields), each total
-    summed left to right from 0.0, the same float ``_evaluate_order`` gets.
-    A prefix is dropped once its distance reaches the best total (legs are
-    >= 0, so it cannot end strictly shorter) and only a strictly shorter
-    total replaces the best, so ties go to the first order visited.  The
-    winner's legs are read back from the matrix.
-    """
-    k = len(trips)
-    n = 2 * k
-    stops = [("P", t.trip_id) for t in trips] + [("D", t.trip_id) for t in trips]
-    nodes = [t.origin for t in trips] + [t.dest for t in trips]
-    # Route only the legs some allowed order drives: not i -> i, not D_i -> P_i
-    # and, for a pair, no dropoff -> pickup (the vehicle would run empty).  So
-    # this raises NoRouteError exactly when some allowed order cannot be driven.
-    legs = [
-        [
-            (0.0, 0.0) if i == j or (j < k <= i and (k == 2 or i == j + k)) else net.distance_time(u, v)
-            for j, v in enumerate(nodes)
+        ks = list(ks)
+        # the winning legs are the floats `distance_time` returned
+        won_dist, won_time = won[:, ks].tolist()
+        return [
+            _evaluate_order(groups[g], order, zip(leg_dist, leg_time))
+            for g, order, leg_dist, leg_time in zip(ks, orders[best[ks]].tolist(), won_dist, won_time)
         ]
-        for i, u in enumerate(nodes)
-    ]
-    dist = [[d for d, _ in row] for row in legs]
-    best_cost = math.inf
-    best_order = None
-    order = []
-    placed = [False] * n
 
-    def extend(row, cost, on_board):
-        nonlocal best_cost, best_order
-        if len(order) == n:
-            best_cost, best_order = cost, tuple(order)
-            return
-        for stop in range(n):
-            if placed[stop]:
-                continue
-            if stop >= k and (not placed[stop - k] or (on_board == 1 and len(order) < n - 1)):
-                continue
-            total = cost + row[stop]
-            if total >= best_cost:
-                continue
-            placed[stop] = True
-            order.append(stop)
-            extend(dist[stop], total, on_board + (1 if stop < k else -1))
-            order.pop()
-            placed[stop] = False
+    return errors, totals[0], totals[1], routes
 
-    extend([0.0] * n, 0.0, 0)
-    return _evaluate_order(
-        {t.trip_id: t for t in trips},
-        tuple(stops[i] for i in best_order),
-        [legs[i][j] for i, j in zip(best_order, best_order[1:])],
-    )
+
+def _route_group(net: RoadNetwork, trips) -> SharedRoute:
+    """The ``_route_groups`` route of one group, or its NoRouteError."""
+    errors, _, _, routes = _route_groups(net, [trips])
+    if errors:
+        raise errors[0]
+    return routes([0])[0]
 
 
 def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
     """Best vehicle route for 1..4 riders: a singleton's solo route, else the
-    ``_cheapest_order`` route of the riders sorted by trip id."""
+    ``_route_groups`` route of the riders sorted by trip id."""
     trips = sorted(trips, key=lambda t: t.trip_id)
     if len(trips) == 1:
         t = trips[0]
@@ -364,7 +344,7 @@ def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
         )
     if len(trips) > 4:
         raise ValueError(f"group routing supports at most 4 riders, got {len(trips)}")
-    return _cheapest_order(net, trips)
+    return _route_group(net, trips)
 
 
 def edge_weight(shared: SharedRoute, a: TripRequest, b: TripRequest, objective: Objective) -> float:
@@ -453,7 +433,7 @@ def build_shareability_graph(
     if not trips:
         raise ValueError("cannot build a shareability graph without trips")
     pairs = _gated_pairs(trips, constraints)
-    errors, distance, time, routes = _route_pairs(net, pairs)
+    errors, distance, time, routes = _route_groups(net, pairs)
     for k, exc in errors.items():
         log.warning("skipping pair (%s, %s): %s", pairs[k][0].trip_id, pairs[k][1].trip_id, exc)
     # -inf savings for the pairs in `errors`, so they are never kept
@@ -513,7 +493,7 @@ def write_graph(graph: ShareabilityGraph, path):
 def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> ShareabilityGraph:
     """Rebuild a graph from exported edges.
 
-    Shared routes are re-derived on the network in one bulk ``_route_pairs``
+    Shared routes are re-derived on the network in one ``_route_groups``
     call (the export keeps only the totals); the exported weight is kept as
     the edge weight.  A pair may appear once, in either order; a pair with no
     shared route raises NoRouteError naming its record's line.
@@ -536,7 +516,7 @@ def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> Shareabil
         weights.append(weight)
 
     read_records(path, "graph", {"G": 6}, parse)
-    errors, _, _, routes = _route_pairs(net, pairs)
+    errors, _, _, routes = _route_groups(net, pairs)
     if errors:
         k, exc = next(iter(errors.items()))  # the first record without a route
         lines = []

@@ -3,16 +3,18 @@ import configparser
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ridepool import embedding, pipeline
+from ridepool import embedding, pipeline, policy
 from ridepool.cli import main
 from ridepool.geo import RoadNetwork, read_network
 from ridepool.metrics import METRIC_NAMES
@@ -612,12 +614,56 @@ class TestRunArtifacts:
         # every network of the run, the sweep's in-memory ones included
         assert dijkstra_runs and max(dijkstra_runs.values()) == 1
 
+    def test_train_hands_its_parameters_to_match(self, small_cfg, tmp_path, monkeypatch):
+        reads = count_policy_reads(monkeypatch)
+        pipeline.run_pipeline(small_cfg, str(tmp_path / "run"), pipeline.STAGES)
+        assert reads == []
+
+    @pytest.mark.parametrize("separate", [False, True], ids=["run_pipeline", "cli"])
+    def test_match_only_call_reads_the_checkpoint(self, separate, tmp_path, monkeypatch):
+        cfg_path, out = TestMalformedArtifacts.trained_run(tmp_path)
+        path = out / pipeline.POLICY_FILE
+
+        def match():
+            reads = count_policy_reads(monkeypatch)
+            if separate:
+                assert run_cli(["match", "--config", str(cfg_path), "--out", str(out)]) == 0
+            else:
+                pipeline.run_pipeline(load_config(cfg_path), str(out), ["match"])
+            monkeypatch.undo()
+            assert reads == [str(path)]
+            return pipeline.read_matching(out / pipeline.MATCHING_FILE, set(range(20)), 2)
+
+        assert max(len(g) for g in match()) == 2
+        # a checkpoint whose stop logit outweighs every candidate: nobody pools
+        policy.write_policy(replace(policy.read_policy(path), stop_logit=np.array(1e6)), path)
+        assert max(len(g) for g in match()) == 1
+
+    def test_match_only_call_names_a_checkpoint_of_another_width(self, tmp_path):
+        cfg_path, out = TestMalformedArtifacts.trained_run(tmp_path)
+        wide = load_config(text=SMALL_CONFIG.replace("dim = 6", "dim = 8"))
+        path = re.escape(str(out / pipeline.POLICY_FILE))
+        with pytest.raises(ValueError, match=rf"^{path}: input width \d+ does not fit features of width"):
+            pipeline.run_pipeline(wide, str(out), ["embed", "match"])
+
     def test_gen_runs_no_dijkstra(self, small_cfg, tmp_path, monkeypatch):
         dijkstra_runs = count_dijkstra_runs(monkeypatch)
         pipeline.run_pipeline(small_cfg, str(tmp_path / "run"), ["gen"])
         assert not dijkstra_runs
         run = tmp_path / "run"
         assert len(read_trips(run / pipeline.TRIPS_FILE, read_network(run / pipeline.NETWORK_FILE))) == 20
+
+
+def count_policy_reads(monkeypatch):
+    """The path of every checkpoint parse, in call order."""
+    reads, read_policy = [], policy.read_policy
+
+    def counted(path):
+        reads.append(str(path))
+        return read_policy(path)
+
+    monkeypatch.setattr(policy, "read_policy", counted)
+    return reads
 
 
 def count_dijkstra_runs(monkeypatch):

@@ -1156,6 +1156,26 @@ class TestCheckpointIO:
             assert loaded.arrays()[name].shape == original.shape
             assert (np.asarray(loaded.arrays()[name]) == original).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_bit_for_bit_at_the_float_extremes(self, tmp_path_factory, data):
+        # signed zeros, subnormals, the largest finite floats and infinities
+        special = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(float).max, -np.finfo(float).max)
+        values = st.one_of(st.sampled_from(special), st.floats(allow_nan=False))
+        sizes = {"input": policy.input_width(data.draw(st.integers(1, 3))), "hidden": data.draw(st.integers(1, 4))}
+        arrays = {}
+        for name, dims in PolicyParams.ARRAY_DIMS.items():
+            shape = tuple(sizes[d] for d in dims)
+            n = math.prod(shape)
+            arrays[name] = np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
+        params = PolicyParams(**arrays)
+        path = tmp_path_factory.mktemp("policy") / "policy.txt"
+        write_policy(params, path)
+        loaded = read_policy(path)
+        for name, original in params.arrays().items():
+            assert loaded.arrays()[name].shape == original.shape
+            assert loaded.arrays()[name].tobytes() == original.tobytes()
+
     def test_missing_array_rejected(self, tmp_path):
         path = tmp_path / "policy.txt"
         path.write_text("P w_hidden 2 1 1 0.5\n")

@@ -23,9 +23,11 @@ from ridepool.shareability import (
     ShareabilityGraph,
     SharedRoute,
     TripRequest,
-    _cheapest_order,
+    _ROUTE_CHUNK,
+    _evaluate_order,
     _gated_pairs,
-    _route_pairs,
+    _route_groups,
+    _stop_orders,
     best_shared_route,
     build_shareability_graph,
     edge_weight,
@@ -117,15 +119,97 @@ def group_route_oracle(net, trips):
     return best
 
 
+def search_route_oracle(net, trips):
+    """Depth-first search for the route of 2..4 riders, sorted by trip id:
+    the same rule as ``group_route_oracle``, by another algorithm.
+
+    Stop i < k is rider i's pickup and stop k + i its dropoff.  Orders are
+    searched over a stop-to-stop leg matrix in lexicographic index order,
+    each total summed left to right from 0.0.  A prefix is dropped once its
+    distance reaches the best total (legs are >= 0, so it cannot end
+    strictly shorter) and only a strictly shorter total replaces the best,
+    so ties go to the first order visited.  Only the legs some allowed order
+    drives are routed, row by row, so the first NoRouteError is the first
+    such leg's in row-major order.
+    """
+    k = len(trips)
+    n = 2 * k
+    nodes = [t.origin for t in trips] + [t.dest for t in trips]
+    # not i -> i, not D_i -> P_i and, for a pair, no dropoff -> pickup (the
+    # vehicle would run empty)
+    legs = [
+        [
+            (0.0, 0.0) if i == j or (j < k <= i and (k == 2 or i == j + k)) else net.distance_time(u, v)
+            for j, v in enumerate(nodes)
+        ]
+        for i, u in enumerate(nodes)
+    ]
+    dist = [[d for d, _ in row] for row in legs]
+    best_cost = math.inf
+    best_order = None
+    order = []
+    placed = [False] * n
+
+    def extend(row, cost, on_board):
+        nonlocal best_cost, best_order
+        if len(order) == n:
+            best_cost, best_order = cost, tuple(order)
+            return
+        for stop in range(n):
+            if placed[stop]:
+                continue
+            if stop >= k and (not placed[stop - k] or (on_board == 1 and len(order) < n - 1)):
+                continue
+            total = cost + row[stop]
+            if total >= best_cost:
+                continue
+            placed[stop] = True
+            order.append(stop)
+            extend(dist[stop], total, on_board + (1 if stop < k else -1))
+            order.pop()
+            placed[stop] = False
+
+    extend([0.0] * n, 0.0, 0)
+    return _evaluate_order(trips, best_order, [legs[i][j] for i, j in zip(best_order, best_order[1:])])
+
+
+class _LegTable:
+    """A network stand-in that answers ``distance_time`` from a table."""
+
+    def __init__(self, legs):
+        self.legs = legs
+
+    def distance_time(self, origin, dest):
+        return self.legs[origin, dest]
+
+
 def assert_same_group_route(net, trips):
-    """route_for_group and the oracle agree exactly, NoRouteError included."""
+    """route_for_group and both oracles agree exactly, NoRouteError included."""
+    trips = sorted(trips, key=lambda t: t.trip_id)
     try:
         expected = group_route_oracle(net, trips)
     except NoRouteError:
-        with pytest.raises(NoRouteError):
+        with pytest.raises(NoRouteError) as searched:
+            search_route_oracle(net, trips)
+        with pytest.raises(NoRouteError) as routed:
             route_for_group(net, trips)
+        assert str(routed.value) == str(searched.value)
         return
+    assert search_route_oracle(net, trips) == expected
     assert route_for_group(net, trips) == expected
+
+
+def _allowed(order, k):
+    """Each pickup before its own dropoff, someone on board until the last stop."""
+    on_board = set()
+    for at, stop in enumerate(order):
+        if stop < k:
+            on_board.add(stop)
+        elif stop - k not in on_board or (len(on_board) == 1 and at < len(order) - 1):
+            return False
+        else:
+            on_board.remove(stop - k)
+    return True
 
 
 # Corners and centre of a 3x3 lattice: shared endpoints and many equal-length orders.
@@ -160,6 +244,21 @@ _chords = st.lists(
     min_size=2,
     max_size=10,
 )
+
+# Six nodes 1.1 km apart with drawn edges in either direction: often
+# disconnected, so some trips have no solo route and some pairs no shared one.
+# Round lengths make ties; random lengths and times make sums that round, so
+# totals summed in another order would show.
+_island_edges = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.one_of(st.sampled_from((1000.0, 2000.0)), st.floats(1.0, 3000.0)),
+        st.one_of(st.just(100.0), st.floats(1.0, 300.0)),
+    ).filter(lambda e: e[0] != e[1]),
+    max_size=8,
+)
+_any_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
 
 
 class TestFeasibility:
@@ -338,6 +437,19 @@ class TestBestSharedRoute:
                 assert shared.per_rider_detour[tid] >= -1e-9
 
 
+class TestStopOrders:
+    @pytest.mark.parametrize("k, n_orders, n_legs", [(2, 4, 8), (3, 60, 27), (4, 1776, 52)])
+    def test_tables_match_filtered_permutations(self, k, n_orders, n_legs):
+        expected = [o for o in itertools.permutations(range(2 * k)) if _allowed(o, k)]
+        orders, legs, order_legs = _stop_orders(k)
+        assert [tuple(o) for o in orders.tolist()] == expected
+        assert len(orders) == n_orders
+        assert legs == sorted({leg for o in expected for leg in zip(o, o[1:])})
+        assert len(legs) == n_legs
+        driven = [[legs[x] for x in column] for column in order_legs.T.tolist()]
+        assert driven == [list(zip(o, o[1:])) for o in expected]
+
+
 class TestGroupRouting:
     def test_three_riders_vs_exhaustive(self, line_net):
         trips = [trip_on(line_net, 0, 0, 2), trip_on(line_net, 1, 1, 3), trip_on(line_net, 2, 0, 3)]
@@ -376,11 +488,65 @@ class TestGroupRouting:
         trips = [trip_on(net, tid, o, d, departure=dep) for tid, o, d, dep in riders]
         assert_same_group_route(net, trips)
 
+    @settings(max_examples=80, deadline=None)
+    @given(_rider_groups(_any_pairs), _island_edges, st.booleans())
+    def test_matches_brute_force_on_disconnected_networks(self, riders, edges, directed):
+        # solo routes are stubs, so riders need no route of their own
+        net = RoadNetwork({i: GeoPoint(0.0, 0.01 * i) for i in range(6)}, edges, directed=directed)
+        trips = [
+            TripRequest(tid, tid, o, d, net.nodes[o], net.nodes[d], dep, Route(1500.0, 150.0))
+            for tid, o, d, dep in riders
+        ]
+        assert_same_group_route(net, trips)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_matches_the_search_on_rounding_sensitive_legs(self, k, data):
+        # legs drawn straight from a pool whose sums round (0.1 + 0.2, 1e16 +
+        # 1.0), so that orders tie or part by one rounding: a total summed in
+        # another order, or another tie rule, would pick another order
+        pool = st.sampled_from((0.1, 0.2, 0.3, 0.6, 1.0, 2.0, 1e16))
+        legs = {(u, v): (data.draw(pool), data.draw(pool)) for u in range(2 * k) for v in range(2 * k) if u != v}
+        net = _LegTable(legs)
+        here = GeoPoint(0.0, 0.0)
+        trips = [TripRequest(r, r, r, k + r, here, here, 0.0, Route(1.0, 1.0)) for r in range(k)]
+        assert route_for_group(net, trips) == search_route_oracle(net, trips)
+
+    def test_more_groups_than_one_chunk(self):
+        # random lengths on one-way roads between nodes 0-7, and node 8 cut
+        # off: sums round, ties are rare and some groups have no route
+        rng = random.Random(3)
+        nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(9)}
+        edges = [(u, v, rng.uniform(1.0, 2000.0), rng.uniform(1.0, 200.0)) for u in range(8) for v in range(8)]
+        net = RoadNetwork(nodes, [e for e in edges if e[0] != e[1] and rng.random() < 0.4], directed=True)
+        groups = []
+        for g in range(3 * _ROUTE_CHUNK // _stop_orders(4)[2].size + 5):  # three chunks and then some
+            trips = []
+            for r in range(4):
+                o, d = rng.sample(range(9), 2)
+                trips.append(TripRequest(4 * g + r, r, o, d, nodes[o], nodes[d], 60.0 * r, Route(1500.0, 150.0)))
+            groups.append(trips)
+        errors, distance, time, routes = _route_groups(net, groups)
+        routed = []
+        for g, trips in enumerate(groups):
+            try:
+                expected = search_route_oracle(net, trips)
+            except NoRouteError as exc:
+                assert str(errors[g]) == str(exc)
+                assert distance[g] == time[g] == math.inf
+                continue
+            assert g not in errors
+            assert (distance[g], time[g]) == (expected.total_distance, expected.total_time)
+            assert routes([g]) == [expected]
+            routed.append(g)
+        assert 0 < len(errors) < len(groups)
+        assert routes(routed) == [search_route_oracle(net, groups[g]) for g in routed]
+
     def test_fresh_group_routes_each_leg_once(self, monkeypatch):
         # a pair: 4 x 4 stop pairs minus 4 self-legs and the 4 dropoff -> pickup
         # legs, which would leave the vehicle empty between the riders; four
         # riders: 8 x 8 minus 8 self-legs and the 4 dropoff -> own pickup legs.
-        # The winning order is read back from the leg matrix.
+        # The winning order's legs are the ones already read.
         net = build_grid_network(4, 4, 1000.0, 10.0)
         pair = [trip_on(net, 0, 0, 15), trip_on(net, 1, 1, 14)]
         four = pair + [trip_on(net, 2, 4, 11), trip_on(net, 3, 5, 9)]
@@ -408,20 +574,6 @@ class TestGroupRouting:
             route_for_group(net, trips)
 
 
-# Six nodes 1.1 km apart with drawn edges in either direction: often
-# disconnected, so some trips have no solo route and some pairs no shared one.
-# Round lengths make ties; random lengths and times make sums that round, so
-# totals summed in another order would show.
-_island_edges = st.lists(
-    st.tuples(
-        st.integers(0, 5),
-        st.integers(0, 5),
-        st.one_of(st.sampled_from((1000.0, 2000.0)), st.floats(1.0, 3000.0)),
-        st.one_of(st.just(100.0), st.floats(1.0, 300.0)),
-    ).filter(lambda e: e[0] != e[1]),
-    max_size=8,
-)
-_any_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
 _EVERY_PAIR = PairingConstraints(radius_m=1e7, max_departure_gap_s=1e9)
 
 
@@ -444,15 +596,15 @@ def routable_trips(net, riders):
 
 
 def assert_bulk_pairs_match_scalar(net, trips):
-    """Every pair of `trips`: the bulk router skips it exactly where the scalar
-    search raises NoRouteError, and otherwise gives an equal SharedRoute whose
-    totals are the four-order oracle's."""
+    """Every pair of `trips`: the bulk router skips it exactly where the
+    depth-first search raises NoRouteError, and otherwise gives an equal
+    SharedRoute whose totals are the four-order oracle's."""
     pairs = list(itertools.combinations(trips, 2))
-    errors, distance, time, routes = _route_pairs(net, pairs)
+    errors, distance, time, routes = _route_groups(net, pairs)
     routed, expected_routes = [], []
     for k, (a, b) in enumerate(pairs):
         try:
-            expected = _cheapest_order(net, [a, b])
+            expected = search_route_oracle(net, [a, b])
         except NoRouteError as exc:
             assert str(errors[k]) == str(exc)
             assert distance[k] == time[k] == math.inf
@@ -546,7 +698,7 @@ class TestBulkPairRouting:
         assert_bulk_pairs_match_scalar(net, trips)
 
     def test_no_pairs(self, line_net):
-        errors, distance, time, routes = _route_pairs(line_net, [])
+        errors, distance, time, routes = _route_groups(line_net, [])
         assert errors == {}
         assert distance.shape == time.shape == (0,)
         assert routes([]) == []
