@@ -199,6 +199,11 @@ class RoadNetwork:
         return Route(*self.distance_time(origin, dest))
 
 
+def grid_steps(spacing, anchor_lat):
+    """(north, east) degrees between neighbouring `build_grid_network` nodes."""
+    return spacing / METERS_PER_DEGREE, spacing / (METERS_PER_DEGREE * math.cos(math.radians(anchor_lat)))
+
+
 def build_grid_network(rows, cols, spacing, speed, anchor=GeoPoint(0.0, 0.0)) -> RoadNetwork:
     """Lattice of rows x cols nodes with 4-neighbor edges.
 
@@ -212,8 +217,7 @@ def build_grid_network(rows, cols, spacing, speed, anchor=GeoPoint(0.0, 0.0)) ->
         raise ValueError(f"spacing must be positive, got {spacing}")
     if speed <= 0.0:
         raise ValueError(f"speed must be positive, got {speed}")
-    dlat = spacing / METERS_PER_DEGREE
-    dlon = spacing / (METERS_PER_DEGREE * math.cos(math.radians(anchor.lat)))
+    dlat, dlon = grid_steps(spacing, anchor.lat)
     nodes = {}
     for r in range(rows):
         for c in range(cols):

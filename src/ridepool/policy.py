@@ -9,8 +9,8 @@ or None for Stop.  A two-layer perceptron scores input rows: one tanh hidden
 layer, then a logit head and a value head on every row.  A decision reads
 one row per candidate, then its value row, which sits where the Stop logit
 goes: the candidates' logits, a learned scalar Stop logit, and the value
-row's value.  That network is evaluated in one place, `_activate`, from
-the rows' pre-activations, by the rollout, the greedy decode and the update
+row's value.  That network is evaluated in one place, `_score`, over
+gathered input rows, by the rollout, the greedy decode and the update
 alike; which Selects are legal is decided in one place, `_selectable`;
 discounted returns are formed in one place, `fill_returns`.  Updates use
 the clipped probability-ratio surrogate with exact hand-rolled backprop,
@@ -19,24 +19,21 @@ which keeps the gradients finite-difference checkable.
 A row is a pure function of (focal trip, candidate, depth), depth being the
 number of co-riders already selected, so each `train` or `match_all` call
 builds one read-only `RowTable` that names every row the graph can ask for,
-each distinct row once, and pays for each row at most once per parameter
-set.  The table stores no rows: it gathers them from the trips' contexts,
-and a row's pre-activation is a sum over its parts, the fill column among
-them as a rank-1 term.  Every cache is exact: a hit returns what a miss
-would have computed.
+each distinct row once, and scores each row once per parameter set.  The
+table stores no rows: it gathers them from the trips' contexts.  Every
+cache is exact: a hit returns what a miss would have computed.
 - Once per run, `train` keeps a move memo keyed by group (focal trip,
   selected co-riders): whether Select(v) is legal, asked of `_selectable`
   only for trips not yet assigned, and, once taken, its reward from `step`.
   Neither depends on the parameters, so the memo lives for every update.
 - Once per parameter set (one update's rollouts, or the greedy decode),
-  `_ScoredTable` scores the table ROW_CHUNK row ids at a time, each chunk
-  when a decision first needs one of its rows, from the contexts projected
-  once through the hidden layer's weights, and caches decisions by (focal
-  trip, selected co-riders, candidate ids), which fixes their row ids: a
-  decision gathers its rows' logits and its value row's value and forms
-  its probabilities and sampling cdf on first sight; met again it costs
-  one draw and a bisect.  The greedy decode starts both caches empty, so
-  it routes exactly the groups a per-visit `candidate_actions` would.
+  `_ScoredTable` scores the whole table up front, ROW_CHUNK row ids at a
+  time, and caches decisions by (focal trip, selected co-riders, candidate
+  ids), which fixes their row ids: a decision gathers its rows' logits and
+  its value row's value and forms its probabilities and sampling cdf on
+  first sight; met again it costs one draw and a bisect.  The greedy
+  decode starts both caches empty, so it routes exactly the groups a
+  per-visit `candidate_actions` would.
 
 The update is batched and scores each distinct row once per epoch: the
 recorded steps carry row ids into the table and are grouped by decision key,
@@ -78,8 +75,7 @@ class MatchState:
     """State triple for one focal trip: context vector, graph, selected set.
 
     `unavailable` carries trips already grouped earlier in the global pass;
-    `features` maps every user to their context vector so candidates can be
-    scored.
+    `features` maps every user to their context vector.
     """
 
     focal: int
@@ -121,6 +117,12 @@ class PPOConfig:
     def __post_init__(self):
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError(f"clip_epsilon must lie in (0, 1), got {self.clip_epsilon}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.epochs_per_update < 1:
+            raise ValueError(f"epochs_per_update must be >= 1, got {self.epochs_per_update}")
+        if self.rollouts_per_update < 1:
+            raise ValueError(f"rollouts_per_update must be >= 1, got {self.rollouts_per_update}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
 
@@ -224,17 +226,11 @@ class RowTable:
     equal scores (and `match_all`'s tie to the lowest trip id holds); row
     ids run depth by depth, in order of first appearance within a depth.
 
-    No row is stored: a row is gathered (`inputs`) from a context matrix (a
-    row per trip, then a zero row that stands in for the value row's
-    candidate) by its two context indices, and its weight and depth; the
-    depths' rows differ only in the fill column.  So a row's pre-activation
-    is a sum of one term per part: each context times its block of
-    `w_hidden` (`_ScoredTable` projects the context matrix once per
-    parameter set), and the weight and the fill, each a rank-1 term, times
-    its row of `w_hidden`.  A column that depends on more of the state than
-    (focal trip, candidate, depth) cannot live here; it would enter the same
-    way, a decision adding its column times that column's row of `w_hidden`
-    to its rows' pre-activations before the tanh.
+    No row is stored: `inputs` gathers a row from a context matrix (a row
+    per trip, then a zero row that stands in for the value row's candidate)
+    by its two context indices, and its weight and depth.  A column that
+    depends on more of the state than (focal trip, candidate, depth) cannot
+    live here; a decision would add it to its gathered rows before `_score`.
     """
 
     def __init__(self, graph: ShareabilityGraph, features, capacity):
@@ -243,11 +239,7 @@ class RowTable:
         contexts = np.zeros((n + 1, width))
         contexts[:n] = [features[trip.user_id] for trip in graph.trips.values()]
         pairs = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * len(graph.edges))
-        if n and trip_ids[-1] - trip_ids[0] == n - 1:
-            pairs -= trip_ids[0]  # consecutive ids: a trip's position is its id minus the first
-        else:
-            pairs = np.searchsorted(trip_ids, pairs)
-        pairs = pairs.reshape(-1, 2)
+        pairs = np.searchsorted(trip_ids, pairs).reshape(-1, 2)
         # the edges' weights, then the value rows' zero
         weights = np.zeros(len(graph.edges) + 1)
         weights[:-1] = [edge.weight for edge in graph.edges.values()]
@@ -321,18 +313,12 @@ def _score(params: PolicyParams, rows: np.ndarray):
     logits, `params.stop_logit` in its value row's place, and its value
     row's value.
     """
-    pre = rows @ params.w_hidden
-    pre += params.b_hidden
-    return _activate(params, pre)
-
-
-def _activate(params: PolicyParams, pre: np.ndarray):
-    """`_score` from the rows' pre-activation, rows @ w_hidden + b_hidden,
-    on; the hidden layer is written over `pre`."""
-    np.tanh(pre, out=pre)
-    logits = pre @ params.w_logit + float(params.b_logit)
-    values = pre @ params.w_value + float(params.b_value)
-    return pre, logits, values
+    hidden = rows @ params.w_hidden
+    hidden += params.b_hidden
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ params.w_logit + float(params.b_logit)
+    values = hidden @ params.w_value + float(params.b_value)
+    return hidden, logits, values
 
 
 def step(state: MatchState, action, spec: RewardSpec):
@@ -478,40 +464,30 @@ class _Decision(NamedTuple):
 
 
 class _ScoredTable:
-    """A row table under one set of parameters: each row's logit and value,
-    scored ROW_CHUNK row ids at a time when a decision first needs a row of
-    the chunk, and the decisions met so far, keyed by (focal trip, selected
-    co-riders, candidate ids).  A chunk's pre-activations are summed from
-    the parts of its rows (see `RowTable`), not multiplied out of gathered
-    rows."""
+    """A row table under one set of parameters: every row's logit and value,
+    scored on construction by `_score`, ROW_CHUNK row ids at a time, and
+    the decisions met so far, keyed by (focal trip, selected co-riders,
+    candidate ids)."""
 
-    __slots__ = ("table", "params", "logits", "values", "scored", "decisions", "_focal_part", "_other_part")
+    __slots__ = ("table", "params", "logits", "values", "decisions")
 
     def __init__(self, table: RowTable, params: PolicyParams):
         self.table = table
         self.params = params
         self.logits = np.empty(len(table))
         self.values = np.empty(len(table))
-        self.scored = np.zeros(-(-len(table) // ROW_CHUNK), dtype=bool)
+        for chunk in np.split(np.arange(len(table)), range(ROW_CHUNK, len(table), ROW_CHUNK)):
+            _, self.logits[chunk], self.values[chunk] = _score(params, table.inputs(chunk))
         self.decisions = {}
-        # each context's term in a row's pre-activation, as the focal trip's
-        # and as the candidate's
-        width, w_hidden = table.contexts.shape[1], params.w_hidden
-        self._focal_part = table.contexts @ w_hidden[:width]
-        self._other_part = table.contexts @ w_hidden[width : 2 * width]
 
     def decision(self, key) -> _Decision:
-        """The decision `key`, scored on first sight.  Its softmax and cdf
+        """The decision `key`, formed on first sight.  Its softmax and cdf
         run on Python floats: a decision has few candidates, and numpy's
         cost per call would dominate."""
         entry = self.decisions.get(key)
         if entry is None:
             focal, selected, candidates = key
             row_ids = self.table.decision_rows(focal, len(selected), candidates)
-            chunks = row_ids // ROW_CHUNK
-            if not self.scored[chunks].all():
-                for chunk in set(chunks[~self.scored[chunks]].tolist()):
-                    self._score_chunk(chunk)
             row_ids.flags.writeable = False
             logits = self.logits[row_ids].tolist()
             logits[-1] = float(self.params.stop_logit)
@@ -523,18 +499,6 @@ class _ScoredTable:
             value = float(self.values[row_ids[-1]])
             entry = self.decisions[key] = _Decision(key, row_ids, log_probs, value, _cdf([e / total for e in exps]))
         return entry
-
-    def _score_chunk(self, chunk):
-        table, w_hidden = self.table, self.params.w_hidden
-        span = slice(chunk * ROW_CHUNK, min((chunk + 1) * ROW_CHUNK, len(table)))
-        depth, row = np.divmod(np.arange(span.start, span.stop), table.per_depth)
-        pre = self._focal_part[table.focal_context[row]]
-        pre += self._other_part[table.other_context[row]]
-        pre += table.weight[row, None] * w_hidden[-2]
-        pre += (depth / MAX_CAPACITY)[:, None] * w_hidden[-1]
-        pre += self.params.b_hidden
-        _, self.logits[span], self.values[span] = _activate(self.params, pre)
-        self.scored[chunk] = True
 
 
 def _cdf(probs) -> list:

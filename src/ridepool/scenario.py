@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embedding import EmbeddingConfig
-from .geo import GeoPoint, METERS_PER_DEGREE, build_grid_network
+from .geo import GeoPoint, build_grid_network, grid_steps
 from .metrics import CostFactors
 from .policy import PPOConfig
 from .shareability import Objective, PairingConstraints, TripRequest
@@ -80,6 +80,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"network.spacing_m must be positive, got {net.spacing_m}")
     if net.speed_mps <= 0.0:
         raise ConfigError(f"network.speed_mps must be positive, got {net.speed_mps}")
+    dlat, dlon = grid_steps(net.spacing_m, net.anchor_lat)
+    if not -90.0 <= net.anchor_lat <= net.anchor_lat + (net.rows - 1) * dlat <= 90.0:
+        raise ConfigError(f"network.anchor_lat = {net.anchor_lat}: the grid's {net.rows} rows leave [-90, 90]")
+    if not -180.0 <= net.anchor_lon <= net.anchor_lon + (net.cols - 1) * dlon <= 180.0:
+        raise ConfigError(f"network.anchor_lon = {net.anchor_lon}: the grid's {net.cols} columns leave [-180, 180]")
     if dem.n_trips < 0:
         raise ConfigError(f"demand.n_trips must be >= 0, got {dem.n_trips}")
     if dem.n_trips > 0 and dem.n_users < 1:
@@ -140,8 +145,7 @@ def draw_demand(cfg: ScenarioConfig):
         return net, []
     node_ids = np.array(sorted(net.nodes))
     hotspot_ids = rng.choice(node_ids, size=dem.hotspots, replace=False)
-    lat_per_m = 1.0 / METERS_PER_DEGREE
-    lon_per_m = 1.0 / (METERS_PER_DEGREE * math.cos(math.radians(anchor.lat)))
+    lat_per_m, lon_per_m = grid_steps(1.0, anchor.lat)
 
     def draw_point():
         hotspot = net.nodes[int(hotspot_ids[int(rng.integers(dem.hotspots))])]

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .baselines import MatchingSolution, solution_for
-from .geo import read_records
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,3 @@ def write_sweep(cells, path):
         for cell in cells:
             for name, (mean, std) in cell.stats.items():
                 fh.write(f"S {cell.objective.value} {format_s(cell.s)} {name} {mean:.9g} {std:.9g}\n")
-
-
-def read_sweep(path) -> list:
-    return read_records(path, "sweep", {"S": 6}, lambda f: (f[1], float(f[2]), f[3], float(f[4]), float(f[5])))

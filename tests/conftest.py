@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridepool.geo import Route, build_grid_network
+from ridepool.geo import Route, build_grid_network, read_records
 from ridepool.shareability import (
     Objective,
     ShareabilityEdge,
@@ -120,3 +120,8 @@ def features_for(trips, dim=4, layers=2, seed=0, cell=0.01):
 
     grid = grid_covering([p for t in trips for p in (t.origin_point, t.dest_point)], cell)
     return compute_user_features(trips, grid, EmbeddingConfig(dim=dim, layers=layers, init_seed=seed))
+
+
+def read_sweep(path) -> list:
+    """The rows of a `write_sweep` file: (objective, s, metric, mean, stddev)."""
+    return read_records(path, "sweep", {"S": 6}, lambda f: (f[1], float(f[2]), f[3], float(f[4]), float(f[5])))

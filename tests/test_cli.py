@@ -30,7 +30,8 @@ from ridepool.scenario import (
     with_overrides,
 )
 from ridepool.shareability import Objective, read_graph, read_trips
-from ridepool.tolerance import read_sweep
+
+from conftest import read_sweep
 
 SMALL_CONFIG = """
 [network]
@@ -192,6 +193,41 @@ class TestConfigParsing:
         assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {section}.{key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[ppo]\nrollouts_per_update = 0\n", "ppo: rollouts_per_update"),
+            ("[ppo]\nrollouts_per_update = -3\n", "ppo: rollouts_per_update"),
+            ("[ppo]\nepochs_per_update = 0\n", "ppo: epochs_per_update"),
+            ("[ppo]\nepochs_per_update = -1\n", "ppo: epochs_per_update"),
+            ("[ppo]\nlearning_rate = 0\n", "ppo: learning_rate"),
+            ("[ppo]\nlearning_rate = -1\n", "ppo: learning_rate"),
+            ("[network]\nanchor_lat = 95\n", "network.anchor_lat"),
+            ("[network]\nanchor_lat = -90.5\n", "network.anchor_lat"),
+            ("[network]\nanchor_lat = 89.99\nrows = 40\n", "network.anchor_lat"),
+            ("[network]\nanchor_lon = -181\n", "network.anchor_lon"),
+            ("[network]\nanchor_lon = 179.99\n", "network.anchor_lon"),
+            ("[network]\nanchor_lat = 89.99\nrows = 1\n", "network.anchor_lon"),  # columns widen near the pole
+        ],
+    )
+    def test_out_of_range_value_names_field(self, text, field, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[demand]\nn_trips = 12\nn_users = 6\n" + text)
+        assert run_cli(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[network]\nanchor_lon = 179.95\n",  # 9 steps of 500 m east end just inside 180
+            "[network]\nanchor_lat = -90\nanchor_lon = 180\ncols = 1\n",
+            "[network]\nanchor_lat = 89.95\ncols = 1\n",
+        ],
+    )
+    def test_grid_inside_the_range_is_accepted(self, text):
+        assert load_config(text=text).network.rows == 10
 
     def test_inf_means_no_limit(self):
         cfg = load_config(text="[constraints]\nradius_m = inf\nmax_departure_gap_s = inf\n[tolerance]\ntau0_s = inf\n")

@@ -564,7 +564,7 @@ def relabelled(graph, label):
 
 class TestRowTable:
     """One row id per distinct (focal trip, candidate, depth) input; rows
-    gathered on demand and scored chunk by chunk from their parts."""
+    gathered on demand and scored once per parameter set."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -606,21 +606,16 @@ class TestRowTable:
         assert reached == set(range(len(table)))
         assert len({row.tobytes() for row in table.inputs(np.arange(len(table)))}) == len(table)
 
-    def test_lazy_chunks_score_as_the_whole_table(self):
-        graph, features, spec, params = setup_150()
+    def test_scored_table_is_the_whole_table_scored_at_once(self):
+        graph, features, _, params = setup_150()
+        params = params.copy()  # setup_150 is shared
+        params.b_hidden[:] = np.random.default_rng(7).normal(0.0, 0.5, size=len(params.b_hidden))
         table = RowTable(graph, features, 4)
-        assert len(table) > 3 * ROW_CHUNK
+        assert len(table) > 3 * ROW_CHUNK and len(table) % ROW_CHUNK  # a last, partial chunk
         _, whole_logits, whole_values = _score(params, table.inputs(np.arange(len(table))))
         scored = _ScoredTable(table, params)
-        focal = max(graph.trips, key=lambda t: len(graph.neighbors(t)))
-        entry = scored.decision((focal, (), graph.neighbors(focal)))
-        assert set(np.flatnonzero(scored.scored)) == set((entry.row_ids // ROW_CHUNK).tolist())
-        rollout(graph, features, params, spec, 4, seed=1, scored=scored)
-        assert 1 < scored.scored.sum() < len(scored.scored)  # chunks no decision asked for stay unscored
-        for chunk in np.flatnonzero(scored.scored):
-            rows = slice(chunk * ROW_CHUNK, (chunk + 1) * ROW_CHUNK)
-            np.testing.assert_allclose(scored.logits[rows], whole_logits[rows], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(scored.values[rows], whole_values[rows], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(scored.logits, whole_logits, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(scored.values, whole_values, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n_tied", (3, 6))
     def test_identical_rows_tie_to_the_lowest_trip_id(self, n_tied):
@@ -1012,6 +1007,14 @@ class TestPPOUpdate:
             PPOConfig(gamma=0.0)
         with pytest.raises(ValueError):
             PPOConfig(gamma=1.5)
+        for name, bad in (
+            ("learning_rate", 0.0),
+            ("learning_rate", math.nan),
+            ("epochs_per_update", 0),
+            ("rollouts_per_update", 0),
+        ):
+            with pytest.raises(ValueError, match=name):
+                PPOConfig(**{name: bad})
 
     def test_gradient_matches_finite_differences(self):
         worst = max(gradient_check(seed) for seed in (0, 1, 2))

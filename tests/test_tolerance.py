@@ -13,14 +13,13 @@ from ridepool.tolerance import (
     SweepCell,
     ToleranceProfile,
     filter_with_draws,
-    read_sweep,
     rejection_cost,
     sensitivity_sweep,
     tolerance,
     write_sweep,
 )
 
-from conftest import scenario_instance
+from conftest import read_sweep, scenario_instance
 
 
 class TestToleranceFunction:
