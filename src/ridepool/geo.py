@@ -4,15 +4,16 @@ All distances downstream (solo routes, shared routes, savings weights) come
 from this module.  Networks are immutable after construction.  Nodes are
 indexed in ascending id order, and one adjacency list by node index serves
 every query.  Each origin keeps one resumable Dijkstra over that list (its
-distance and time per node index, its heap and a settled mark): a query
-continues it only until the asked node is settled, so a node settled once is a
-lookup for every later query from the same origin on the same network object,
-and no tree is grown further than some query needed.
+distance and time per node index as unboxed doubles, its heap and a settled
+mark): a query continues it only until the asked node is settled, so a node
+settled once is a lookup for every later query from the same origin on the
+same network object, and no tree is grown further than some query needed.
 """
 
 import heapq
 import math
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,15 +138,17 @@ class RoadNetwork:
         return best_id
 
     def _new_tree(self, origin):
-        """A fresh shortest-path tree from `origin`: distance and time lists by
-        node index (inf where not reached yet), the (distance, index) heap and
-        a settled mark per node index; nothing is settled yet."""
+        """A fresh shortest-path tree from `origin`: distance and time by node
+        index (inf where not reached yet), each an `array('d')` so that a tree
+        costs 8 bytes per node for each rather than a boxed float and a list
+        slot; the (distance, index) heap; and a settled mark per node index.
+        Nothing is settled yet."""
         source = self._index.get(origin)
         if source is None:
             raise KeyError(f"unknown node {origin}")
         n = len(self._adjacency)
-        dist = [math.inf] * n
-        time = [math.inf] * n
+        dist = array("d", [math.inf]) * n
+        time = array("d", [math.inf]) * n
         dist[source] = time[source] = 0.0
         tree = (dist, time, [(0.0, source)], bytearray(n))
         self._sssp[origin] = tree

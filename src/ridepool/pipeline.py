@@ -10,8 +10,10 @@ One `run_pipeline` call parses each input artifact at most once: its
 and `policy.txt` the first time a stage asks and hands the same objects to
 every later stage, so one `RoadNetwork` (and its shortest-path cache) serves
 the whole call and each origin's tree is grown once, only as far as asked.
-A call that trains parses no checkpoint: `stage_train` hands `match` its
-parameters, the very floats that `policy.txt` reads back to.
+A call that builds the graph parses no `graph.txt`, and a call that trains
+parses no checkpoint: `stage_graph` hands later stages the graph that
+`graph.txt` reads back to, and `stage_train` hands `match` its parameters, the
+very floats that `policy.txt` reads back to.
 `gen` snaps the drawn demand but routes nothing: `trips.txt` holds no route.
 Every artifact is written by one stage that precedes all of its readers in
 `STAGES`, so a parse is never stale.  Separate stage calls (`ridepool graph`,
@@ -136,8 +138,10 @@ class RunArtifacts:
     """The parsed input artifacts of one `run_pipeline` call.
 
     Each is parsed from `out_dir` the first time a stage asks for it and kept
-    for the rest of the call; nothing outlives the call.  Stages share the
-    parsed objects, so they read them and never modify them.
+    for the rest of the call; nothing outlives the call.  A stage that writes
+    `graph.txt` or `policy.txt` sets `graph` or `policy` to what that file
+    reads back to, so neither is parsed in a call that wrote it.  Stages share
+    these objects, so they read them and never modify them.
     """
 
     def __init__(self, cfg: ScenarioConfig, out_dir):
@@ -186,7 +190,7 @@ def stage_gen(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
 
 def stage_graph(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
     graph = build_shareability_graph(artifacts.net, artifacts.trips, cfg.objective, cfg.constraints)
-    write_graph(graph, os.path.join(out_dir, GRAPH_FILE))
+    artifacts.graph = write_graph(graph, os.path.join(out_dir, GRAPH_FILE))  # what `read_graph` would rebuild
 
 
 def stage_embed(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):

@@ -49,7 +49,7 @@ This is the per-step objective and gradient summed in a different order.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -338,7 +338,16 @@ def step(state: MatchState, action, spec: RewardSpec):
             _group_rejection_cost(state.graph, next_group, spec.profile)
             - _group_rejection_cost(state.graph, prev_group, spec.profile)
         )
-    return replace(state, selected=state.selected + (action,)), reward, False
+    grown = MatchState(
+        state.focal,
+        state.context,
+        state.graph,
+        state.selected + (action,),
+        state.unavailable,
+        state.features,
+        state.capacity,
+    )
+    return grown, reward, False
 
 
 def _group_rejection_cost(graph, group, profile) -> float:

@@ -85,12 +85,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"network.anchor_lat = {net.anchor_lat}: the grid's {net.rows} rows leave [-90, 90]")
     if not -180.0 <= net.anchor_lon <= net.anchor_lon + (net.cols - 1) * dlon <= 180.0:
         raise ConfigError(f"network.anchor_lon = {net.anchor_lon}: the grid's {net.cols} columns leave [-180, 180]")
-    if dem.n_trips < 0:
-        raise ConfigError(f"demand.n_trips must be >= 0, got {dem.n_trips}")
-    if dem.n_trips > 0 and dem.n_users < 1:
+    if dem.n_trips < 1:
+        raise ConfigError(f"demand.n_trips must be >= 1, got {dem.n_trips}")
+    if dem.n_users < 1:
         raise ConfigError(f"demand.n_users must be >= 1, got {dem.n_users}")
-    if dem.n_trips > 0 and net.rows * net.cols < 2:
-        raise ConfigError("demand.n_trips > 0 needs a network with at least 2 nodes")
+    if net.rows * net.cols < 2:
+        raise ConfigError(f"network.rows x cols must give the trips 2 nodes or more, got {net.rows}x{net.cols}")
     if not 1 <= dem.hotspots <= net.rows * net.cols:
         raise ConfigError(f"demand.hotspots must lie in [1, {net.rows * net.cols}], got {dem.hotspots}")
     if dem.hotspot_spread_m < 0.0:
@@ -141,8 +141,6 @@ def draw_demand(cfg: ScenarioConfig):
     net = build_grid_network(net_cfg.rows, net_cfg.cols, net_cfg.spacing_m, net_cfg.speed_mps, anchor)
     dem = cfg.demand
     rng = np.random.default_rng(cfg.seed)
-    if dem.n_trips == 0:
-        return net, []
     node_ids = np.array(sorted(net.nodes))
     hotspot_ids = rng.choice(node_ids, size=dem.hotspots, replace=False)
     lat_per_m, lon_per_m = grid_steps(1.0, anchor.lat)

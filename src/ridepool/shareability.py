@@ -481,13 +481,22 @@ def read_trips(path, net: RoadNetwork):
     return read_records(path, "trip", {"T": 8}, parse)
 
 
-def write_graph(graph: ShareabilityGraph, path):
-    """`G <trip_a> <trip_b> <weight> <shared_distance_m> <shared_time_s>`."""
+def write_graph(graph: ShareabilityGraph, path) -> ShareabilityGraph:
+    """`G <trip_a> <trip_b> <weight> <shared_distance_m> <shared_time_s>`,
+    one record per edge in (trip_a, trip_b) order.
+
+    Returns the graph that `read_graph` rebuilds from the file: the same
+    trips and network, the edges in file order, each weight the float its
+    `%.6f` text reads back to, and each route the one `graph` holds (the
+    route `read_graph` derives again).
+    """
+    edges = []
     with open(path, "w") as fh:
         for (a, b), e in sorted(graph.edges.items()):
-            fh.write(
-                f"G {a} {b} {e.weight:.6f} {e.shared.total_distance:.6f} {e.shared.total_time:.6f}\n"
-            )
+            weight = f"{e.weight:.6f}"
+            fh.write(f"G {a} {b} {weight} {e.shared.total_distance:.6f} {e.shared.total_time:.6f}\n")
+            edges.append(ShareabilityEdge(a, b, float(weight), e.shared))
+    return ShareabilityGraph(graph.net, graph.trips.values(), edges, graph.objective)
 
 
 def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> ShareabilityGraph:

@@ -70,11 +70,13 @@ def small_cfg():
 
 
 class TestScenarioGeneration:
-    def test_zero_trips(self):
-        cfg = ScenarioConfig(demand=DemandConfig(n_trips=0))
-        net, trips = generate_scenario(cfg)
-        assert trips == []
-        assert len(net.nodes) == 100
+    def test_config_with_zero_trips_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "zero.ini"
+        cfg_path.write_text("[demand]\nn_trips = 0\n")
+        out = tmp_path / "run"
+        assert run_cli(["all", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "config error: demand.n_trips must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_identical(self, small_cfg):
         _, t1 = generate_scenario(small_cfg)
@@ -646,9 +648,23 @@ class TestRunArtifacts:
         counted(embedding, "read_features")
         dijkstra_runs = count_dijkstra_runs(monkeypatch)
         pipeline.run_pipeline(small_cfg, str(tmp_path / "run"), pipeline.STAGES)
-        assert calls == {"read_network": 1, "read_trips": 1, "read_graph": 1, "read_features": 1}
+        # `graph` hands later stages the graph that graph.txt reads back to
+        assert calls == {"read_network": 1, "read_trips": 1, "read_features": 1}
         # every network of the run, the sweep's in-memory ones included
         assert dijkstra_runs and max(dijkstra_runs.values()) == 1
+
+    def test_a_run_that_starts_at_train_parses_the_graph_once(self, small_cfg, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        pipeline.run_pipeline(small_cfg, out, ("gen", "graph", "embed"))
+        reads, read_graph = [], pipeline.read_graph
+
+        def counted(path, *args):
+            reads.append(str(path))
+            return read_graph(path, *args)
+
+        monkeypatch.setattr(pipeline, "read_graph", counted)
+        pipeline.run_pipeline(small_cfg, out, ("train", "match", "evaluate"))
+        assert reads == [os.path.join(out, pipeline.GRAPH_FILE)]
 
     def test_train_hands_its_parameters_to_match(self, small_cfg, tmp_path, monkeypatch):
         reads = count_policy_reads(monkeypatch)

@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,24 @@ class TestPartialTrees:
         assert net.distance_time(0, 5) == (5000.0, 500.0)
         assert net.distance_time(0, 1) == (1000.0, 100.0)
         assert [i for i, done in enumerate(settled) if done] == [0, 1, 2, 3, 4, 5]
+
+
+    def test_trees_hold_unboxed_floats(self):
+        # boxed lists cost about 64 B per (origin, node): a list slot and a
+        # float object each for distance and time
+        net = build_grid_network(20, 20, 500.0, 10.0)
+        nodes = list(net.nodes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            answers = [net.distance_time(origin, dest) for origin in nodes for dest in nodes]
+            del answers
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 24 * len(nodes) ** 2
+        distance, time = net.distance_time(0, 399)
+        assert type(distance) is float and type(time) is float
 
 
 class TestNetworkIO:

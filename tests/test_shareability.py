@@ -847,6 +847,27 @@ class TestTripAndGraphIO:
             assert loaded.edges[key].weight == pytest.approx(edge.weight, abs=1e-6)
             assert loaded.edges[key].shared.total_distance == edge.shared.total_distance
 
+    @pytest.mark.parametrize("capacity", [2, 3])
+    @pytest.mark.parametrize("objective", list(Objective), ids=[o.value for o in Objective])
+    def test_write_graph_returns_the_graph_its_file_reads_back_to(self, objective, capacity, tmp_path):
+        net, trips, graph = scenario_instance(seed=5, n_trips=20, departure_span=600.0, objective=objective)
+        path = tmp_path / "graph.txt"
+        handed = write_graph(graph, path)
+        loaded = read_graph(path, net, trips, objective)
+        assert handed.net is loaded.net and handed.objective is loaded.objective
+        assert handed.trips == loaded.trips
+        assert len(handed.edges) > 10
+        assert list(handed.edges) == list(loaded.edges)  # file order, the order `RowTable` numbers rows in
+        for key, edge in handed.edges.items():
+            assert edge.weight.hex() == loaded.edges[key].weight.hex()
+            assert edge.shared == loaded.edges[key].shared
+        for tid in handed.trips:
+            assert handed.neighbors(tid) == loaded.neighbors(tid)
+            groups = [(tid, *others) for others in itertools.combinations(handed.neighbors(tid), capacity - 1)]
+            for group in groups[:5]:
+                assert handed.group_value(group).hex() == loaded.group_value(group).hex()
+                assert handed.group_route(group) == loaded.group_route(group)
+
     def test_graph_with_reversed_pairs_reads_the_same_routes(self, tmp_path):
         net, trips, graph = scenario_instance(seed=5, n_trips=20)
         path = tmp_path / "graph.txt"
