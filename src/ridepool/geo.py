@@ -1,9 +1,12 @@
 """Synthetic road networks, coordinate snapping, and shortest-path routing.
 
 All distances downstream (solo routes, shared routes, savings weights) come
-from this module.  Networks are immutable after construction.  Nodes are
-indexed in ascending id order, and one adjacency list by node index serves
-every query.  Each origin keeps one resumable Dijkstra over that list (its
+from this module.  Proximity is the scalar haversine `great_circle_distance`;
+snapping and the pair gate decide it in bulk by dot products of
+`unit_vector`s, and ask the haversine only where a dot lies within
+`DOT_MARGIN` of deciding.  Networks are immutable after construction.  Nodes
+are indexed in ascending id order, and one adjacency list by node index
+serves every query.  Each origin keeps one resumable Dijkstra over that list (its
 distance and time per node index as unboxed doubles, its heap and a settled
 mark): a query continues it only until the asked node is settled, so a node
 settled once is a lookup for every later query from the same origin on the
@@ -56,25 +59,25 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-def great_circle_distances(lat_a, lon_a, cos_lat_a, lat_b, lon_b, cos_lat_b):
-    """`great_circle_distance` over broadcast numpy arrays of degrees, given
-    the cosines of both latitudes.
+# twice the bound `unit_vector` states between a rounded dot and the haversine
+DOT_MARGIN = 1e-12
 
-    numpy's sin, cos and arcsin may round differently from `math`'s, so the
-    result only shortlists: a pair whose scalar distance is at most x has a
-    distance here at most `with_slack(x)`, which callers then confirm with
-    `great_circle_distance`.
+
+def unit_vector(p: GeoPoint) -> tuple:
+    """`p` on the unit sphere as (x, y, z).
+
+    The dot u · v of two of these is cos θ for the central angle θ, which
+    falls as the haversine rises.  Rounded, u · v lies within DOT_MARGIN / 2
+    of cos(d / R) on either side, for d their `great_circle_distance` and
+    R = EARTH_RADIUS_M: the two differ by about 1e-15 at most, some 400
+    times less.  So a node whose dot is more than DOT_MARGIN below another's
+    is strictly farther by `great_circle_distance`, and a dot of at least
+    cos(r / R) + DOT_MARGIN (below cos(r / R) - DOT_MARGIN) puts d within
+    (beyond) a radius r < pi R.
     """
-    dphi = np.radians(lat_b - lat_a)
-    dlam = np.radians(lon_b - lon_a)
-    h = np.sin(dphi / 2.0) ** 2 + cos_lat_a * cos_lat_b * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-def with_slack(x):
-    """`x` widened by a relative 1e-9 plus 1e-6 m, far more than the rounding
-    differences between `great_circle_distances` and `great_circle_distance`."""
-    return x * (1.0 + 1e-9) + 1e-6
+    phi, lam = math.radians(p.lat), math.radians(p.lon)
+    cos_phi = math.cos(phi)
+    return (cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi))
 
 
 def _check_edge_cost(u, v, length, time):
@@ -112,25 +115,25 @@ class RoadNetwork:
         # edges are relaxed shortest first and, at equal length, fastest first
         self._adjacency = [tuple(sorted(near)) for near in adjacency]
         self._sssp = {}
-        self._node_lat = np.array([q.lat for q in self.nodes.values()], dtype=float)
-        self._node_lon = np.array([q.lon for q in self.nodes.values()], dtype=float)
-        self._node_cos_lat = np.cos(np.radians(self._node_lat))
+        self._vectors = np.array([unit_vector(q) for q in self.nodes.values()])
 
     def snap_to_node(self, p: GeoPoint) -> int:
         """Nearest node by great-circle distance; ties go to the lowest id.
 
-        `great_circle_distances` to all nodes shortlists those within
-        `with_slack` of its minimum; the shortlist is then re-ranked with
-        `great_circle_distance` in ascending id order, so the answer is
-        exactly that of a scalar scan over every node.
+        One product of the node and point `unit_vector`s shortlists the nodes
+        whose dot is within DOT_MARGIN of the largest, which holds every node
+        nearest by `great_circle_distance`.  A lone survivor is the answer;
+        several are re-ranked with `great_circle_distance` in ascending id
+        order, so the answer is exactly that of a scalar scan over every node.
         """
         if not self.nodes:
             raise ValueError("cannot snap onto an empty network")
-        d = great_circle_distances(
-            p.lat, p.lon, math.cos(math.radians(p.lat)), self._node_lat, self._node_lon, self._node_cos_lat
-        )
+        dots = self._vectors @ unit_vector(p)
+        near = np.flatnonzero(dots >= dots.max() - DOT_MARGIN)  # ascending id order
+        if len(near) == 1:
+            return self._node_ids[near[0]]
         best_id, best_d = None, math.inf
-        for i in np.flatnonzero(d <= with_slack(d.min())):  # ascending id order
+        for i in near:
             nid = self._node_ids[i]
             exact = great_circle_distance(p, self.nodes[nid])
             if exact < best_d:
@@ -279,13 +282,17 @@ def read_records(path, kind, widths, parse, lines=None) -> list:
 
 
 def read_network(path) -> RoadNetwork:
-    """The network written by `write_network`.  An `E` record must follow the
-    `N` records of both its nodes; a bad edge is reported at its line."""
+    """The network written by `write_network`.  A node id may have one `N`
+    record, and an `E` record must follow the `N` records of both its nodes; a
+    bad node or edge is reported at its line."""
     nodes, edges = {}, []
 
     def parse(fields):
         if fields[0] == "N":
-            nodes[int(fields[1])] = GeoPoint(float(fields[2]), float(fields[3]))
+            nid = int(fields[1])
+            if nid in nodes:
+                raise ValueError(f"a second record for node {nid}")
+            nodes[nid] = GeoPoint(float(fields[2]), float(fields[3]))
         else:
             u, v, length, time = int(fields[1]), int(fields[2]), float(fields[3]), float(fields[4])
             for node in (u, v):

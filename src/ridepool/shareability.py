@@ -2,8 +2,10 @@
 
 Trips are nodes.  Two trips are joined when they pass the social proximity
 gate (origins and destinations each within a radius of one another) and the
-departure-gap gate, and pooling them actually saves something.  Edge weights
-depend on the build objective:
+departure-gap gate, and pooling them actually saves something.  The gate
+compares the dot products of endpoint unit vectors with the cosine of the
+radius in bulk; only pairs within ``geo.DOT_MARGIN`` of it are confirmed with
+the scalar haversine.  Edge weights depend on the build objective:
 
 * ``vehicle``  - every kept edge weighs 2 (one pooled ride covers two trips);
 * ``distance`` - meters saved: solo_a + solo_b - shared;
@@ -30,14 +32,15 @@ from enum import Enum
 import numpy as np
 
 from .geo import (
+    DOT_MARGIN,
+    EARTH_RADIUS_M,
     GeoPoint,
     NoRouteError,
     RoadNetwork,
     Route,
     great_circle_distance,
-    great_circle_distances,
     read_records,
-    with_slack,
+    unit_vector,
 )
 
 log = logging.getLogger(__name__)
@@ -153,13 +156,17 @@ def _gated_pairs(trips, constraints: PairingConstraints):
     """The pairs of `trips` (sorted by id) that pass `social_feasible` and
     `temporal_feasible`, in ``itertools.combinations`` order.
 
-    Pairs are shortlisted in bulk and each survivor is confirmed with the two
-    scalar predicates.  In departure order, a binary search ends each trip's
-    window at the last later departure within the gap plus a relative 1e-9
-    and 1e-6 s of slack for rounding, so only the pairs in some window are
-    ever held.  Of those, the pairs whose `great_circle_distances` between
-    origins and between destinations are both within `with_slack` of the
-    radius survive.
+    In departure order, a binary search ends each trip's window at the last
+    later departure within the gap plus a relative 1e-9 and 1e-6 s of slack
+    for rounding, so only the pairs in some window are ever held; the gap
+    itself is then checked in bulk, with the float operations of
+    `temporal_feasible`.  The radius r is judged by the dots of the
+    endpoints' `unit_vector`s against c = cos(r / R), with r / R capped at pi
+    (so c is -1 for r >= pi R, `inf` included): a pair whose origin and
+    destination dots both reach c + DOT_MARGIN is within the radius, and a
+    pair with a dot below c - DOT_MARGIN is not (the `unit_vector` bound; c
+    itself is rounded by a few 1e-16).  Only the pairs in the band between
+    are confirmed with `social_feasible`.
     """
     radius, gap = constraints.radius_m, constraints.max_departure_gap_s
     by_departure = sorted(range(len(trips)), key=lambda k: trips[k].desired_departure)
@@ -173,18 +180,22 @@ def _gated_pairs(trips, constraints: PairingConstraints):
     by_departure = np.array(by_departure, dtype=np.intp)
     u = by_departure[np.repeat(starts - 1, counts)]
     v = by_departure[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)]
-    near = np.ones(len(u), dtype=bool)
+    departures = np.array([t.desired_departure for t in trips])
+    kept = np.abs(departures[u] - departures[v]) <= gap
+    inside = kept.copy()
+    cos_radius = math.cos(min(radius / EARTH_RADIUS_M, math.pi))
     for end in ("origin_point", "dest_point"):
-        lat = np.array([getattr(t, end).lat for t in trips])
-        lon = np.array([getattr(t, end).lon for t in trips])
-        cos_lat = np.cos(np.radians(lat))
-        near &= great_circle_distances(lat[u], lon[u], cos_lat[u], lat[v], lon[v], cos_lat[v]) <= with_slack(radius)
-    pairs = []
-    for i, j in sorted((min(i, j), max(i, j)) for i, j in zip(u[near].tolist(), v[near].tolist())):
-        a, b = trips[i], trips[j]
-        if social_feasible(a, b, radius) and temporal_feasible(a, b, gap):
-            pairs.append((a, b))
-    return pairs
+        vectors = np.array([unit_vector(getattr(t, end)) for t in trips])
+        dots = np.einsum("ij,ij->i", vectors[u], vectors[v])
+        kept &= dots >= cos_radius - DOT_MARGIN
+        inside &= dots >= cos_radius + DOT_MARGIN
+    first, second = np.minimum(u, v)[kept], np.maximum(u, v)[kept]
+    order = np.lexsort((second, first))
+    return [
+        (trips[i], trips[j])
+        for i, j, sure in zip(first[order].tolist(), second[order].tolist(), inside[kept][order].tolist())
+        if sure or social_feasible(trips[i], trips[j], radius)
+    ]
 
 
 def _evaluate_order(trips, order, legs) -> SharedRoute:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridepool.geo import Route, build_grid_network, read_records
+from ridepool.geo import Route, build_grid_network, great_circle_distance, read_records
 from ridepool.shareability import (
     Objective,
     ShareabilityEdge,
@@ -34,6 +34,11 @@ def trip_on(net, trip_id, origin_node, dest_node, departure=0.0, user_id=None):
         net.nodes[dest_node],
         departure,
     )
+
+
+def snap_oracle(net, p):
+    """Scalar scan over every node: nearest by haversine, ties to the lowest id."""
+    return min(net.nodes, key=lambda nid: (great_circle_distance(p, net.nodes[nid]), nid))
 
 
 def stub_route(distance=1000.0, time=100.0):

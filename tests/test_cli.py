@@ -458,8 +458,16 @@ class TestMalformedArtifacts:
             (pipeline.GRAPH_FILE, lambda f: [f[0], f[2], f[1]] + f[3:], "match"),
             (pipeline.POLICY_FILE, lambda f: f, "match"),
             (pipeline.POLICY_FILE, lambda f: ["P", "foo", "0", "1.0"], "match"),
+            (pipeline.NETWORK_FILE, lambda f: f[:2] + ["5.0", "5.0"], "graph"),
         ],
-        ids=["repeated-trip", "repeated-edge", "repeated-edge-reversed", "repeated-array", "unknown-array"],
+        ids=[
+            "repeated-trip",
+            "repeated-edge",
+            "repeated-edge-reversed",
+            "repeated-array",
+            "unknown-array",
+            "repeated-node",
+        ],
     )
     def test_extra_record_exits_2_naming_file_and_line(self, name, extra, command, tmp_path, capsys):
         # `extra` turns the file's first record into the record appended at its end

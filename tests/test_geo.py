@@ -19,6 +19,7 @@ from ridepool.geo import (
     read_network,
     write_network,
 )
+from conftest import snap_oracle
 
 coords = st.builds(
     GeoPoint,
@@ -89,11 +90,6 @@ class TestGreatCircle:
             GeoPoint(91.0, 0.0)
         with pytest.raises(ValueError):
             GeoPoint(0.0, 181.0)
-
-
-def snap_oracle(net, p):
-    """Scalar scan over every node: nearest by haversine, ties to the lowest id."""
-    return min(net.nodes, key=lambda nid: (great_circle_distance(p, net.nodes[nid]), nid))
 
 
 # Off the equator so the cos(latitude) factor matters; 0.0045 deg ~ one 500 m step.
@@ -412,6 +408,13 @@ class TestNetworkIO:
         path = tmp_path / "net.txt"
         path.write_text("N 0 0.0 0.0\nE 0 1 100.0 10.0\nN 1 0.0 0.01\n")
         with pytest.raises(ValueError, match="net.txt:2: network record names an unknown id 1"):
+            read_network(path)
+
+    def test_second_node_record_names_the_line(self, tmp_path):
+        # the last record would otherwise move node 0 about 786 km while its edge stays 1 000 m long
+        path = tmp_path / "net.txt"
+        path.write_text("N 0 0.0 0.0\nN 1 0.0 0.01\nE 0 1 1000.0 100.0\nN 0 5.0 5.0\n")
+        with pytest.raises(ValueError, match="net.txt:4: bad network record: a second record for node 0$"):
             read_network(path)
 
     def test_bad_edges_rejected(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridepool import shareability
 from ridepool.geo import (
     GeoPoint,
     METERS_PER_DEGREE,
@@ -41,7 +42,7 @@ from ridepool.shareability import (
     write_trips,
 )
 from ridepool.scenario import generate_scenario, load_config
-from conftest import scenario_instance, trip_on
+from conftest import scenario_instance, snap_oracle, trip_on
 
 _SHARED_LINE_NET = build_grid_network(1, 4, 1000.0, 10.0)
 
@@ -341,6 +342,10 @@ def _gate_case(draw):
     return trips, PairingConstraints(radius, gap)
 
 
+# the largest value `great_circle_distance` returns: 2 R asin(1), between antipodes
+_HALF_GLOBE_M = great_circle_distance(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
+
+
 class TestBulkGate:
     @settings(max_examples=400, deadline=None)
     @given(_gate_case())
@@ -364,6 +369,35 @@ class TestBulkGate:
         assert [(x.trip_id, y.trip_id) for x, y in _gated_pairs([a, b], exact)] == [(4, 9)]
         assert _gated_pairs([a, b], PairingConstraints(exact.radius_m * (1.0 - 1e-12), 600.0)) == []
         assert _gated_pairs([a, b], PairingConstraints(exact.radius_m, 599.999)) == []
+
+    @pytest.mark.parametrize(
+        "radius",
+        [
+            math.inf,
+            2.0 * _HALF_GLOBE_M,
+            math.nextafter(_HALF_GLOBE_M, math.inf),
+            _HALF_GLOBE_M,
+            math.nextafter(_HALF_GLOBE_M, 0.0),
+        ],
+        ids=["inf", "whole-globe", "ulp-above-half-globe", "half-globe", "ulp-below-half-globe"],
+    )
+    def test_antipodal_endpoints_at_and_beyond_half_the_globe(self, radius):
+        # cos(r / R) wraps past r = pi R and raises at r = inf; near-antipodal
+        # dots lie within DOT_MARGIN of -1, so those pairs need the scalar check
+        offsets = (0.0, 1e-9, 1e-6, 1e-4)
+        points = [GeoPoint(0.0, 0.0), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0), GeoPoint(-90.0 + 1e-7, 45.0)]
+        points += [GeoPoint(d, 180.0 - d) for d in offsets] + [GeoPoint(-d, d - 180.0) for d in offsets[1:]]
+        trips = [
+            TripRequest(k, k, 0, 1, p, q, 0.0, Route(1000.0, 100.0))
+            for k, (p, q) in enumerate(itertools.product(points, repeat=2))
+        ]
+        constraints = PairingConstraints(radius, 600.0)
+        expected = [
+            (a.trip_id, b.trip_id) for a, b in itertools.combinations(trips, 2) if social_feasible(a, b, radius)
+        ]
+        assert [(a.trip_id, b.trip_id) for a, b in _gated_pairs(trips, constraints)] == expected
+        every_pair = len(trips) * (len(trips) - 1) // 2
+        assert (len(expected) == every_pair) == (radius >= _HALF_GLOBE_M)
 
 
 class TestBestSharedRoute:
@@ -899,3 +933,28 @@ class TestRealisticSize:
         write_graph(ShareabilityGraph(net, trips, edges, cfg.objective), scalar)
         assert len(edges) > 1000
         assert bulk.read_bytes() == scalar.read_bytes()
+
+    def test_300_hotspot_trips_snap_and_gate_like_the_scalar_scans(self, monkeypatch):
+        # shaped like a file-driven benchmark run: demand around many hotspots on a 20x20 grid
+        cfg = load_config(
+            text="[network]\nrows = 20\ncols = 20\n[demand]\nn_trips = 300\nn_users = 300\n"
+            "hotspots = 400\nhotspot_spread_m = 300\ndeparture_window_s = 3600\n"
+        )
+        net, trips = generate_scenario(cfg)
+        for t in trips:
+            for point, node in ((t.origin_point, t.origin), (t.dest_point, t.dest)):
+                assert net.snap_to_node(point) == node == snap_oracle(net, point)
+        radius, gap = cfg.constraints.radius_m, cfg.constraints.max_departure_gap_s
+        expected = [
+            (a.trip_id, b.trip_id)
+            for a, b in itertools.combinations(trips, 2)
+            if temporal_feasible(a, b, gap) and social_feasible(a, b, radius)
+        ]
+        calls = []
+        monkeypatch.setattr(
+            shareability, "great_circle_distance", lambda p, q: calls.append(1) or great_circle_distance(p, q)
+        )
+        assert [(a.trip_id, b.trip_id) for a, b in _gated_pairs(trips, cfg.constraints)] == expected
+        # confirming every gated pair would take at least one call per pair
+        assert len(expected) > 500
+        assert len(calls) <= len(expected) // 20
