@@ -5,19 +5,21 @@ from this module.  Proximity is the scalar haversine `great_circle_distance`;
 snapping and the pair gate decide it in bulk by dot products of
 `unit_vector`s, and ask the haversine only where a dot lies within
 `DOT_MARGIN` of deciding.  Networks are immutable after construction.  Nodes
-are indexed in ascending id order, and one adjacency list by node index
-serves every query.  Each origin keeps one resumable Dijkstra over that list (its
-distance and time per node index as unboxed doubles, its heap and a settled
-mark): a query continues it only until the asked node is settled, so a node
-settled once is a lookup for every later query from the same origin on the
-same network object, and no tree is grown further than some query needed.
+are indexed in ascending id order, and their arcs form one CSR table by node
+index.  Routes are read from whole shortest-path trees, kept per origin as
+one distance row and one time row of doubles: `RoadNetwork.distance_times`
+grows, in numpy, the trees of all the origins a call asks for that have none
+yet, a batch of origins at a time, so every later query from those origins
+on the same network object is a lookup.  Only origins that some query asks
+for get a tree; all pairs would not fit a large network.
 """
 
-import heapq
+import functools
+import itertools
 import math
 
-from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +61,9 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+# (origin, arc) entries relaxed at once while shortest-path trees are grown
+_TREE_CHUNK = 1 << 16
+
 # twice the bound `unit_vector` states between a rounded dot and the haversine
 DOT_MARGIN = 1e-12
 
@@ -87,6 +92,24 @@ def _check_edge_cost(u, v, length, time):
         raise ValueError(f"edge ({u}, {v}) has travel time {time}; expected a finite positive number")
 
 
+class _Arcs(NamedTuple):
+    """A network's arcs as a CSR table by source index, then (target, length,
+    time), so parallel arcs come shortest first and, at equal length,
+    fastest first; the arcs out of node index i are start[i] .. start[i + 1]
+    - 1.  Per arc: its source and target node index, the step from one to
+    the other, its length and time; per node index, with one inf entry more,
+    the length of its shortest arc out."""
+
+    start: np.ndarray
+    count: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    step: np.ndarray
+    length: np.ndarray
+    time: np.ndarray
+    shortest: np.ndarray
+
+
 class RoadNetwork:
     """Geographic graph with per-edge length (m) and travel time (s).
 
@@ -100,22 +123,38 @@ class RoadNetwork:
         self.edges = []
         self._node_ids = tuple(self.nodes)
         self._index = {nid: i for i, nid in enumerate(self._node_ids)}
-        adjacency = [[] for _ in self._node_ids]
+        self._ids = np.array(self._node_ids)
         for u, v, length, time in edges:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
             _check_edge_cost(u, v, length, time)
-            length, time = float(length), float(time)
-            self.edges.append((u, v, length, time))
-            i, j = self._index[u], self._index[v]
-            adjacency[i].append((j, length, time))
-            if not directed:
-                adjacency[j].append((i, length, time))
-        # per node index: (neighbour index, length, time), sorted, so parallel
-        # edges are relaxed shortest first and, at equal length, fastest first
-        self._adjacency = [tuple(sorted(near)) for near in adjacency]
-        self._sssp = {}
+            self.edges.append((u, v, float(length), float(time)))
+        self._directed = directed
+        # the trees grown so far: per node index (and -1, for no node) its row
+        # in _dist and _time, or -1 while it has no tree; a row has an entry
+        # per node index and one more, index n or -1, that no arc reaches:
+        # there an unknown destination reads inf
+        n = len(self._node_ids)
+        self._tree_row = np.full(n + 1, -1, dtype=np.intp)
+        self._dist = self._time = np.zeros((0, n + 1))
         self._vectors = np.array([unit_vector(q) for q in self.nodes.values()])
+
+    @functools.cached_property
+    def _arcs(self) -> _Arcs:
+        """The arcs, built when the first tree is grown."""
+        index, arcs = self._index, []
+        for u, v, length, time in self.edges:
+            arcs.append((index[u], index[v], length, time))
+            if not self._directed:
+                arcs.append((index[v], index[u], length, time))
+        arcs.sort()
+        table = np.fromiter(itertools.chain.from_iterable(arcs), float, 4 * len(arcs)).reshape(-1, 4)
+        source, target = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+        length, time = table[:, 2].copy(), table[:, 3].copy()
+        start = np.searchsorted(source, np.arange(len(self._node_ids) + 1))
+        shortest = np.full(len(self._node_ids) + 1, math.inf)
+        np.minimum.at(shortest, source, length)
+        return _Arcs(start, np.diff(start), source, target, target - source, length, time, shortest)
 
     def snap_to_node(self, p: GeoPoint) -> int:
         """Nearest node by great-circle distance; ties go to the lowest id.
@@ -140,62 +179,138 @@ class RoadNetwork:
                 best_id, best_d = nid, exact
         return best_id
 
-    def _new_tree(self, origin):
-        """A fresh shortest-path tree from `origin`: distance and time by node
-        index (inf where not reached yet), each an `array('d')` so that a tree
-        costs 8 bytes per node for each rather than a boxed float and a list
-        slot; the (distance, index) heap; and a settled mark per node index.
-        Nothing is settled yet."""
+    def _grow_trees(self, sources):
+        """Store the full shortest-path trees from node indices `sources`, none
+        of which has one yet, growing `_TREE_CHUNK` (origin, arc) entries'
+        worth of them at a time with `_trees`."""
+        batch = max(1, _TREE_CHUNK // max(1, len(self._arcs.target)))
+        grown = [self._trees(sources[lo : lo + batch]) for lo in range(0, len(sources), batch)]
+        self._tree_row[sources] = len(self._dist) + np.arange(len(sources))
+        self._dist = np.concatenate([self._dist] + [dist for dist, _ in grown])
+        self._time = np.concatenate([self._time] + [time for _, time in grown])
+
+    def _trees(self, sources):
+        """(distance, time) by node index of the trees from node indices
+        `sources`, one row each, each row ending in one entry that no arc
+        reaches; inf where a node is not reached.
+
+        Distances are the least fixpoint of D[v] = min over arcs (u, v) of
+        D[u] + length, reached by frontier relaxation: the minimum over
+        walks of their lengths summed left to right, which is what a heap
+        Dijkstra finds, since its every distance is such a sum and no arc
+        can lower it.  Each reached node's predecessor arc is, among the arcs
+        with D[u] + length == D[v], the one of lowest D[u], then lowest arc
+        rank (u, length, time): Dijkstra's, whose nodes settle by (distance,
+        id) when every arc lengthens the path it extends, and the first
+        settled predecessor to reach a node's distance gives it its time,
+        over the fastest of equal-length parallel arcs.  An arc out of a
+        reached node that adds nothing to its distance raises ValueError:
+        the settle order, and so the times, would be another.  Times are
+        summed down the predecessor tree, t[v] = t[u] + arc time, one level
+        of hops from the root at a time.
+        """
+        n, inf, csr = len(self._node_ids) + 1, math.inf, self._arcs
+        start, count, step, length = csr.start, csr.count, csr.step, csr.length
+        end = start[1:]
+        # entries are flat (row, node index) positions, row-major
+        roots = np.arange(len(sources)) * n + sources
+        dist = np.full(len(sources) * n, inf)
+        dist[roots] = 0.0
+        frontier, improved = roots, np.zeros(len(dist), dtype=bool)
+        while frontier.size:
+            # every arc out of the frontier: its tail and head entries
+            nodes = frontier % n
+            out = count[nodes]
+            ends = out.cumsum()
+            arcs = np.arange(ends[-1]) + (end[nodes] - ends).repeat(out)
+            tails = frontier.repeat(out)
+            heads = tails + step[arcs]
+            reach = dist[tails] + length[arcs]
+            better = reach < dist[heads]
+            heads = heads[better]
+            np.minimum.at(dist, heads, reach[better])
+            improved[heads] = True
+            (frontier,) = improved.nonzero()
+            improved[frontier] = False
+        table = dist.reshape(len(sources), n)
+        reached = np.where(table < inf, table, np.nan)  # nan equals nothing
+        # the shortest arc out of a node is the first to vanish
+        vanished = np.flatnonzero(reached + csr.shortest == reached)
+        if len(vanished):
+            row, u = divmod(vanished[0], n)
+            arc = start[u] + np.flatnonzero(length[start[u] : start[u + 1]] == csr.shortest[u])[0]
+            raise ValueError(
+                f"edge ({self._node_ids[u]}, {self._node_ids[csr.target[arc]]}) of length {length[arc]} "
+                f"adds nothing to the {table[row, u]} m path to node {self._node_ids[u]} "
+                f"from node {self._node_ids[sources[row]]}"
+            )
+        # each reached entry's predecessor arc (len(length) for the others)
+        # and tail entry (itself for the others)
+        tail_dist = reached[:, csr.source]
+        tied = np.flatnonzero(tail_dist + length == reached[:, csr.target])
+        arcs = tied % len(length)
+        heads = tied // len(length) * n + csr.target[arcs]
+        tail_dist = tail_dist.ravel()[tied]
+        lowest = np.full(len(dist), inf)
+        np.minimum.at(lowest, heads, tail_dist)
+        first = tail_dist == lowest[heads]
+        pred = np.full(len(dist), len(length), dtype=np.intp)
+        np.minimum.at(pred, heads[first], arcs[first])
+        heads = np.flatnonzero(pred < len(length))
+        tail = np.arange(len(dist))
+        tail[heads] -= step[pred[heads]]
+        # hops from the root by pointer doubling: `hops` counts those up to
+        # `up`, which ends at the root
+        hops = (tail != np.arange(len(dist))).astype(np.intp)
+        up = tail
+        while (up[up] != up).any():
+            hops += hops[up]
+            up = up[up]
+        levels = np.cumsum(np.bincount(hops))
+        order = np.argsort(hops, kind="stable")[levels[0] :]  # hops 0: roots, unreached
+        tail, arc_time = tail[order], csr.time[pred[order]]
+        time = np.full(len(dist), inf)
+        time[roots] = 0.0
+        for lo, hi in zip(levels[:-1] - levels[0], levels[1:] - levels[0]):
+            time[order[lo:hi]] = time[tail[lo:hi]] + arc_time[lo:hi]
+        return table, time.reshape(len(sources), n)
+
+    def _indices(self, ids):
+        """The node index of each of `ids`, -1 for an id that is no node."""
+        at = self._ids.searchsorted(ids)
+        return np.where(self._ids.searchsorted(ids, side="right") > at, at, -1)
+
+    def distance_times(self, origins, dests):
+        """(distance_m, time_s) arrays of the minimum-distance paths from each
+        of `origins` to the node id at the same place in `dests`, inf where
+        there is none (an unknown destination included); an unknown origin
+        raises KeyError.  Each origin's full tree is grown the first time
+        it is asked for, for all new origins of a call at once, and kept."""
+        if len(origins) != len(dests):
+            raise ValueError(f"{len(origins)} origins but {len(dests)} destinations")
+        sources, targets = self._indices(np.concatenate([origins, dests])).reshape(2, -1)
+        rows = self._tree_row[sources]
+        if (rows < 0).any():
+            if (sources < 0).any():
+                raise KeyError(f"unknown node {origins[np.flatnonzero(sources < 0)[0]]}")
+            # each missing tree once, in index order
+            self._grow_trees(np.flatnonzero(np.bincount(sources[rows < 0])))
+            rows = self._tree_row[sources]
+        return self._dist[rows, targets], self._time[rows, targets]
+
+    def distance_time(self, origin, dest):
+        """`distance_times` of one query, as floats; time is summed along the
+        minimum-distance path, not minimized.  An unknown origin raises
+        KeyError; an unknown or unreachable destination, NoRouteError."""
         source = self._index.get(origin)
         if source is None:
             raise KeyError(f"unknown node {origin}")
-        n = len(self._adjacency)
-        dist = array("d", [math.inf]) * n
-        time = array("d", [math.inf]) * n
-        dist[source] = time[source] = 0.0
-        tree = (dist, time, [(0.0, source)], bytearray(n))
-        self._sssp[origin] = tree
-        return tree
-
-    def _settle(self, tree, target):
-        """Continue `tree`'s Dijkstra until node index `target` is settled or
-        the heap is empty (then `target` is unreachable).
-
-        Heap entries are (distance, index) and index order is id order, so
-        nodes settle by (distance, id), and a node's time comes from the first
-        settled predecessor that reaches its final distance.  Pops happen in
-        the order of one uninterrupted run, and a settled node's distance and
-        time never change again, so every answer is that of the full tree.
-        """
-        dist, time, heap, settled = tree
-        adjacency = self._adjacency
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            d, u = pop(heap)
-            if settled[u]:  # a stale entry; edge lengths > 0
-                continue
-            settled[u] = 1
-            tu = time[u]
-            for v, length, t in adjacency[u]:
-                nd = d + length
-                if nd < dist[v]:
-                    dist[v] = nd
-                    time[v] = tu + t
-                    push(heap, (nd, v))
-            if u == target:
-                return
-
-    def distance_time(self, origin, dest):
-        """(distance_m, time_s) of the minimum-distance path; time is summed
-        along that path, not minimized.  An unknown origin raises KeyError;
-        an unknown or unreachable destination, NoRouteError."""
-        tree = self._sssp.get(origin) or self._new_tree(origin)
-        i = self._index.get(dest)
-        if i is not None and not tree[3][i]:
-            self._settle(tree, i)
-        if i is None or tree[0][i] == math.inf:
+        if self._tree_row[source] < 0:
+            self._grow_trees(np.array([source]))
+        row, target = self._tree_row[source], self._index.get(dest)
+        if target is None or self._dist[row, target] == math.inf:
             raise NoRouteError(f"no route from node {origin} to node {dest}")
-        return tree[0][i], tree[1][i]
+        return float(self._dist[row, target]), float(self._time[row, target])
 
     def shortest_path(self, origin, dest) -> Route:
         """`distance_time` as a `Route`; origin == dest yields a zero-length

@@ -8,8 +8,9 @@ file-driven; `sweep` runs in memory.  All stages rewrite the run manifest
 One `run_pipeline` call parses each input artifact at most once: its
 `RunArtifacts` parses `network.txt`, `trips.txt`, `graph.txt`, `features.txt`
 and `policy.txt` the first time a stage asks and hands the same objects to
-every later stage, so one `RoadNetwork` (and its shortest-path cache) serves
-the whole call and each origin's tree is grown once, only as far as asked.
+every later stage, so one `RoadNetwork` (and its shortest-path trees) serves
+the whole call and each origin's tree is grown once, whole, with the other
+new origins of the same bulk query.
 A call that builds the graph parses no `graph.txt`, and a call that trains
 parses no checkpoint: `stage_graph` hands later stages the graph that
 `graph.txt` reads back to, and `stage_train` hands `match` its parameters, the

@@ -12,7 +12,6 @@ import math
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .embedding import EmbeddingConfig
 from .geo import GeoPoint, build_grid_network, grid_steps
 from .metrics import CostFactors
 from .policy import PPOConfig
-from .shareability import Objective, PairingConstraints, TripRequest
+from .shareability import Objective, PairingConstraints, TripDraw, TripRequest, solo_routes
 from .tolerance import ToleranceProfile, format_s
 
 
@@ -114,19 +113,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-class TripDraw(NamedTuple):
-    """One drawn trip, snapped to the network but not routed: everything
-    `write_trips` records, plus the snapped nodes."""
-
-    trip_id: int
-    user_id: int
-    origin: int
-    dest: int
-    origin_point: GeoPoint
-    dest_point: GeoPoint
-    desired_departure: float
-
-
 def draw_demand(cfg: ScenarioConfig):
     """Build the grid network and draw the seeded demand on it, snapping each
     drawn point once and routing nothing.
@@ -173,9 +159,10 @@ def draw_demand(cfg: ScenarioConfig):
 
 
 def generate_scenario(cfg: ScenarioConfig):
-    """The grid network and the `draw_demand` trips, each with its solo route."""
+    """The grid network and the `draw_demand` trips, each with its solo route
+    (a grid is connected, so every trip has one)."""
     net, draws = draw_demand(cfg)
-    return net, [TripRequest(**d._asdict(), solo_route=net.shortest_path(d.origin, d.dest)) for d in draws]
+    return net, [TripRequest(*d, solo_route=r) for d, r in zip(draws, solo_routes(net, draws))]
 
 
 def _parse_bool(raw):

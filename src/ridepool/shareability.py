@@ -16,9 +16,10 @@ Groups of 2, 3 and 4 riders are routed by one rule and one router
 before its own dropoff and the vehicle never runs empty between the first
 pickup and the last dropoff; ties go to the first such order in
 lexicographic stop order (pickups by trip id, then dropoffs).  The allowed
-orders of k riders (4, 60 or 1 776) are listed once per process, each
-group's legs are read once, and every order's total is compared in bulk.
-The graph build and ``read_graph`` route all their pairs in one call.
+orders of k riders (4, 60 or 1 776) are listed once per process, all
+groups' legs are read in one ``RoadNetwork.distance_times`` gather, and
+every order's total is compared in bulk.  The graph build and ``read_graph``
+route all their pairs in one call, and ``read_trips`` all its solo trips.
 """
 
 import bisect
@@ -28,6 +29,7 @@ import math
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +98,20 @@ class TripRequest:
             raise ValueError(f"trip {self.trip_id}: departure {self.desired_departure} is not finite")
 
 
+class TripDraw(NamedTuple):
+    """One trip snapped to the network but not routed: everything
+    `write_trips` records, plus the snapped nodes; the fields of a
+    `TripRequest` but its solo route, in its order."""
+
+    trip_id: int
+    user_id: int
+    origin: int
+    dest: int
+    origin_point: GeoPoint
+    dest_point: GeoPoint
+    desired_departure: float
+
+
 def make_trip(net: RoadNetwork, trip_id, user_id, origin_point, dest_point, desired_departure):
     """Snap the request endpoints to the network and route the solo trip."""
     origin = net.snap_to_node(origin_point)
@@ -110,6 +126,14 @@ def make_trip(net: RoadNetwork, trip_id, user_id, origin_point, dest_point, desi
         desired_departure=float(desired_departure),
         solo_route=net.shortest_path(origin, dest),
     )
+
+
+def solo_routes(net: RoadNetwork, trips):
+    """The `Route` from each trip's (or `TripDraw`'s) origin node to its
+    destination node, or None where there is none, all read in one
+    ``distance_times`` call."""
+    distance, time = net.distance_times([t.origin for t in trips], [t.dest for t in trips])
+    return [Route(d, s) if d != math.inf else None for d, s in zip(distance.tolist(), time.tolist())]
 
 
 @dataclass(frozen=True)
@@ -266,6 +290,13 @@ def _stop_orders(k):
     return orders, legs, np.ascontiguousarray(index[codes].T)
 
 
+@functools.cache
+def _leg_stops(k):
+    """The (from, to) stop indices of the legs of ``_stop_orders(k)``, as a
+    (2, legs) array."""
+    return np.array(_stop_orders(k)[1]).T
+
+
 # leg lengths gathered at once while the groups' orders are compared
 _ROUTE_CHUNK = 1 << 16
 
@@ -275,11 +306,12 @@ def _route_groups(net: RoadNetwork, groups):
     trip id, in the shortest allowed stop order (``_stop_orders``), ties to
     the first in lexicographic stop order.
 
-    Each group's legs are read through ``distance_time`` in row-major stop
-    order, only those some allowed order drives, so a group raises
-    NoRouteError exactly when some allowed order cannot be driven.  Each
-    order's total is its legs summed left to right, the float
-    ``_evaluate_order`` forms, and ``np.argmin`` keeps the first minimum.
+    The legs of all groups, only those some allowed order drives, are read
+    in one ``distance_times`` gather, so a group has a NoRouteError exactly
+    when some allowed order cannot be driven, and it names the group's first
+    such leg in row-major stop order.  Each order's total is its legs summed
+    left to right, the float ``_evaluate_order`` forms, and ``np.argmin``
+    keeps the first minimum.
     Groups are compared a chunk at a time, so that at most `_ROUTE_CHUNK`
     leg lengths are gathered at once.
 
@@ -289,21 +321,20 @@ def _route_groups(net: RoadNetwork, groups):
     group in `errors`; and `routes(ks)`, the ``SharedRoute`` of each group
     index in `ks`, none of them in `errors`.
     """
-    distance_time = net.distance_time
-    orders, legs, order_legs = _stop_orders(len(groups[0]) if groups else 2)
-    errors, dist, time = {}, [], []
-    riders = list(zip(*groups))  # riders[r]: every group's r-th rider
-    stop_nodes = zip(*[[t.origin for t in r] for r in riders], *[[t.dest for t in r] for r in riders])
-    for g, nodes in enumerate(stop_nodes):
-        try:
-            for i, j in legs:
-                d, t = distance_time(nodes[i], nodes[j])
-                dist.append(d)
-                time.append(t)
-        except NoRouteError as exc:
-            errors[g] = exc
-            dist[g * len(legs) :] = time[g * len(legs) :] = [math.inf] * len(legs)
-    leg_dist_time = np.fromiter(dist + time, float, 2 * len(dist)).reshape(2, len(groups), len(legs))
+    k = len(groups[0]) if groups else 2
+    orders, legs, order_legs = _stop_orders(k)
+    stops = np.array([[t.origin for t in g] + [t.dest for t in g] for g in groups], dtype=np.int64)
+    stops = stops.reshape(len(groups), 2 * k)
+    tails, heads = (stops[:, end] for end in _leg_stops(k))  # (groups, legs) each
+    leg_dist_time = np.concatenate(net.distance_times(tails.ravel(), heads.ravel())).reshape(2, len(groups), len(legs))
+    group, leg = np.nonzero(leg_dist_time[0] == math.inf)  # row-major
+    errors = {}
+    if len(group):
+        group, first = np.unique(group, return_index=True)
+        errors = {
+            g: NoRouteError(f"no route from node {tails[g, i]} to node {heads[g, i]}")
+            for g, i in zip(group.tolist(), leg[first].tolist())
+        }
     best = np.empty(len(groups), dtype=np.intp)
     step = max(1, _ROUTE_CHUNK // order_legs.size)
     for lo in range(0, len(groups), step):
@@ -322,7 +353,7 @@ def _route_groups(net: RoadNetwork, groups):
 
     def routes(ks):
         ks = list(ks)
-        # the winning legs are the floats `distance_time` returned
+        # the winning legs are the floats `distance_times` returned
         won_dist, won_time = won[:, ks].tolist()
         return [
             _evaluate_order(groups[g], order, zip(leg_dist, leg_time))
@@ -476,8 +507,10 @@ def write_trips(trips, path):
 
 
 def read_trips(path, net: RoadNetwork):
-    """Parse trip records and re-snap/re-route them on `net`; a trip id may
-    appear once."""
+    """Parse trip records and re-snap them on `net`, then route every solo
+    trip in one ``distance_times`` call; a trip id may appear once.  The
+    first record, in file order, that has no route (NoRouteError) or makes no
+    valid `TripRequest` (ValueError) is named by its line."""
     seen = set()
 
     def parse(fields):
@@ -487,9 +520,22 @@ def read_trips(path, net: RoadNetwork):
         seen.add(trip_id)
         origin = GeoPoint(float(fields[3]), float(fields[4]))
         dest = GeoPoint(float(fields[5]), float(fields[6]))
-        return make_trip(net, trip_id, int(fields[2]), origin, dest, float(fields[7]))
+        o, d = net.snap_to_node(origin), net.snap_to_node(dest)
+        return TripDraw(trip_id, int(fields[2]), o, d, origin, dest, float(fields[7]))
 
-    return read_records(path, "trip", {"T": 8}, parse)
+    lines = []
+    draws = read_records(path, "trip", {"T": 8}, parse, lines)
+    trips = []
+    for draw, route, lineno in zip(draws, solo_routes(net, draws), lines):
+        if route is None:
+            raise NoRouteError(
+                f"{path}:{lineno}: trip record cannot be routed: no route from node {draw.origin} to node {draw.dest}"
+            )
+        try:
+            trips.append(TripRequest(*draw, solo_route=route))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad trip record: {exc}") from exc
+    return trips
 
 
 def write_graph(graph: ShareabilityGraph, path) -> ShareabilityGraph:

@@ -1,3 +1,7 @@
+import collections
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,31 @@ def trip_on(net, trip_id, origin_node, dest_node, departure=0.0, user_id=None):
 def snap_oracle(net, p):
     """Scalar scan over every node: nearest by haversine, ties to the lowest id."""
     return min(net.nodes, key=lambda nid: (great_circle_distance(p, net.nodes[nid]), nid))
+
+
+def full_dijkstra(edges, directed, origin):
+    """Distance and time by node id of one uninterrupted Dijkstra run from
+    `origin`, for the nodes it reaches: nodes settle by (distance, id), and
+    each node's neighbours are relaxed by (id, length, time), so a node's
+    time comes from the first settled predecessor reaching its final
+    distance, over the fastest of equal-length parallel edges."""
+    near = collections.defaultdict(list)
+    for u, v, length, time in edges:
+        near[u].append((v, length, time))
+        if not directed:
+            near[v].append((u, length, time))
+    dist, time, done = {origin: 0.0}, {origin: 0.0}, set()
+    heap = [(0.0, origin)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, length, t in sorted(near[u]):
+            if d + length < dist.get(v, math.inf):
+                dist[v], time[v] = d + length, time[u] + t
+                heapq.heappush(heap, (d + length, v))
+    return dist, time
 
 
 def stub_route(distance=1000.0, time=100.0):

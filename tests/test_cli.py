@@ -616,6 +616,26 @@ class TestUnroutableRecords:
         assert "no route from node 0 to node 2" in err
 
 
+class TestVanishingEdge:
+    """From node 0 every other node lies 1e20 m away, and a 1 m edge adds
+    nothing to that distance: which node settles first would set the times."""
+
+    NETWORK = (
+        "N 0 0.0 0.0\nN 1 0.0 0.01\nN 2 0.0 0.02\nN 5 0.0 0.05\n"
+        "E 0 5 100000000000000000000.000000 1.000000\nE 5 1 1.000000 10.000000\n"
+        "E 5 2 1.000000 20.000000\nE 2 1 1.000000 300.000000\n"
+    )
+
+    def test_graph_exits_2_naming_the_edge(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / pipeline.NETWORK_FILE).write_text(self.NETWORK)
+        (out / pipeline.TRIPS_FILE).write_text("T 0 0 0.0 0.0 0.0 0.01 0.000\nT 1 1 0.0 0.01 0.0 0.02 0.000\n")
+        assert run_cli(["graph", "--out", str(out)]) == 2
+        expected = "error: edge (1, 2) of length 1.0 adds nothing to the 1e+20 m path to node 1 from node 0"
+        assert expected in capsys.readouterr().err
+
+
 def read_dir(path):
     return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
 
@@ -727,18 +747,18 @@ def count_policy_reads(monkeypatch):
 
 
 def count_dijkstra_runs(monkeypatch):
-    """Counter of shortest-path trees created per (network, origin), over
-    every network; a tree is resumed, never restarted, so each creation is
-    one Dijkstra run.  The networks are kept alive so their ids stay unique."""
+    """Counter of shortest-path trees grown per (network, origin), over every
+    network; a tree is grown whole and kept.  The networks are kept alive so
+    their ids stay unique."""
     runs, networks = collections.Counter(), []
-    new_tree = RoadNetwork._new_tree
+    grow_trees = RoadNetwork._grow_trees
 
-    def counted_new_tree(net, origin):
+    def counted_grow_trees(net, sources):
         networks.append(net)
-        runs[id(net), origin] += 1
-        return new_tree(net, origin)
+        runs.update((id(net), source) for source in sources.tolist())
+        return grow_trees(net, sources)
 
-    monkeypatch.setattr(RoadNetwork, "_new_tree", counted_new_tree)
+    monkeypatch.setattr(RoadNetwork, "_grow_trees", counted_grow_trees)
     return runs
 
 

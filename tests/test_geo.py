@@ -1,5 +1,3 @@
-import collections
-import heapq
 import itertools
 import math
 import random
@@ -9,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridepool import geo
 from ridepool.geo import (
     EARTH_RADIUS_M,
     GeoPoint,
@@ -19,7 +18,7 @@ from ridepool.geo import (
     read_network,
     write_network,
 )
-from conftest import snap_oracle
+from conftest import full_dijkstra, snap_oracle
 
 coords = st.builds(
     GeoPoint,
@@ -259,6 +258,23 @@ class TestDijkstraTies:
         assert isinstance(net.distance_time(0, 1)[0], float)
 
 
+class TestVanishingEdge:
+    def test_an_edge_that_adds_nothing_to_a_path_names_itself_and_the_origin(self):
+        # from 0, a heap Dijkstra settles 1 before 2, both at 1e20 m, so 1
+        # reads 11 s through 5; the (distance, id) rule behind the trees
+        # would take 2 -> 1 and read 321 s
+        nodes = {nid: GeoPoint(0.0, 0.001 * nid) for nid in (0, 1, 2, 5)}
+        edges = [(0, 5, 1e20, 1.0), (5, 1, 1.0, 10.0), (5, 2, 1.0, 20.0), (2, 1, 1.0, 300.0)]
+        net = RoadNetwork(nodes, edges, directed=True)
+        dist, time = full_dijkstra(edges, True, 0)
+        assert (dist[1], time[1], dist[2], time[2]) == (1e20, 11.0, 1e20, 21.0)
+        message = r"^edge \(2, 1\) of length 1\.0 adds nothing to the 1e\+20 m path to node 2 from node 0$"
+        for _ in range(2):  # nothing of the failed batch is kept
+            with pytest.raises(ValueError, match=message):
+                net.distance_times([5, 0], [1, 1])
+        assert net.distance_time(5, 1) == (1.0, 10.0)
+
+
 def random_network(seed, directed):
     """2-50 nodes with uniform random lengths and times and no parallel
     edges: a random tree from node 0 (so every node is reachable from it)
@@ -301,31 +317,6 @@ class TestDijkstraAgainstNetworkx:
         assert compared > 50_000
 
 
-def full_dijkstra(edges, directed, origin):
-    """Distance and time by node id of one uninterrupted Dijkstra run from
-    `origin`, for the nodes it reaches: nodes settle by (distance, id), and
-    each node's neighbours are relaxed by (id, length, time), so a node's
-    time comes from the first settled predecessor reaching its final
-    distance, over the fastest of equal-length parallel edges."""
-    near = collections.defaultdict(list)
-    for u, v, length, time in edges:
-        near[u].append((v, length, time))
-        if not directed:
-            near[v].append((u, length, time))
-    dist, time, done = {origin: 0.0}, {origin: 0.0}, set()
-    heap = [(0.0, origin)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, length, t in sorted(near[u]):
-            if d + length < dist.get(v, math.inf):
-                dist[v], time[v] = d + length, time[u] + t
-                heapq.heappush(heap, (d + length, v))
-    return dist, time
-
-
 @st.composite
 def _query_case(draw):
     """A small network, directed or not and often disconnected, with all-equal,
@@ -344,6 +335,8 @@ def _query_case(draw):
 
 
 class TestPartialTrees:
+    """Trees are grown whole, for the origins asked and only once each."""
+
     @settings(max_examples=300, deadline=None)
     @given(_query_case())
     def test_any_query_order_answers_like_a_full_run(self, case):
@@ -357,15 +350,40 @@ class TestPartialTrees:
                 with pytest.raises(NoRouteError):
                     net.distance_time(origin, dest)
 
-    def test_a_query_settles_only_as_far_as_its_destination(self):
-        net = build_grid_network(1, 10, 1000.0, 10.0)  # a line, 0 - 1 - ... - 9
-        assert net.distance_time(0, 2) == (2000.0, 200.0)
-        settled = net._sssp[0][3]
-        assert [i for i, done in enumerate(settled) if done] == [0, 1, 2]
-        assert net.distance_time(0, 5) == (5000.0, 500.0)
-        assert net.distance_time(0, 1) == (1000.0, 100.0)
-        assert [i for i, done in enumerate(settled) if done] == [0, 1, 2, 3, 4, 5]
+    @pytest.mark.parametrize("chunk", [geo._TREE_CHUNK, 1, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(_query_case())
+    def test_one_bulk_call_answers_like_a_full_run(self, chunk, case):
+        # chunks of 1 and 3 (origin, arc) entries grow the trees one to three
+        # origins at a time
+        nodes, edges, directed, queries = case
+        net = RoadNetwork(nodes, edges, directed=directed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_TREE_CHUNK", chunk)
+            distance, time = net.distance_times(*zip(*queries))
+        for (origin, dest), answer in zip(queries, zip(distance.tolist(), time.tolist())):
+            dist, times = full_dijkstra(edges, directed, origin)
+            assert answer == (dist.get(dest, math.inf), times.get(dest, math.inf))
+        with pytest.raises(KeyError, match="unknown node 999"):
+            net.distance_times([queries[0][0], 999], [queries[0][1]] * 2)
+        with pytest.raises(ValueError, match="1 origins but 3 destinations"):
+            net.distance_times([queries[0][0]], [queries[0][1]] * 3)
 
+    def test_distance_times_grows_each_missing_origin_once(self, monkeypatch):
+        net = build_grid_network(1, 10, 1000.0, 10.0)  # a line, 0 - 1 - ... - 9
+        grown, grow_trees = [], net._grow_trees
+
+        def counted(sources):
+            grown.append(sources.tolist())
+            return grow_trees(sources)
+
+        monkeypatch.setattr(net, "_grow_trees", counted)
+        assert net.distance_time(0, 2) == (2000.0, 200.0)
+        distance, time = net.distance_times([9, 0, 5, 9, 5], [0, 9, 5, 0, 1])
+        assert distance.tolist() == [9000.0, 9000.0, 0.0, 9000.0, 4000.0]
+        assert time.tolist() == [900.0, 900.0, 0.0, 900.0, 400.0]
+        assert net.distance_times([5, 0, 9], [0, 0, 0])[0].tolist() == [5000.0, 0.0, 9000.0]
+        assert grown == [[0], [5, 9]]
 
     def test_trees_hold_unboxed_floats(self):
         # boxed lists cost about 64 B per (origin, node): a list slot and a

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,7 @@ from ridepool.shareability import (
     write_trips,
 )
 from ridepool.scenario import generate_scenario, load_config
-from conftest import scenario_instance, snap_oracle, trip_on
+from conftest import full_dijkstra, scenario_instance, snap_oracle, trip_on
 
 _SHARED_LINE_NET = build_grid_network(1, 4, 1000.0, 10.0)
 
@@ -175,13 +176,17 @@ def search_route_oracle(net, trips):
 
 
 class _LegTable:
-    """A network stand-in that answers ``distance_time`` from a table."""
+    """A network stand-in that answers ``distance_time`` and
+    ``distance_times`` from a table."""
 
     def __init__(self, legs):
         self.legs = legs
 
     def distance_time(self, origin, dest):
         return self.legs[origin, dest]
+
+    def distance_times(self, origins, dests):
+        return np.array([self.legs[o, d] for o, d in zip(origins, dests)]).T
 
 
 def assert_same_group_route(net, trips):
@@ -577,26 +582,27 @@ class TestGroupRouting:
         assert routes(routed) == [search_route_oracle(net, groups[g]) for g in routed]
 
     def test_fresh_group_routes_each_leg_once(self, monkeypatch):
-        # a pair: 4 x 4 stop pairs minus 4 self-legs and the 4 dropoff -> pickup
-        # legs, which would leave the vehicle empty between the riders; four
-        # riders: 8 x 8 minus 8 self-legs and the 4 dropoff -> own pickup legs.
-        # The winning order's legs are the ones already read.
+        # one gather of the legs; a pair: 4 x 4 stop pairs minus 4 self-legs
+        # and the 4 dropoff -> pickup legs, which would leave the vehicle
+        # empty between the riders; four riders: 8 x 8 minus 8 self-legs and
+        # the 4 dropoff -> own pickup legs.  The winning order's legs are the
+        # ones already read.
         net = build_grid_network(4, 4, 1000.0, 10.0)
         pair = [trip_on(net, 0, 0, 15), trip_on(net, 1, 1, 14)]
         four = pair + [trip_on(net, 2, 4, 11), trip_on(net, 3, 5, 9)]
         expected = {2: group_route_oracle(net, pair), 4: group_route_oracle(net, four)}
         calls = []
-        distance_time = net.distance_time
+        distance_times = net.distance_times
 
-        def counted(origin, dest):
-            calls.append((origin, dest))
-            return distance_time(origin, dest)
+        def counted(origins, dests):
+            calls.append((len(origins), len(dests)))
+            return distance_times(origins, dests)
 
-        monkeypatch.setattr(net, "distance_time", counted)
+        monkeypatch.setattr(net, "distance_times", counted)
         for trips, legs in ((pair, 8), (four, 52)):
             calls.clear()
             assert route_for_group(net, trips) == expected[len(trips)]
-            assert len(calls) == legs
+            assert calls == [(legs, legs)]
 
     def test_no_route_raised_like_brute_force(self):
         nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
@@ -933,6 +939,28 @@ class TestRealisticSize:
         write_graph(ShareabilityGraph(net, trips, edges, cfg.objective), scalar)
         assert len(edges) > 1000
         assert bulk.read_bytes() == scalar.read_bytes()
+
+    def test_300_hotspot_trips_route_every_leg_like_full_dijkstra(self, monkeypatch):
+        queries, distance_times = [], RoadNetwork.distance_times
+
+        def recorded(net, origins, dests):
+            distance, time = distance_times(net, origins, dests)
+            queries.extend(zip(list(origins), list(dests), distance.tolist(), time.tolist()))
+            return distance, time
+
+        monkeypatch.setattr(RoadNetwork, "distance_times", recorded)
+        cfg = load_config(
+            text="[network]\nrows = 20\ncols = 20\n[demand]\nn_trips = 300\nn_users = 300\n"
+            "hotspots = 400\nhotspot_spread_m = 300\ndeparture_window_s = 3600\n"
+        )
+        net, trips = generate_scenario(cfg)
+        build_shareability_graph(net, trips, cfg.objective, cfg.constraints)
+        trees = {}
+        for origin, dest, distance, time in queries:
+            if origin not in trees:
+                trees[origin] = full_dijkstra(net.edges, False, origin)
+            assert (distance, time) == (trees[origin][0][dest], trees[origin][1][dest])
+        assert len(queries) > 5000 and len(trees) > 300
 
     def test_300_hotspot_trips_snap_and_gate_like_the_scalar_scans(self, monkeypatch):
         # shaped like a file-driven benchmark run: demand around many hotspots on a 20x20 grid
