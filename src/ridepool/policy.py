@@ -11,10 +11,11 @@ one row per candidate, then its value row, which sits where the Stop logit
 goes: the candidates' logits, a learned scalar Stop logit, and the value
 row's value.  That network is evaluated in one place, `_score`, over
 gathered input rows, by the rollout, the greedy decode and the update
-alike; which Selects are legal is decided in one place, `_selectable`;
-discounted returns are formed in one place, `fill_returns`.  Updates use
-the clipped probability-ratio surrogate with exact hand-rolled backprop,
-which keeps the gradients finite-difference checkable.
+alike; which Selects are legal is decided in one place, `_legal`, which
+routes all of a decision's grown groups in one bulk call; discounted
+returns are formed in one place, `fill_returns`.  Updates use the clipped
+probability-ratio surrogate with exact hand-rolled backprop, which keeps the
+gradients finite-difference checkable.
 
 A row is a pure function of (focal trip, candidate, depth), depth being the
 number of co-riders already selected, so each `train` or `match_all` call
@@ -23,9 +24,10 @@ each distinct row once, and scores each row once per parameter set.  The
 table stores no rows: it gathers them from the trips' contexts.  Every
 cache is exact: a hit returns what a miss would have computed.
 - Once per run, `train` keeps a move memo keyed by group (focal trip,
-  selected co-riders): whether Select(v) is legal, asked of `_selectable`
-  only for trips not yet assigned, and, once taken, its reward from `step`.
-  Neither depends on the parameters, so the memo lives for every update.
+  selected co-riders): whether Select(v) is legal, asked of `_legal` only
+  for trips not yet assigned, all of a visit's unknown ones in one call, and,
+  once taken, its reward from `step`.  Neither depends on the parameters,
+  so the memo lives for every update.
 - Once per parameter set (one update's rollouts, or the greedy decode),
   `_ScoredTable` scores the whole table up front, ROW_CHUNK row ids at a
   time, and caches decisions by (focal trip, selected co-riders, candidate
@@ -33,7 +35,8 @@ cache is exact: a hit returns what a miss would have computed.
   its value row's value and forms its probabilities and sampling cdf on
   first sight; met again it costs one draw and a bisect.  The greedy
   decode starts both caches empty, so it routes exactly the groups a
-  per-visit `candidate_actions` would.
+  per-visit `candidate_actions` would, in the same order and the same
+  calls: at most one routing call per decision.
 
 The update is batched and scores each distinct row once per epoch: the
 recorded steps carry row ids into the table and are grouped by decision key,
@@ -56,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import MatchingSolution, canonical_groups, solution_for
-from .geo import NoRouteError, read_records
+from .geo import read_records
 from .shareability import ShareabilityGraph
 from .tolerance import ToleranceProfile, rejection_cost
 
@@ -187,31 +190,29 @@ def initial_state(graph, features, focal, unavailable=frozenset(), capacity=2) -
     )
 
 
-def _selectable(state: MatchState, v) -> bool:
-    """Select(v) is legal: the group has room, v is an available trip joined
-    to the focal trip by an edge and not yet in the group, and the grown group
-    routes (a pair routes by its edge)."""
+def _legal(state: MatchState, vs) -> list:
+    """The trips of `vs` whose Select is legal, in `vs` order: the group has
+    room, v is an available trip joined to the focal trip by an edge and not
+    yet in the group, and the grown group routes (a pair routes by its edge).
+    Every grown group is routed in one `ShareabilityGraph.route_groups` call;
+    a group routes unless that call names it in its errors."""
     if len(state.selected) >= state.capacity - 1:
-        return False
-    if v == state.focal or v in state.selected or v in state.unavailable:
-        return False
-    if state.graph.edge(state.focal, v) is None:
-        return False
-    if not state.selected:
-        return True
-    try:
-        state.graph.group_route((state.focal,) + state.selected + (v,))
-    except (NoRouteError, ValueError):
-        return False
-    return True
+        return []
+    graph, focal, selected, unavailable = state.graph, state.focal, state.selected, state.unavailable
+    vs = [v for v in vs if v != focal and v not in selected and v not in unavailable and graph.edge(focal, v) is not None]
+    if not selected:
+        return vs
+    keys = [tuple(sorted((focal,) + selected + (v,))) for v in vs]
+    errors = graph.route_groups(keys)
+    return [v for v, key in zip(vs, keys) if key not in errors]
 
 
 def candidate_actions(state: MatchState):
     """The trip ids the focal trip may Select next, in ascending order.  Stop
     is always legal and is not listed; it scores as the last logit.  The
-    rollout asks the same `_selectable` through its move memo (`_Group`) and
-    must offer exactly these."""
-    return [v for v in state.graph.neighbors(state.focal) if _selectable(state, v)]
+    rollout asks the same `_legal` through its move memo (`_Group`) and must
+    offer exactly these."""
+    return _legal(state, state.graph.neighbors(state.focal))
 
 
 class RowTable:
@@ -328,7 +329,7 @@ def step(state: MatchState, action, spec: RewardSpec):
     penalty when `spec` sets one).  Context and graph carry over unchanged."""
     if action is None:
         return state, 0.0, True
-    if not _selectable(state, action):
+    if not _legal(state, (action,)):
         raise InfeasibleActionError(f"trip {action} is not selectable from this state")
     prev_group = (state.focal,) + state.selected
     next_group = prev_group + (action,)
@@ -416,7 +417,12 @@ def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> Rollout
         neighbors = graph.neighbors(focal)
         records = []
         while len(group.state.selected) < capacity - 1:
-            select_ids = [v for v in neighbors if v not in assigned and group.selectable(v)]
+            legal = group.legal
+            try:
+                select_ids = [v for v in neighbors if v not in assigned and legal[v]]
+            except KeyError:  # a candidate not asked about yet: ask every such one at once
+                group.learn([v for v in neighbors if v not in assigned and v not in legal])
+                select_ids = [v for v in neighbors if v not in assigned and legal[v]]
             entry = scored.decision((focal, group.state.selected, tuple(select_ids)))
             index = pick(entry)
             log_prob = entry.log_probs[index]
@@ -435,11 +441,13 @@ def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> Rollout
 class _Group:
     """What the Selects from one group (a focal trip and its selected
     co-riders) do, asked lazily and kept: whether Select(v) is legal
-    (`_selectable`) and, once taken, its reward and the grown group (`step`).
+    (`_legal`) and, once taken, its reward and the grown group (`step`).
 
     `state` marks no trip unavailable, and the driver asks only about trips
     not yet assigned: for those the answer does not depend on which other
-    trips are assigned, so it holds for every visit of the group in a run."""
+    trips are assigned, so it holds for every visit of the group in a run.
+    A visit asks about all of its candidates not yet known in one `learn`,
+    which routes their grown groups in one call."""
 
     __slots__ = ("state", "legal", "grown")
 
@@ -448,11 +456,10 @@ class _Group:
         self.legal = {}  # trip id -> bool
         self.grown = {}  # trip id -> (reward, _Group)
 
-    def selectable(self, v) -> bool:
-        legal = self.legal.get(v)
-        if legal is None:
-            legal = self.legal[v] = _selectable(self.state, v)
-        return legal
+    def learn(self, vs):
+        """Ask `_legal` about the trips `vs` in one call and keep the answers."""
+        self.legal.update(dict.fromkeys(vs, False))
+        self.legal.update(dict.fromkeys(_legal(self.state, vs), True))
 
     def select(self, v, spec):
         move = self.grown.get(v)

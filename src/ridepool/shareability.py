@@ -19,7 +19,9 @@ lexicographic stop order (pickups by trip id, then dropoffs).  The allowed
 orders of k riders (4, 60 or 1 776) are listed once per process, all
 groups' legs are read in one ``RoadNetwork.distance_times`` gather, and
 every order's total is compared in bulk.  The graph build and ``read_graph``
-route all their pairs in one call, and ``read_trips`` all its solo trips.
+route all their pairs in one call, ``read_trips`` all its solo trips, and
+``ShareabilityGraph.route_groups`` all the grown groups of one policy
+decision.
 """
 
 import bisect
@@ -297,8 +299,8 @@ def _leg_stops(k):
     return np.array(_stop_orders(k)[1]).T
 
 
-# leg lengths gathered at once while the groups' orders are compared
-_ROUTE_CHUNK = 1 << 16
+# order totals formed at once while the groups' orders are compared
+_ROUTE_CHUNK = 1 << 13
 
 
 def _route_groups(net: RoadNetwork, groups):
@@ -311,9 +313,9 @@ def _route_groups(net: RoadNetwork, groups):
     when some allowed order cannot be driven, and it names the group's first
     such leg in row-major stop order.  Each order's total is its legs summed
     left to right, the float ``_evaluate_order`` forms, and ``np.argmin``
-    keeps the first minimum.
-    Groups are compared a chunk at a time, so that at most `_ROUTE_CHUNK`
-    leg lengths are gathered at once.
+    keeps the first minimum.  The totals are summed one leg at a time over an
+    (orders, groups) block, a chunk of groups at a time, so that at most
+    `_ROUTE_CHUNK` totals are formed at once.
 
     Returns `(errors, distance, time, routes)`: for each group with a leg
     that has no route, in group order, the NoRouteError of its first such
@@ -336,13 +338,14 @@ def _route_groups(net: RoadNetwork, groups):
             for g, i in zip(group.tolist(), leg[first].tolist())
         }
     best = np.empty(len(groups), dtype=np.intp)
-    step = max(1, _ROUTE_CHUNK // order_legs.size)
+    step = max(1, _ROUTE_CHUNK // len(orders))
     for lo in range(0, len(groups), step):
-        gathered = np.take(leg_dist_time[0, lo : lo + step], order_legs, axis=1)  # (groups, legs, orders)
-        total = gathered[:, 0] + gathered[:, 1]
+        # (legs, groups): a leg's lengths are one row, so each gather copies whole rows
+        leg_dist = np.ascontiguousarray(leg_dist_time[0, lo : lo + step].T)
+        total = np.take(leg_dist, order_legs[0], axis=0) + np.take(leg_dist, order_legs[1], axis=0)  # (orders, groups)
         for at in range(2, len(order_legs)):
-            total += gathered[:, at]
-        best[lo : lo + step] = np.argmin(total, axis=1)
+            total += np.take(leg_dist, order_legs[at], axis=0)
+        best[lo : lo + step] = np.argmin(total, axis=0)
     # the winning order's distance and time legs per group, summed the same way
     won = leg_dist_time[:, np.arange(len(groups))[:, None], order_legs[:, best].T]
     totals = won[:, :, 0] + won[:, :, 1]
@@ -437,6 +440,30 @@ class ShareabilityGraph:
                 route = route_for_group(self.net, [self.trips[t] for t in key])
             self._group_routes[key] = route
         return route
+
+    def route_groups(self, groups) -> dict:
+        """Route each of `groups`, all of 3 or all of 4 riders, as
+        `group_route` does, those not yet cached in one ``_route_groups``
+        call, and cache their routes; a lone group not yet cached goes
+        through `group_route` itself, one such call too.  Returns the
+        NoRouteError of each group that has no route, keyed by its trip ids
+        in ascending order; like `group_route`, it caches none of those."""
+        new = [key for key in dict.fromkeys(tuple(sorted(group)) for group in groups) if key not in self._group_routes]
+        if not new:
+            return {}
+        sizes = {len(key) for key in new}
+        if sizes != {3} and sizes != {4}:
+            raise ValueError(f"route_groups takes groups of one size, 3 or 4 riders, got sizes {sorted(sizes)}")
+        if len(new) == 1:
+            try:
+                self.group_route(new[0])
+            except NoRouteError as exc:
+                return {new[0]: exc}
+            return {}
+        errors, _, _, routes = _route_groups(self.net, [[self.trips[t] for t in key] for key in new])
+        routable = [i for i in range(len(new)) if i not in errors]
+        self._group_routes.update(zip([new[i] for i in routable], routes(routable)))
+        return {new[i]: exc for i, exc in errors.items()}
 
     def group_value(self, group) -> float:
         """Savings of pooling `group` under this graph's objective.

@@ -42,8 +42,8 @@ from ridepool.policy import (
     _score,
     _ScoredTable,
 )
-from ridepool.geo import NoRouteError
-from ridepool.shareability import Objective, ShareabilityGraph
+from ridepool.geo import NoRouteError, RoadNetwork
+from ridepool.shareability import Objective, ShareabilityGraph, route_for_group
 from ridepool.tolerance import ToleranceProfile
 
 from conftest import features_for, scenario_instance, stub_trip, weighted_graph
@@ -387,19 +387,20 @@ class TestCandidateActions:
             focal=0, context=features[0], graph=graph, selected=(1,), features=features, capacity=3
         )
 
-        def no_route_via_2(group):
-            if 2 in group:
-                raise NoRouteError("no route")
+        def no_route_via_2(groups):
+            return {tuple(sorted(group)): NoRouteError("no route") for group in groups if 2 in group}
 
-        monkeypatch.setattr(graph, "group_route", no_route_via_2)
+        monkeypatch.setattr(graph, "route_groups", no_route_via_2)
         assert candidate_actions(state) == [3]
 
-        def broken(group):
-            raise KeyError(group)
+        for error in (KeyError, ValueError):
 
-        monkeypatch.setattr(graph, "group_route", broken)
-        with pytest.raises(KeyError):
-            candidate_actions(state)
+            def broken(groups):
+                raise error(groups)
+
+            monkeypatch.setattr(graph, "route_groups", broken)
+            with pytest.raises(error):
+                candidate_actions(state)
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,12 +415,14 @@ def with_blocked_groups(graph, blocked):
     contains a `blocked` trip has no route."""
     blocked_graph = copy.copy(graph)
 
-    def group_route(group):
-        if len(group) > 2 and blocked.intersection(group):
-            raise NoRouteError(f"blocked group {group}")
-        return graph.group_route(group)
+    def route_groups(groups):
+        keys = [tuple(sorted(group)) for group in groups]
+        is_blocked = [len(key) > 2 and not blocked.isdisjoint(key) for key in keys]
+        errors = graph.route_groups([key for key, no in zip(keys, is_blocked) if not no])
+        errors.update((key, NoRouteError(f"blocked group {key}")) for key, no in zip(keys, is_blocked) if no)
+        return errors
 
-    blocked_graph.group_route = group_route
+    blocked_graph.route_groups = route_groups
     return blocked_graph
 
 
@@ -478,6 +481,67 @@ class TestLegality:
                     break
                 state, _, _ = step(state, selects[0], spec)
         assert sizes == {0, 1, 2, 3}
+
+
+def blocked_network_graph(graph, blocked):
+    """`graph` with its groups routed on a directed copy of its network in
+    which no arc leaves the destination node of a `blocked` trip, so a group
+    of three or more with a stop at such a node mostly has no route.  The
+    trips keep their solo routes and the edges their routes, so every trip
+    stays a candidate."""
+    sinks = {graph.trips[t].dest for t in blocked}
+    arcs = [(u, v, length, time) for a, b, length, time in graph.net.edges for u, v in ((a, b), (b, a)) if u not in sinks]
+    net = RoadNetwork(graph.net.nodes, arcs, directed=True)
+    return ShareabilityGraph(net, graph.trips.values(), graph.edges.values(), graph.objective)
+
+
+class TestBulkLegality:
+    """`_legal` routes all of a decision's grown groups in one call.  Its
+    answers, and every route it caches, must be those of routing each grown
+    group alone with `route_for_group`, bit for bit."""
+
+    @pytest.mark.parametrize("capacity", [3, 4])
+    def test_matches_per_group_routing(self, capacity, monkeypatch):
+        graph, features, spec, params = setup_150()
+        blocked = blocked_network_graph(graph, {0, 75})
+        asked = []
+        original = policy._legal
+
+        def recording(state, vs):
+            legal = original(state, vs)
+            asked.append((state, list(vs), legal))
+            return legal
+
+        with monkeypatch.context() as patch:
+            patch.setattr(policy, "_legal", recording)
+            match_all(blocked, features, params, spec, capacity)
+            rollout(blocked, features, params, spec, capacity, seed=2)
+
+        @functools.cache
+        def oracle(key):
+            try:
+                return route_for_group(blocked.net, [graph.trips[t] for t in key])
+            except NoRouteError:
+                return None
+
+        routes = []  # the oracle's route of each grown group `_legal` was asked to route
+        for state, vs, legal in asked:
+            group = (state.focal,) + state.selected
+            expected = []
+            for v in vs:
+                if len(group) == capacity or v in group or v in state.unavailable or not graph.edge(state.focal, v):
+                    continue
+                if len(group) > 1:
+                    routes.append(oracle(tuple(sorted(group + (v,)))))
+                    if routes[-1] is None:
+                        continue
+                expected.append(v)
+            assert legal == expected, (group, vs)
+        assert len(routes) > 100 and None in routes  # some grown groups have no route
+        cached = {key: route for key, route in blocked._group_routes.items() if len(key) > 2}
+        assert {len(key) for key in cached} == set(range(3, capacity + 1))
+        for key, route in cached.items():
+            assert route == oracle(key), key
 
 
 class TestScore:
@@ -850,17 +914,17 @@ def fresh_copy(graph):
 
 
 def routed_groups(monkeypatch, run):
-    """`run()`'s result and the trip ids of every group `route_for_group`
-    routed meanwhile, in call order."""
+    """`run()`'s result and, per ``_route_groups`` call made meanwhile, in
+    call order, the trip ids of the groups it routed."""
     routed = []
-    original = shareability.route_for_group
+    original = shareability._route_groups
 
-    def recording(net, trips):
-        routed.append(tuple(t.trip_id for t in trips))
-        return original(net, trips)
+    def recording(net, groups):
+        routed.append(tuple(tuple(t.trip_id for t in group) for group in groups))
+        return original(net, groups)
 
     with monkeypatch.context() as patch:
-        patch.setattr(shareability, "route_for_group", recording)
+        patch.setattr(shareability, "_route_groups", recording)
         result = run()
     return result, routed
 
@@ -906,7 +970,8 @@ class TestMoveMemo:
         )
         assert solution.groups == replay.groups
         assert routed == replayed
-        assert {len(group) for group in routed} >= {3, 4}  # and the solo routes of `solution_for`
+        assert {len(group) for call in routed for group in call} == {3, 4}
+        assert max(len(call) for call in routed) > 1  # a decision's groups share a call
 
         fresh = fresh_copy(graph)
         result, routed = routed_groups(monkeypatch, lambda: rollout(fresh, features, params, spec, 4, seed=1))
@@ -918,7 +983,7 @@ class TestMoveMemo:
         assert result.groups == canonical_groups(groups)
         assert next(actions, None) is None
         assert routed == replayed
-        assert {len(group) for group in routed} == {3, 4}
+        assert {len(group) for call in routed for group in call} == {3, 4}
 
     @pytest.mark.parametrize("capacity, penalty", [(2, 0.0), (3, 0.0), (4, 0.0), (3, 2000.0)])
     def test_shared_memo_changes_no_record(self, capacity, penalty, monkeypatch):
@@ -930,20 +995,20 @@ class TestMoveMemo:
         for share in (True, False):
             results = []
             asked = []
-            original_rollout, original_selectable = policy.rollout, policy._selectable
+            original_rollout, original_legal = policy.rollout, policy._legal
 
             def recording(*args, moves, **kwargs):
                 result = original_rollout(*args, moves=moves if share else None, **kwargs)
                 results.append(result)
                 return result
 
-            def selectable(state, v):
-                asked.append((state.focal, state.selected, v))
-                return original_selectable(state, v)
+            def legal(state, vs):
+                asked.extend((state.focal, state.selected, v) for v in vs)
+                return original_legal(state, vs)
 
             with monkeypatch.context() as patch:
                 patch.setattr(policy, "rollout", recording)
-                patch.setattr(policy, "_selectable", selectable)
+                patch.setattr(policy, "_legal", legal)
                 params, history = train(graph, features, spec, capacity, cfg, n_updates=3, hidden=8)
             runs.append((params, history, [rec for result in results for rec in all_records(result)], asked))
         (params, history, records, asked), (fresh_params, fresh_history, fresh_records, fresh_asked) = runs

@@ -559,7 +559,7 @@ class TestGroupRouting:
         edges = [(u, v, rng.uniform(1.0, 2000.0), rng.uniform(1.0, 200.0)) for u in range(8) for v in range(8)]
         net = RoadNetwork(nodes, [e for e in edges if e[0] != e[1] and rng.random() < 0.4], directed=True)
         groups = []
-        for g in range(3 * _ROUTE_CHUNK // _stop_orders(4)[2].size + 5):  # three chunks and then some
+        for g in range(3 * _ROUTE_CHUNK // len(_stop_orders(4)[0]) + 5):  # three chunks and then some
             trips = []
             for r in range(4):
                 o, d = rng.sample(range(9), 2)
@@ -603,6 +603,34 @@ class TestGroupRouting:
             calls.clear()
             assert route_for_group(net, trips) == expected[len(trips)]
             assert calls == [(legs, legs)]
+
+    def test_graph_routes_new_groups_in_one_call(self, monkeypatch):
+        # a batch of new groups is one `_route_groups` call and a lone one a
+        # `group_route`; the cached routes are `route_for_group`'s, and the
+        # groups with no route are returned, not cached
+        nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
+        net = RoadNetwork(nodes, [(0, 1, 1000.0, 100.0), (1, 2, 1000.0, 100.0), (3, 4, 1000.0, 100.0)])
+        trips = [trip_on(net, 0, 0, 2), trip_on(net, 1, 1, 2), trip_on(net, 2, 3, 4), trip_on(net, 3, 0, 1)]
+        trips.append(trip_on(net, 4, 1, 0))
+        graph = ShareabilityGraph(net, trips, [], Objective.DISTANCE)
+        calls = []
+
+        def counted(net, groups):
+            calls.append([tuple(t.trip_id for t in group) for group in groups])
+            return _route_groups(net, groups)
+
+        monkeypatch.setattr(shareability, "_route_groups", counted)
+        errors = graph.route_groups([(3, 1, 0), (0, 1, 2), (0, 1, 3)])
+        assert calls == [[(0, 1, 3), (0, 1, 2)]]  # in order of first appearance
+        assert list(errors) == [(0, 1, 2)] and isinstance(errors[(0, 1, 2)], NoRouteError)
+        assert graph._group_routes == {(0, 1, 3): route_for_group(net, [trips[0], trips[1], trips[3]])}
+        calls.clear()
+        assert graph.route_groups([(0, 1, 3)]) == {} and calls == []
+        assert list(graph.route_groups([(0, 1, 3), (0, 2, 3)])) == [(0, 2, 3)]
+        assert calls == [[(0, 2, 3)]]
+        for sizes in ([(0, 1), (1, 3, 4)], [(0, 1, 3, 4, 2)]):
+            with pytest.raises(ValueError):
+                graph.route_groups(sizes)
 
     def test_no_route_raised_like_brute_force(self):
         nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
