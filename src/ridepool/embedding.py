@@ -199,7 +199,7 @@ def write_features(features: dict, path):
 
 def read_features(path) -> dict:
     """User vectors by id; every user appears once and every row has the
-    width of the first."""
+    width of the first and finite values."""
     features = {}
 
     def parse(fields):
@@ -214,5 +214,9 @@ def read_features(path) -> dict:
             raise ValueError(f"user {uid} has {len(values)} values, the first row {width}")
         features[uid] = np.array([float(v) for v in values], dtype=np.float64)
 
-    read_records(path, "feature", {"U": None}, parse)
+    lines = []
+    read_records(path, "feature", {"U": None}, parse, lines)
+    for lineno, (uid, row) in zip(lines, features.items()):  # a pass of its own: a check inside `parse` raised the peak RSS
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{lineno}: bad feature record: user {uid} has a non-finite value")
     return features

@@ -13,18 +13,6 @@ from dataclasses import dataclass, fields
 
 from .baselines import MatchingSolution
 
-METRIC_NAMES = (
-    "occupancy_rate",
-    "carpooling_rate",
-    "avg_delay_min",
-    "avg_detour_m",
-    "detour_ratio",
-    "discount_ratio",
-    "emissions_g",
-    "fuel_l",
-)
-
-
 @dataclass(frozen=True)
 class CostFactors:
     emission_g_per_km: float = 192.0
@@ -64,6 +52,9 @@ class MetricsReport:
 
     def as_dict(self):
         return {name: getattr(self, name) for name in METRIC_NAMES}
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
 
 
 def vehicle_km(solution: MatchingSolution) -> float:

@@ -1,19 +1,20 @@
 """Sequential co-rider selection as an MDP, trained with clipped-surrogate
 policy gradients.
 
-Each focal trip runs an episode over the state (context vector, graph,
-selected co-riders): the policy scores every still-available neighbor plus a
-Stop action, samples one, and is rewarded with the marginal pooling savings
-of the pick under the graph's objective.  An action is the picked trip's id,
-or None for Stop.  A two-layer perceptron scores input rows: one tanh hidden
-layer, then a logit head and a value head on every row.  A decision reads
-one row per candidate, then its value row, which sits where the Stop logit
-goes: the candidates' logits, a learned scalar Stop logit, and the value
-row's value.  That network is evaluated in one place, `_score`, over
-gathered input rows, by the rollout, the greedy decode and the update
+Each focal trip runs an episode over the paper's state (context vector,
+graph, selected co-riders; `MatchState` keeps all but the contexts, which
+live in the run's `RowTable`): the policy scores every still-available
+neighbor plus a Stop action, samples one, and is rewarded with the marginal
+pooling savings of the pick under the graph's objective.  An action is the
+picked trip's id, or None for Stop.  A two-layer perceptron scores input
+rows: one tanh hidden layer, then a logit head and a value head on every row.
+A decision reads one row per candidate, then its value row, which sits where
+the Stop logit goes: the candidates' logits, a learned scalar Stop logit, and
+the value row's value.  That network is evaluated in one place, `_score`,
+over gathered input rows, by the rollout, the greedy decode and the update
 alike; which Selects are legal is decided in one place, `_legal`, which
-routes all of a decision's grown groups in one bulk call; discounted
-returns are formed in one place, `fill_returns`.  Updates use the clipped
+routes all of a decision's grown groups in one bulk call; discounted returns
+are formed in one place, `fill_returns`.  Updates use the clipped
 probability-ratio surrogate with exact hand-rolled backprop, which keeps the
 gradients finite-difference checkable.
 
@@ -35,8 +36,8 @@ cache is exact: a hit returns what a miss would have computed.
   its value row's value and forms its probabilities and sampling cdf on
   first sight; met again it costs one draw and a bisect.  The greedy
   decode starts both caches empty, so it routes exactly the groups a
-  per-visit `candidate_actions` would, in the same order and the same
-  calls: at most one routing call per decision.
+  per-visit `_legal` over the free neighbours would, in the same order and
+  the same calls: at most one routing call per decision.
 
 The update is batched and scores each distinct row once per epoch: the
 recorded steps carry row ids into the table and are grouped by decision key,
@@ -75,18 +76,13 @@ class InfeasibleActionError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class MatchState:
-    """State triple for one focal trip: context vector, graph, selected set.
-
-    `unavailable` carries trips already grouped earlier in the global pass;
-    `features` maps every user to their context vector.
-    """
+    """One focal trip's episode state: the graph, the co-riders selected so
+    far and the group capacity.  The paper's context vector is not copied
+    here: a decision reads it from the run's `RowTable`."""
 
     focal: int
-    context: np.ndarray
     graph: ShareabilityGraph
     selected: tuple = ()
-    unavailable: frozenset = frozenset()
-    features: dict = None
     capacity: int = 2
 
 
@@ -175,31 +171,23 @@ def init_policy_params(feature_dim, hidden=64, seed=0) -> PolicyParams:
     return PolicyParams(**arrays)
 
 
-def initial_state(graph, features, focal, unavailable=frozenset(), capacity=2) -> MatchState:
+def initial_state(graph, focal, capacity=2) -> MatchState:
     if not 2 <= capacity <= MAX_CAPACITY:
         raise ValueError(f"capacity must lie in [2, {MAX_CAPACITY}], got {capacity}")
-    user = graph.trips[focal].user_id
-    return MatchState(
-        focal=focal,
-        context=features[user],
-        graph=graph,
-        selected=(),
-        unavailable=frozenset(unavailable),
-        features=features,
-        capacity=capacity,
-    )
+    return MatchState(focal, graph, (), capacity)
 
 
 def _legal(state: MatchState, vs) -> list:
     """The trips of `vs` whose Select is legal, in `vs` order: the group has
-    room, v is an available trip joined to the focal trip by an edge and not
-    yet in the group, and the grown group routes (a pair routes by its edge).
-    Every grown group is routed in one `ShareabilityGraph.route_groups` call;
-    a group routes unless that call names it in its errors."""
+    room, v is joined to the focal trip by an edge and not yet in the group,
+    and the grown group routes (a pair routes by its edge).  Which trips are
+    still free is the caller's to know: it asks only about those.  Every
+    grown group is routed in one `ShareabilityGraph.route_groups` call; a
+    group routes unless that call names it in its errors."""
     if len(state.selected) >= state.capacity - 1:
         return []
-    graph, focal, selected, unavailable = state.graph, state.focal, state.selected, state.unavailable
-    vs = [v for v in vs if v != focal and v not in selected and v not in unavailable and graph.edge(focal, v) is not None]
+    graph, focal, selected = state.graph, state.focal, state.selected
+    vs = [v for v in vs if v != focal and v not in selected and graph.edge(focal, v) is not None]
     if not selected:
         return vs
     keys = [tuple(sorted((focal,) + selected + (v,))) for v in vs]
@@ -208,10 +196,10 @@ def _legal(state: MatchState, vs) -> list:
 
 
 def candidate_actions(state: MatchState):
-    """The trip ids the focal trip may Select next, in ascending order.  Stop
-    is always legal and is not listed; it scores as the last logit.  The
-    rollout asks the same `_legal` through its move memo (`_Group`) and must
-    offer exactly these."""
+    """The focal trip's neighbours whose Select is legal, in ascending id,
+    free or not.  Stop is always legal and is not listed.  `_run_policy`
+    asks `_legal` about free trips only, through its move memo (`_Group`);
+    this wrapper is kept for the benchmark's candidate-call counter."""
     return _legal(state, state.graph.neighbors(state.focal))
 
 
@@ -326,7 +314,7 @@ def step(state: MatchState, action, spec: RewardSpec):
     """Apply one action, a trip id to Select or None to Stop.  Stop ends the
     episode with reward 0; Select(v) extends the group and pays its marginal
     savings under the graph's objective (minus the marginal expected-rejection
-    penalty when `spec` sets one).  Context and graph carry over unchanged."""
+    penalty when `spec` sets one).  The graph carries over unchanged."""
     if action is None:
         return state, 0.0, True
     if not _legal(state, (action,)):
@@ -339,16 +327,7 @@ def step(state: MatchState, action, spec: RewardSpec):
             _group_rejection_cost(state.graph, next_group, spec.profile)
             - _group_rejection_cost(state.graph, prev_group, spec.profile)
         )
-    grown = MatchState(
-        state.focal,
-        state.context,
-        state.graph,
-        state.selected + (action,),
-        state.unavailable,
-        state.features,
-        state.capacity,
-    )
-    return grown, reward, False
+    return MatchState(state.focal, state.graph, state.selected + (action,), state.capacity), reward, False
 
 
 def _group_rejection_cost(graph, group, profile) -> float:
@@ -380,11 +359,6 @@ class StepRecord:
         """(k, input_dim): the candidates' rows, in sorted candidate order."""
         return self.table.inputs(self.row_ids[:-1])
 
-    @property
-    def value_input(self) -> np.ndarray:
-        """(input_dim,): the value row."""
-        return self.table.inputs(self.row_ids[-1:])[0]
-
 
 @dataclass
 class RolloutResult:
@@ -397,14 +371,13 @@ class RolloutResult:
         return [episode[0].return_ for episode in self.episodes]
 
 
-def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> RolloutResult:
+def _run_policy(graph, spec, capacity, pick, scored, moves) -> RolloutResult:
     """Shared driver: focal trips in ascending id, assigned trips excluded.
 
     `moves` maps each focal trip to its `_Group` memo; it must only ever see
-    one graph, feature map, capacity and reward spec.  `scored` is the
-    graph's row table under one set of parameters (`_ScoredTable`); a
-    decision met again reuses its entry.  `pick` chooses an action index
-    from an entry."""
+    one graph, capacity and reward spec.  `scored` is the graph's row table
+    under one set of parameters (`_ScoredTable`); a decision met again reuses
+    its entry.  `pick` chooses an action index from an entry."""
     assigned = set()
     episodes = []
     groups = []
@@ -413,7 +386,7 @@ def _run_policy(graph, features, spec, capacity, pick, scored, moves) -> Rollout
             continue
         group = moves.get(focal)
         if group is None:
-            group = moves[focal] = _Group(initial_state(graph, features, focal, capacity=capacity))
+            group = moves[focal] = _Group(initial_state(graph, focal, capacity))
         neighbors = graph.neighbors(focal)
         records = []
         while len(group.state.selected) < capacity - 1:
@@ -443,9 +416,9 @@ class _Group:
     co-riders) do, asked lazily and kept: whether Select(v) is legal
     (`_legal`) and, once taken, its reward and the grown group (`step`).
 
-    `state` marks no trip unavailable, and the driver asks only about trips
-    not yet assigned: for those the answer does not depend on which other
-    trips are assigned, so it holds for every visit of the group in a run.
+    `_run_policy` asks only about trips not yet assigned: for those the
+    answer does not depend on which other trips are assigned, so it holds
+    for every visit of the group in a run.
     A visit asks about all of its candidates not yet known in one `learn`,
     which routes their grown groups in one call."""
 
@@ -540,19 +513,19 @@ def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None, move
     `scored` and `moves` are the scored row table and the move memo of
     `_run_policy`; leaving either out gives a fresh one.  Rollouts under the
     same parameters (one update's, in `train`) may share a scored table, and
-    rollouts on the same graph, features, capacity and spec (all of a
-    `train` run's) may share a move memo; neither changes any record."""
+    rollouts on the same graph, capacity and spec (all of a `train` run's)
+    may share a move memo; neither changes any record."""
     rng = np.random.default_rng(seed)
     scored = _ScoredTable(RowTable(graph, features, capacity), params) if scored is None else scored
     moves = {} if moves is None else moves
-    return _run_policy(graph, features, spec, capacity, lambda entry: _sample(entry.cdf, rng), scored, moves)
+    return _run_policy(graph, spec, capacity, lambda entry: _sample(entry.cdf, rng), scored, moves)
 
 
 def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     """Greedy decode (argmax action, ties to the lowest trip id) into a full
     matching solution with routed groups."""
     scored = _ScoredTable(RowTable(graph, features, capacity), params)
-    result = _run_policy(graph, features, spec, capacity, lambda entry: int(np.argmax(entry.log_probs)), scored, {})
+    result = _run_policy(graph, spec, capacity, lambda entry: int(np.argmax(entry.log_probs)), scored, {})
     return solution_for(graph, result.groups)
 
 

@@ -98,6 +98,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"demand.departure_window_s must be >= 0, got {dem.departure_window_s}")
     if not 2 <= cfg.capacity <= 4:
         raise ConfigError(f"run.capacity must lie in [2, 4], got {cfg.capacity}")
+    if cfg.seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {cfg.seed}")
     if cfg.train_updates < 0:
         raise ConfigError(f"run.train_updates must be >= 0, got {cfg.train_updates}")
     if cfg.policy_hidden < 1:

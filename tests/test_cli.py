@@ -211,6 +211,7 @@ class TestConfigParsing:
             ("[network]\nanchor_lon = -181\n", "network.anchor_lon"),
             ("[network]\nanchor_lon = 179.99\n", "network.anchor_lon"),
             ("[network]\nanchor_lat = 89.99\nrows = 1\n", "network.anchor_lon"),  # columns widen near the pole
+            ("[run]\nseed = -3\n", "run.seed must be >= 0, got -3"),
         ],
     )
     def test_out_of_range_value_names_field(self, text, field, tmp_path, capsys):
@@ -218,6 +219,13 @@ class TestConfigParsing:
         path.write_text("[demand]\nn_trips = 12\nn_users = 6\n" + text)
         assert run_cli(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_names_field(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[demand]\nn_trips = 12\nn_users = 6\n")
+        assert run_cli(["all", "--config", str(path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "config error: run.seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -439,8 +447,18 @@ class TestMalformedArtifacts:
             (pipeline.GRAPH_FILE, 2, lambda f: " ".join(f[:2] + ["99"] + f[3:]), "match"),
             (pipeline.TRIPS_FILE, 4, lambda f: " ".join(f[:7] + ["nan"]), "graph"),
             (pipeline.TRIPS_FILE, 5, lambda f: " ".join(f[:7] + ["inf"]), "graph"),
+            (pipeline.FEATURES_FILE, 2, lambda f: " ".join(f[:2] + ["nan"] + f[3:]), "train"),
+            (pipeline.FEATURES_FILE, 3, lambda f: " ".join(f[:-1] + ["inf"]), "match"),
         ],
-        ids=["trip-user-id", "truncated-policy", "graph-unknown-trip", "nan-departure", "inf-departure"],
+        ids=[
+            "trip-user-id",
+            "truncated-policy",
+            "graph-unknown-trip",
+            "nan-departure",
+            "inf-departure",
+            "nan-feature",
+            "inf-feature",
+        ],
     )
     def test_bad_record_exits_2_naming_file_and_line(self, name, lineno, edit, command, tmp_path, capsys):
         cfg_path, out = self.trained_run(tmp_path)

@@ -444,6 +444,9 @@ class TestFeatureIO:
             ("U 0 1 2\nU 1 3 4\nU 0 5 6\n", 3),  # a second row for user 0
             ("U 0 1 2\n# note\nU 1 3\n", 3),  # narrower than the first row
             ("U 0 1 2\nU 1 3 4 5\n", 2),  # wider than the first row
+            ("U 0 1 2\nU 1 nan 4\n", 2),  # not a number
+            ("U 0 inf 2\n", 1),  # infinite
+            ("U 0 1 2\nU 1 3 -inf\n", 2),  # minus infinity
         ]
         for text, lineno in cases:
             path.write_text(text)

@@ -37,6 +37,7 @@ from ridepool.policy import (
     train,
     write_policy,
     _cdf,
+    _legal,
     _pack_steps,
     _sample,
     _score,
@@ -128,6 +129,11 @@ def score_one(params, select_inputs, value_input):
     return hidden, logits, value_hidden, value
 
 
+def value_input(rec):
+    """(input_dim,): a record's value row."""
+    return rec.table.inputs(rec.row_ids[-1:])[0]
+
+
 def surrogate_objective_per_step(params: PolicyParams, steps, cfg: PPOConfig):
     """Oracle: the clipped surrogate and its gradient, one step at a time."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
@@ -137,7 +143,7 @@ def surrogate_objective_per_step(params: PolicyParams, steps, cfg: PPOConfig):
         advantage = rec.return_ - rec.value
         inputs = rec.select_inputs
         k = inputs.shape[0]
-        hidden, logits, value_hidden, value = score_one(params, inputs, rec.value_input)
+        hidden, logits, value_hidden, value = score_one(params, inputs, value_input(rec))
         shifted = logits - logits.max()
         log_z = math.log(np.exp(shifted).sum())
         log_probs = shifted - log_z
@@ -175,7 +181,7 @@ def surrogate_objective_per_step(params: PolicyParams, steps, cfg: PPOConfig):
         grads["b_value"] += d_value
         d_value_hidden = d_value * params.w_value
         d_value_pre = d_value_hidden * (1.0 - value_hidden**2)
-        grads["w_hidden"] += np.outer(rec.value_input, d_value_pre)
+        grads["w_hidden"] += np.outer(value_input(rec), d_value_pre)
         grads["b_hidden"] += d_value_pre
 
     n = len(steps)
@@ -196,16 +202,17 @@ def assert_matches_per_step(params, steps, cfg):
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=atol, err_msg=name)
 
 
-def select_inputs_rowwise(state, select_ids):
+def select_inputs_rowwise(state, select_ids, features):
     """Oracle: the candidate block built one concatenated row at a time."""
     fill = len(state.selected) / MAX_CAPACITY
+    context = features[state.graph.trips[state.focal].user_id]
     rows = []
     for v in select_ids:
         edge = state.graph.edge(state.focal, v)
-        candidate_context = state.features[state.graph.trips[v].user_id]
+        candidate_context = features[state.graph.trips[v].user_id]
         weight = edge.weight * WEIGHT_INPUT_SCALE
-        rows.append(np.concatenate([state.context, candidate_context, [weight], [fill]]))
-    return np.array(rows).reshape(len(rows), 2 * len(state.context) + 2)
+        rows.append(np.concatenate([context, candidate_context, [weight], [fill]]))
+    return np.array(rows).reshape(len(rows), 2 * len(context) + 2)
 
 
 def perturbed(params, rng, scale):
@@ -284,7 +291,7 @@ def clip_branches(params, steps, eps):
     """Per step: (advantage > 0, unclipped branch active)."""
     branches = []
     for rec in steps:
-        _, logits, _, _ = score_one(params, rec.select_inputs, rec.value_input)
+        _, logits, _, _ = score_one(params, rec.select_inputs, value_input(rec))
         shifted = logits - logits.max()
         ratio = math.exp(shifted[rec.action_index] - math.log(np.exp(shifted).sum()) - rec.log_prob)
         advantage = rec.return_ - rec.value
@@ -346,46 +353,39 @@ def packed_counts(steps):
     return len(packed.row_ids), len(packed.sizes), len(packed.step_decision)
 
 
-def value_row_rowwise(state):
+def value_row_rowwise(state, features):
     """Oracle: the value row, the focal context then zeros for the candidate
     and its weight, then the group fill."""
     fill = len(state.selected) / MAX_CAPACITY
-    return np.concatenate([state.context, np.zeros(len(state.context) + 1), [fill]])
+    context = features[state.graph.trips[state.focal].user_id]
+    return np.concatenate([context, np.zeros(len(context) + 1), [fill]])
+
+
+def free_candidates(state, assigned):
+    """Oracle: the Selects legal from `state` among the focal trip's
+    neighbours not yet `assigned`, asked of `_legal` in one call."""
+    return _legal(state, [v for v in state.graph.neighbors(state.focal) if v not in assigned])
 
 
 class TestCandidateActions:
     def test_isolated_focal_only_stop(self):
         graph = weighted_graph({(1, 2): 5.0}, n_trips=4)
-        features = {i: np.zeros(3) for i in range(4)}
-        state = initial_state(graph, features, focal=0)
+        state = initial_state(graph, focal=0)
         assert candidate_actions(state) == []
 
     def test_capacity_bound_only_stop(self):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0})
-        features = {i: np.zeros(3) for i in range(3)}
-        state = MatchState(
-            focal=0, context=features[0], graph=graph, selected=(1,), features=features, capacity=2
-        )
+        state = MatchState(focal=0, graph=graph, selected=(1,), capacity=2)
         assert candidate_actions(state) == []
 
     def test_two_free_neighbors(self):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0})
-        features = {i: np.zeros(3) for i in range(3)}
-        state = initial_state(graph, features, focal=0)
+        state = initial_state(graph, focal=0)
         assert candidate_actions(state) == [1, 2]
-
-    def test_assigned_neighbors_excluded(self):
-        graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0})
-        features = {i: np.zeros(3) for i in range(3)}
-        state = initial_state(graph, features, focal=0, unavailable=frozenset({1}))
-        assert candidate_actions(state) == [2]
 
     def test_unroutable_neighbor_excluded_but_other_errors_raised(self, monkeypatch):
         graph = weighted_graph({(0, 1): 5.0, (0, 2): 5.0, (0, 3): 5.0})
-        features = {i: np.zeros(3) for i in range(4)}
-        state = MatchState(
-            focal=0, context=features[0], graph=graph, selected=(1,), features=features, capacity=3
-        )
+        state = MatchState(focal=0, graph=graph, selected=(1,), capacity=3)
 
         def no_route_via_2(groups):
             return {tuple(sorted(group)): NoRouteError("no route") for group in groups if 2 in group}
@@ -447,17 +447,14 @@ class TestLegality:
         seed=st.sampled_from((5, 7)),
         capacity=st.integers(2, 4),
         focal_index=st.integers(0, 9),
-        unavailable=st.frozensets(st.integers(0, 9), max_size=4),
         blocked=st.frozensets(st.integers(0, 9), max_size=3),
         picks=st.lists(st.integers(0, 9), max_size=3),
     )
-    def test_step_raises_exactly_when_not_a_candidate(
-        self, seed, capacity, focal_index, unavailable, blocked, picks
-    ):
-        graph, features, spec = dense_setup(seed)
+    def test_step_raises_exactly_when_not_a_candidate(self, seed, capacity, focal_index, blocked, picks):
+        graph, _, spec = dense_setup(seed)
         graph = with_blocked_groups(graph, blocked)
         focal = sorted(graph.trips)[focal_index]
-        state = initial_state(graph, features, focal, unavailable - {focal}, capacity)
+        state = initial_state(graph, focal, capacity)
         assert_step_raises_exactly_off_candidates(state, spec)
         for pick in picks:
             selects = candidate_actions(state)
@@ -469,10 +466,10 @@ class TestLegality:
     def test_every_focal_and_group_size(self):
         # deterministic sweep: each focal trip at capacity 4, co-riders added
         # lowest id first, checked at every group size along the way
-        graph, features, spec = dense_setup(7)
+        graph, _, spec = dense_setup(7)
         sizes = set()
         for focal in sorted(graph.trips):
-            state = initial_state(graph, features, focal, frozenset({(focal + 3) % 10}), capacity=4)
+            state = initial_state(graph, focal, capacity=4)
             while True:
                 assert_step_raises_exactly_off_candidates(state, spec)
                 sizes.add(len(state.selected))
@@ -529,7 +526,7 @@ class TestBulkLegality:
             group = (state.focal,) + state.selected
             expected = []
             for v in vs:
-                if len(group) == capacity or v in group or v in state.unavailable or not graph.edge(state.focal, v):
+                if len(group) == capacity or v in group or not graph.edge(state.focal, v):
                     continue
                 if len(group) > 1:
                     routes.append(oracle(tuple(sorted(group + (v,)))))
@@ -560,9 +557,9 @@ class TestScore:
             assert rec.value == scored.values[rec.row_ids[-1]]
             assert rec.log_prob == table_logits[rec.action_index] - top - math.log(sum(exps))
             # and, to rounding, what the network gives for the rows rebuilt
-            _, logits, values = _score(params, np.vstack([rec.select_inputs, rec.value_input]))
+            _, logits, values = _score(params, np.vstack([rec.select_inputs, value_input(rec)]))
             logits[-1] = params.stop_logit
-            _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, rec.value_input)
+            _, oracle_logits, _, oracle_value = score_one(params, rec.select_inputs, value_input(rec))
             np.testing.assert_allclose(logits, oracle_logits, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(table_logits, oracle_logits, rtol=1e-12, atol=1e-12)
             assert values[-1] == pytest.approx(oracle_value, rel=1e-12, abs=1e-12)
@@ -571,7 +568,7 @@ class TestScore:
             log_probs = shifted - math.log(np.exp(shifted).sum())
             assert abs(log_probs[rec.action_index] - rec.log_prob) <= 1e-12
         # the same forward pass over all records' value rows at once
-        _, _, values = _score(params, np.array([rec.value_input for rec in records]))
+        _, _, values = _score(params, np.array([value_input(rec) for rec in records]))
         np.testing.assert_allclose(values, [rec.value for rec in records], rtol=1e-12)
 
     def test_packed_steps_hold_each_step_in_order(self):
@@ -657,10 +654,10 @@ class TestRowTable:
         for focal in graph.trips:
             neighbors = graph.neighbors(focal)
             for depth in range(capacity - 1):
-                state = replace(initial_state(graph, features, focal, capacity=capacity), selected=(None,) * depth)
+                state = replace(initial_state(graph, focal, capacity), selected=(None,) * depth)
                 ids = table.decision_rows(focal, depth, neighbors)
-                assert table.inputs(ids[:-1]).tobytes() == select_inputs_rowwise(state, neighbors).tobytes()
-                assert table.inputs(ids[-1:]).tobytes() == value_row_rowwise(state).tobytes()
+                assert table.inputs(ids[:-1]).tobytes() == select_inputs_rowwise(state, neighbors, features).tobytes()
+                assert table.inputs(ids[-1:]).tobytes() == value_row_rowwise(state, features).tobytes()
                 for picked in (neighbors[::2], neighbors[1:]):
                     assert list(table.decision_rows(focal, depth, picked)[:-1]) == [
                         ids[neighbors.index(v)] for v in picked
@@ -699,50 +696,48 @@ class TestRowTable:
 
 class TestStep:
     def test_stop_is_terminal_zero_reward(self):
-        _, _, graph, features, spec = routed_setup()
-        state = initial_state(graph, features, focal=0)
+        _, _, graph, _, spec = routed_setup()
+        state = initial_state(graph, focal=0)
         next_state, reward, done = step(state, None, spec)
         assert done and reward == 0.0 and next_state is state
 
     def test_first_select_pays_edge_weight(self):
-        _, _, graph, features, spec = routed_setup()
+        _, _, graph, _, spec = routed_setup()
         (a, b), edge = next(iter(sorted(graph.edges.items())))
-        state = initial_state(graph, features, focal=a)
+        state = initial_state(graph, focal=a)
         next_state, reward, done = step(state, b, spec)
         assert reward == edge.weight
         assert not done
         assert next_state.selected == (b,)
 
     def test_frame_invariance(self):
-        # context vector and graph ride through the transition untouched
-        _, _, graph, features, spec = routed_setup()
+        # the graph and the focal trip ride through the transition untouched
+        _, _, graph, _, spec = routed_setup()
         (a, b), _ = next(iter(sorted(graph.edges.items())))
-        state = initial_state(graph, features, focal=a)
+        state = initial_state(graph, focal=a)
         next_state, _, _ = step(state, b, spec)
-        assert next_state.context is state.context
         assert next_state.graph is state.graph
         assert next_state.focal == state.focal
 
     def test_infeasible_action_rejected(self):
-        _, _, graph, features, spec = routed_setup()
+        _, _, graph, _, spec = routed_setup()
         isolated = [t for t in sorted(graph.trips) if not graph.neighbors(t)]
         focal = sorted(graph.trips)[0]
         non_neighbor = next(
             t for t in sorted(graph.trips) if t != focal and t not in graph.neighbors(focal)
         )
-        state = initial_state(graph, features, focal=focal)
+        state = initial_state(graph, focal=focal)
         with pytest.raises(InfeasibleActionError):
             step(state, non_neighbor, spec)
 
     def test_three_rider_marginal_matches_reroute(self):
         net, trips, graph = scenario_instance(seed=2, n_trips=6, rows=3, cols=3, spacing=1000.0)
-        features = features_for(trips)
         spec = RewardSpec()
         focal = next(
             t for t in sorted(graph.trips) if len(graph.neighbors(t)) >= 2
         )
         n1, n2 = graph.neighbors(focal)[:2]
-        state = initial_state(graph, features, focal=focal, capacity=3)
+        state = initial_state(graph, focal=focal, capacity=3)
         state, first_reward, _ = step(state, n1, spec)
         state2, reward, _ = step(state, n2, spec)
         by_id = graph.trips
@@ -758,7 +753,7 @@ class TestStep:
     def test_social_penalty_reduces_reward(self):
         from ridepool.tolerance import ToleranceProfile
 
-        _, _, graph, features, _ = routed_setup(seed=6, n_trips=8, departure_span=500.0)
+        _, _, graph, _, _ = routed_setup(seed=6, n_trips=8, departure_span=500.0)
         pair = next(
             ((a, b), e)
             for (a, b), e in sorted(graph.edges.items())
@@ -770,7 +765,7 @@ class TestStep:
             social_penalty_weight=10.0,
             profile=ToleranceProfile(tau0=300.0, kappa=2.0, s=1.0),
         )
-        state = initial_state(graph, features, focal=a)
+        state = initial_state(graph, focal=a)
         _, base_reward, _ = step(state, b, plain)
         _, cut_reward, _ = step(state, b, penalized)
         assert cut_reward < base_reward
@@ -821,10 +816,10 @@ class TestRollout:
             for focal in sorted(graph.trips):
                 if focal in assigned:
                     continue
-                state = initial_state(graph, features, focal, frozenset(assigned), capacity)
+                state = initial_state(graph, focal, capacity)
                 for rec in next(episodes):
-                    select_ids = candidate_actions(state)
-                    expected = select_inputs_rowwise(state, select_ids)
+                    select_ids = free_candidates(state, assigned)
+                    expected = select_inputs_rowwise(state, select_ids, features)
                     assert rec.select_inputs.dtype == expected.dtype
                     assert rec.select_inputs.shape == expected.shape
                     assert rec.select_inputs.tobytes() == expected.tobytes()
@@ -896,7 +891,7 @@ class TestDecisionCache:
         for rec, fresh in zip(records, fresh_records):
             assert rec.select_inputs.shape == fresh.select_inputs.shape
             assert rec.select_inputs.tobytes() == fresh.select_inputs.tobytes()
-            assert rec.value_input.tobytes() == fresh.value_input.tobytes()
+            assert value_input(rec).tobytes() == value_input(fresh).tobytes()
             assert (rec.action_index, rec.log_prob, rec.reward, rec.value) == (
                 fresh.action_index,
                 fresh.log_prob,
@@ -929,17 +924,17 @@ def routed_groups(monkeypatch, run):
     return result, routed
 
 
-def replay_decode(graph, features, spec, capacity, choose):
-    """Oracle driver: the focal pass with `candidate_actions` and `step` asked
+def replay_decode(graph, spec, capacity, choose):
+    """Oracle: the focal pass with `free_candidates` and `step` asked
     at every visit; `choose(state, select_ids)` gives the action index."""
     assigned = set()
     groups = []
     for focal in sorted(graph.trips):
         if focal in assigned:
             continue
-        state = initial_state(graph, features, focal, frozenset(assigned), capacity)
+        state = initial_state(graph, focal, capacity)
         while len(state.selected) < capacity - 1:
-            select_ids = candidate_actions(state)
+            select_ids = free_candidates(state, assigned)
             index = choose(state, select_ids)
             if index == len(select_ids):
                 break
@@ -952,13 +947,15 @@ def replay_decode(graph, features, spec, capacity, choose):
 class TestMoveMemo:
     """`train` keeps one move memo for the run: each group's legal Selects and
     their rewards are asked once.  It must route no group a replay that asks
-    `candidate_actions` at every visit would not, and change no record."""
+    `_legal` about the free neighbours at every visit would not, and change
+    no record."""
 
     def test_routes_exactly_the_groups_a_replay_routes(self, monkeypatch):
         graph, features, spec, params = setup_150()
 
         def argmax(state, select_ids):
-            _, logits, _, _ = score_one(params, select_inputs_rowwise(state, select_ids), value_row_rowwise(state))
+            rows = select_inputs_rowwise(state, select_ids, features)
+            _, logits, _, _ = score_one(params, rows, value_row_rowwise(state, features))
             return int(np.argmax(logits))
 
         fresh = fresh_copy(graph)
@@ -966,7 +963,7 @@ class TestMoveMemo:
         fresh = fresh_copy(graph)
         replay, replayed = routed_groups(
             monkeypatch,
-            lambda: solution_for(fresh, canonical_groups(replay_decode(fresh, features, spec, 4, argmax))),
+            lambda: solution_for(fresh, canonical_groups(replay_decode(fresh, spec, 4, argmax))),
         )
         assert solution.groups == replay.groups
         assert routed == replayed
@@ -978,7 +975,7 @@ class TestMoveMemo:
         actions = iter(rec.action_index for rec in all_records(result))
         fresh = fresh_copy(graph)
         groups, replayed = routed_groups(
-            monkeypatch, lambda: replay_decode(fresh, features, spec, 4, lambda state, select_ids: next(actions))
+            monkeypatch, lambda: replay_decode(fresh, spec, 4, lambda state, select_ids: next(actions))
         )
         assert result.groups == canonical_groups(groups)
         assert next(actions, None) is None
@@ -1019,7 +1016,7 @@ class TestMoveMemo:
         assert len(records) == len(fresh_records)
         for rec, fresh in zip(records, fresh_records):
             assert rec.select_inputs.tobytes() == fresh.select_inputs.tobytes()
-            assert rec.value_input.tobytes() == fresh.value_input.tobytes()
+            assert value_input(rec).tobytes() == value_input(fresh).tobytes()
             assert (rec.action_index, rec.log_prob, rec.reward, rec.value, rec.return_, rec.decision) == (
                 fresh.action_index,
                 fresh.log_prob,
