@@ -21,7 +21,10 @@ groups' legs are read in one ``RoadNetwork.distance_times`` gather, and
 every order's total is compared in bulk.  The graph build and ``read_graph``
 route all their pairs in one call, ``read_trips`` all its solo trips, and
 ``ShareabilityGraph.route_groups`` all the grown groups of one policy
-decision.
+decision.  The router returns one record per group (``_Routing``: the
+winning order, its legs, their totals); an edge holds only the totals, and
+the graph caches each record and builds the group's `SharedRoute` from it
+the first time ``group_route`` reads it.
 """
 
 import bisect
@@ -148,7 +151,8 @@ class SharedRoute:
     The vehicle leaves the first stop at the latest desired departure among
     its riders, so the earlier riders' wait shows up as delay.  Detour is
     in-vehicle distance minus the rider's solo distance; delay is door-to-door
-    time (from their own desired departure) minus their solo time.
+    time (from their own desired departure) minus their solo time.  A graph
+    builds a group's route from its routing record when the route is read.
     """
 
     ordering: tuple
@@ -158,12 +162,15 @@ class SharedRoute:
     per_rider_detour: dict
 
 
-@dataclass(frozen=True)
-class ShareabilityEdge:
+class ShareabilityEdge(NamedTuple):
+    """A kept pair with its weight and its shared route's totals; the route
+    itself is `ShareabilityGraph.group_route`'s to build."""
+
     trip_a: int
     trip_b: int
     weight: float
-    shared: SharedRoute
+    total_distance: float
+    total_time: float
 
 
 def social_feasible(a: TripRequest, b: TripRequest, radius=DEFAULT_RADIUS_M) -> bool:
@@ -254,10 +261,26 @@ def _evaluate_order(trips, order, legs) -> SharedRoute:
     )
 
 
+class _Routing(NamedTuple):
+    """A group's ``_route_groups`` result: its totals, and its row of that
+    call's arrays of winning stop orders, (groups, 2k), and of their legs'
+    (distance, time) floats, (groups, 2k - 1, 2)."""
+
+    total_distance: float
+    total_time: float
+    orders: np.ndarray
+    legs: np.ndarray
+    row: int
+
+    def shared_route(self, trips) -> SharedRoute:
+        """The route of the group, `trips` sorted by trip id."""
+        return _evaluate_order(trips, self.orders[self.row].tolist(), self.legs[self.row].tolist())
+
+
 def best_shared_route(net: RoadNetwork, a: TripRequest, b: TripRequest) -> SharedRoute:
     """Shortest of the four orders that pick both riders up before either is
     dropped off (the ``_route_groups`` rule), whichever trip comes first."""
-    return _route_group(net, sorted((a, b), key=lambda t: t.trip_id))
+    return route_for_group(net, (a, b))
 
 
 @functools.cache
@@ -271,9 +294,9 @@ def _stop_orders(k):
     they come out in lexicographic order (the order ``itertools.permutations``
     yields), without the permutations that break the rule: 4, 60 and 1 776
     orders for 2, 3 and 4 riders.  Returns `(orders, legs, order_legs)`: the
-    (orders, 2k) array of orders, the (from, to) stop pairs that some order
-    drives in row-major order, and a (2k - 1, orders) array whose column o
-    holds order o's legs, first leg first, as indices into `legs`.
+    (orders, 2k) array of orders, the (2, legs) from and to stops of the legs
+    some order drives, in row-major order, and a (2k - 1, orders) array whose
+    column o holds order o's legs, first leg first, as columns of `legs`.
     """
     n = 2 * k
     orders = np.zeros((1, 0), dtype=np.intp)
@@ -288,15 +311,7 @@ def _stop_orders(k):
     codes = orders[:, :-1] * n + orders[:, 1:]  # leg (i, j) as i * n + j
     driven = np.bincount(codes.ravel(), minlength=n * n) > 0
     index = np.cumsum(driven) - 1
-    legs = [divmod(code, n) for code in np.flatnonzero(driven).tolist()]
-    return orders, legs, np.ascontiguousarray(index[codes].T)
-
-
-@functools.cache
-def _leg_stops(k):
-    """The (from, to) stop indices of the legs of ``_stop_orders(k)``, as a
-    (2, legs) array."""
-    return np.array(_stop_orders(k)[1]).T
+    return orders, np.array(np.divmod(np.flatnonzero(driven), n)), np.ascontiguousarray(index[codes].T)
 
 
 # order totals formed at once while the groups' orders are compared
@@ -317,18 +332,18 @@ def _route_groups(net: RoadNetwork, groups):
     (orders, groups) block, a chunk of groups at a time, so that at most
     `_ROUTE_CHUNK` totals are formed at once.
 
-    Returns `(errors, distance, time, routes)`: for each group with a leg
-    that has no route, in group order, the NoRouteError of its first such
-    leg; the winning order's total distance and time per group, inf for a
-    group in `errors`; and `routes(ks)`, the ``SharedRoute`` of each group
-    index in `ks`, none of them in `errors`.
+    Returns `(errors, records)`: for each group with a leg that has no
+    route, in group order, the NoRouteError of its first such leg; and each
+    group's `_Routing`, None for a group in `errors`.  A record's legs are
+    the floats ``distance_times`` returned, so the route ``_evaluate_order``
+    builds from it is, bit for bit, the one routing the group alone gives.
     """
     k = len(groups[0]) if groups else 2
     orders, legs, order_legs = _stop_orders(k)
     stops = np.array([[t.origin for t in g] + [t.dest for t in g] for g in groups], dtype=np.int64)
     stops = stops.reshape(len(groups), 2 * k)
-    tails, heads = (stops[:, end] for end in _leg_stops(k))  # (groups, legs) each
-    leg_dist_time = np.concatenate(net.distance_times(tails.ravel(), heads.ravel())).reshape(2, len(groups), len(legs))
+    tails, heads = stops[:, legs[0]], stops[:, legs[1]]  # (groups, legs) each
+    leg_dist_time = np.concatenate(net.distance_times(tails.ravel(), heads.ravel())).reshape(2, *tails.shape)
     group, leg = np.nonzero(leg_dist_time[0] == math.inf)  # row-major
     errors = {}
     if len(group):
@@ -351,45 +366,27 @@ def _route_groups(net: RoadNetwork, groups):
     totals = won[:, :, 0] + won[:, :, 1]
     for at in range(2, len(order_legs)):
         totals += won[:, :, at]
-    if errors:
-        totals[:, list(errors)] = math.inf
-
-    def routes(ks):
-        ks = list(ks)
-        # the winning legs are the floats `distance_times` returned
-        won_dist, won_time = won[:, ks].tolist()
-        return [
-            _evaluate_order(groups[g], order, zip(leg_dist, leg_time))
-            for g, order, leg_dist, leg_time in zip(ks, orders[best[ks]].tolist(), won_dist, won_time)
-        ]
-
-    return errors, totals[0], totals[1], routes
-
-
-def _route_group(net: RoadNetwork, trips) -> SharedRoute:
-    """The ``_route_groups`` route of one group, or its NoRouteError."""
-    errors, _, _, routes = _route_groups(net, [trips])
-    if errors:
-        raise errors[0]
-    return routes([0])[0]
+    won_orders, won_legs = orders[best], won.transpose(1, 2, 0)
+    records = [
+        None if g in errors else _Routing(distance, time, won_orders, won_legs, g)
+        for g, (distance, time) in enumerate(zip(*totals.tolist()))
+    ]
+    return errors, records
 
 
 def route_for_group(net: RoadNetwork, trips) -> SharedRoute:
     """Best vehicle route for 1..4 riders: a singleton's solo route, else the
-    ``_route_groups`` route of the riders sorted by trip id."""
+    ``_route_groups`` route of the riders sorted by trip id, or its NoRouteError."""
     trips = sorted(trips, key=lambda t: t.trip_id)
     if len(trips) == 1:
-        t = trips[0]
-        return SharedRoute(
-            ordering=(("P", t.trip_id), ("D", t.trip_id)),
-            total_distance=t.solo_route.distance,
-            total_time=t.solo_route.time,
-            per_rider_delay={t.trip_id: 0.0},
-            per_rider_detour={t.trip_id: 0.0},
-        )
+        tid, solo = trips[0].trip_id, trips[0].solo_route
+        return SharedRoute((("P", tid), ("D", tid)), solo.distance, solo.time, {tid: 0.0}, {tid: 0.0})
     if len(trips) > 4:
         raise ValueError(f"group routing supports at most 4 riders, got {len(trips)}")
-    return _route_group(net, trips)
+    errors, (record,) = _route_groups(net, [trips])
+    if errors:
+        raise errors[0]
+    return record.shared_route(trips)
 
 
 def edge_weight(shared: SharedRoute, a: TripRequest, b: TripRequest, objective: Objective) -> float:
@@ -422,7 +419,8 @@ class ShareabilityGraph:
             adjacency[a].append(b)
             adjacency[b].append(a)
         self._adjacency = {tid: tuple(sorted(n)) for tid, n in adjacency.items()}
-        self._group_routes = {}
+        # sorted trip ids -> the group's `_Routing`, or its `SharedRoute` once read
+        self._routes = {}
 
     def neighbors(self, trip_id):
         return self._adjacency[trip_id]
@@ -431,24 +429,24 @@ class ShareabilityGraph:
         return self.edges.get((min(a, b), max(a, b)))
 
     def group_route(self, group) -> SharedRoute:
+        """The route of `group`, built from its cached `_Routing` on the first
+        read, or by `route_for_group` if none is cached; cached either way."""
         key = tuple(sorted(group))
-        route = self._group_routes.get(key)
-        if route is None:
-            if len(key) == 2 and key in self.edges:
-                route = self.edges[key].shared
-            else:
-                route = route_for_group(self.net, [self.trips[t] for t in key])
-            self._group_routes[key] = route
+        route = self._routes.get(key)
+        if route is None:  # not routed yet
+            route = self._routes[key] = route_for_group(self.net, [self.trips[t] for t in key])
+        elif not isinstance(route, SharedRoute):  # routed, not read yet
+            route = self._routes[key] = route.shared_route([self.trips[t] for t in key])
         return route
 
     def route_groups(self, groups) -> dict:
         """Route each of `groups`, all of 3 or all of 4 riders, as
         `group_route` does, those not yet cached in one ``_route_groups``
-        call, and cache their routes; a lone group not yet cached goes
+        call, and cache their records; a lone group not yet cached goes
         through `group_route` itself, one such call too.  Returns the
         NoRouteError of each group that has no route, keyed by its trip ids
         in ascending order; like `group_route`, it caches none of those."""
-        new = [key for key in dict.fromkeys(tuple(sorted(group)) for group in groups) if key not in self._group_routes]
+        new = [key for key in dict.fromkeys(tuple(sorted(group)) for group in groups) if key not in self._routes]
         if not new:
             return {}
         sizes = {len(key) for key in new}
@@ -460,9 +458,8 @@ class ShareabilityGraph:
             except NoRouteError as exc:
                 return {new[0]: exc}
             return {}
-        errors, _, _, routes = _route_groups(self.net, [[self.trips[t] for t in key] for key in new])
-        routable = [i for i in range(len(new)) if i not in errors]
-        self._group_routes.update(zip([new[i] for i in routable], routes(routable)))
+        errors, records = _route_groups(self.net, [[self.trips[t] for t in key] for key in new])
+        self._routes.update((key, record) for key, record in zip(new, records) if record is not None)
         return {new[i]: exc for i, exc in errors.items()}
 
     def group_value(self, group) -> float:
@@ -470,7 +467,7 @@ class ShareabilityGraph:
 
         Pairs joined by an edge are worth exactly that edge's weight; other
         groups are worth their solo totals, summed in trip id order, minus
-        their shared route's.
+        their shared route's, read from a cached record without building it.
         """
         key = tuple(sorted(group))
         if len(key) == 1:
@@ -479,7 +476,7 @@ class ShareabilityGraph:
             return self.edges[key].weight
         if self.objective is Objective.VEHICLE:
             return 2.0 * (len(key) - 1)
-        route = self.group_route(key)
+        route = self._routes.get(key) or self.group_route(key)  # a record or a route: both hold the totals
         trips = [self.trips[t] for t in key]
         if self.objective is Objective.DISTANCE:
             return sum(t.solo_route.distance for t in trips) - route.total_distance
@@ -502,20 +499,18 @@ def build_shareability_graph(
     if not trips:
         raise ValueError("cannot build a shareability graph without trips")
     pairs = _gated_pairs(trips, constraints)
-    errors, distance, time, routes = _route_groups(net, pairs)
+    errors, records = _route_groups(net, pairs)
     for k, exc in errors.items():
         log.warning("skipping pair (%s, %s): %s", pairs[k][0].trip_id, pairs[k][1].trip_id, exc)
-    # -inf savings for the pairs in `errors`, so they are never kept
-    if objective is Objective.TIME:
-        saved = np.array([a.solo_route.time + b.solo_route.time for a, b in pairs], dtype=float) - time
-    else:  # distance weights, and the vehicle objective's keep rule
-        saved = np.array([a.solo_route.distance + b.solo_route.distance for a, b in pairs], dtype=float) - distance
-    kept = np.flatnonzero(saved > 0.0).tolist()
+    saving = Objective.TIME if objective is Objective.TIME else Objective.DISTANCE  # vehicle edges: distance saved
+    kept = [(a, b, r) for (a, b), r in zip(pairs, records) if r is not None and edge_weight(r, a, b, saving) > 0.0]
     edges = [
-        ShareabilityEdge(a.trip_id, b.trip_id, edge_weight(shared, a, b, objective), shared)
-        for (a, b), shared in zip((pairs[k] for k in kept), routes(kept))
+        ShareabilityEdge(a.trip_id, b.trip_id, edge_weight(r, a, b, objective), r.total_distance, r.total_time)
+        for a, b, r in kept
     ]
-    return ShareabilityGraph(net, trips, edges, objective)
+    graph = ShareabilityGraph(net, trips, edges, objective)
+    graph._routes.update(((a.trip_id, b.trip_id), r) for a, b, r in kept)
+    return graph
 
 
 def write_trips(trips, path):
@@ -571,31 +566,34 @@ def write_graph(graph: ShareabilityGraph, path) -> ShareabilityGraph:
 
     Returns the graph that `read_graph` rebuilds from the file: the same
     trips and network, the edges in file order, each weight the float its
-    `%.6f` text reads back to, and each route the one `graph` holds (the
-    route `read_graph` derives again).
+    `%.6f` text reads back to, and each total, routing record and route the
+    one `graph` holds (the one `read_graph` derives again).
     """
     edges = []
     with open(path, "w") as fh:
         for (a, b), e in sorted(graph.edges.items()):
             weight = f"{e.weight:.6f}"
-            fh.write(f"G {a} {b} {weight} {e.shared.total_distance:.6f} {e.shared.total_time:.6f}\n")
-            edges.append(ShareabilityEdge(a, b, float(weight), e.shared))
-    return ShareabilityGraph(graph.net, graph.trips.values(), edges, graph.objective)
+            fh.write(f"G {a} {b} {weight} {e.total_distance:.6f} {e.total_time:.6f}\n")
+            edges.append(ShareabilityEdge(a, b, float(weight), e.total_distance, e.total_time))
+    handed = ShareabilityGraph(graph.net, graph.trips.values(), edges, graph.objective)
+    handed._routes.update(graph._routes)
+    return handed
 
 
 def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> ShareabilityGraph:
     """Rebuild a graph from exported edges.
 
-    Shared routes are re-derived on the network in one ``_route_groups``
-    call (the export keeps only the totals); the exported weight is kept as
-    the edge weight.  A pair may appear once, in either order; a pair with no
-    shared route raises NoRouteError naming its record's line.
+    Every pair is routed again in one ``_route_groups`` call (the export
+    keeps its totals only as text), so the edge totals and cached routing
+    records are re-derived; the exported weight is kept as the edge weight.
+    A pair may appear once, in either order; a pair with no shared route
+    raises NoRouteError naming its record's line.
     """
     by_id = {t.trip_id: t for t in trips}
     seen = set()
-    # flat lists rather than a tuple per record: less stays alive while the
-    # routes are built, which showed in peak memory
-    ids, pairs, weights = [], [], []
+    # flat lists rather than a tuple per record: less stays alive, which
+    # showed in peak memory
+    pairs, weights, lines = [], [], []
 
     def parse(fields):
         a, b, weight = int(fields[1]), int(fields[2]), float(fields[3])
@@ -605,15 +603,17 @@ def read_graph(path, net: RoadNetwork, trips, objective: Objective) -> Shareabil
         seen.add(pair)
         ta, tb = by_id[a], by_id[b]
         pairs.append((ta, tb) if a <= b else (tb, ta))
-        ids.append((a, b))
         weights.append(weight)
 
-    read_records(path, "graph", {"G": 6}, parse)
-    errors, _, _, routes = _route_groups(net, pairs)
+    read_records(path, "graph", {"G": 6}, parse, lines)
+    errors, records = _route_groups(net, pairs)
     if errors:
         k, exc = next(iter(errors.items()))  # the first record without a route
-        lines = []
-        read_records(path, "graph", {"G": 6}, lambda fields: None, lines)
         raise NoRouteError(f"{path}:{lines[k]}: graph record cannot be routed: {exc}") from exc
-    edges = [ShareabilityEdge(a, b, w, route) for (a, b), w, route in zip(ids, weights, routes(range(len(pairs))))]
-    return ShareabilityGraph(net, trips, edges, objective)
+    edges = [
+        ShareabilityEdge(a.trip_id, b.trip_id, w, r.total_distance, r.total_time)
+        for (a, b), w, r in zip(pairs, weights, records)
+    ]
+    graph = ShareabilityGraph(net, trips, edges, objective)
+    graph._routes.update(((a.trip_id, b.trip_id), r) for (a, b), r in zip(pairs, records))
+    return graph

@@ -101,17 +101,23 @@ def stub_shared(a, b, total_distance):
 
 
 def weighted_graph(edge_weights, n_trips=None, objective=Objective.DISTANCE):
-    """Synthetic shareability graph from {(a, b): weight} topology alone."""
+    """Synthetic shareability graph from {(a, b): weight} topology alone.
+
+    There is no network to route on, so the graph's route cache is seeded
+    with a stub route per edge, the route `group_route` returns for it."""
     ids = {t for pair in edge_weights for t in pair}
     n = max(ids) + 1 if ids else 0
     if n_trips is not None:
         n = max(n, n_trips)
     trips = [stub_trip(i) for i in range(n)]
+    routes = {(a, b): stub_shared(a, b, 1000.0) for a, b in sorted(edge_weights)}
     edges = [
-        ShareabilityEdge(a, b, float(w), stub_shared(a, b, 1000.0))
-        for (a, b), w in sorted(edge_weights.items())
+        ShareabilityEdge(a, b, float(edge_weights[(a, b)]), route.total_distance, route.total_time)
+        for (a, b), route in routes.items()
     ]
-    return ShareabilityGraph(net=None, trips=trips, edges=edges, objective=objective)
+    graph = ShareabilityGraph(net=None, trips=trips, edges=edges, objective=objective)
+    graph._routes.update((tuple(sorted(pair)), route) for pair, route in routes.items())
+    return graph
 
 
 def random_weighted_graph(rng, n_trips=8, edge_prob=0.4, max_weight=100.0):

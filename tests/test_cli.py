@@ -628,9 +628,13 @@ class TestUnroutableRecords:
 
     def test_graph_pair_with_an_unreachable_leg_names_its_line(self, tmp_path, capsys):
         out = self.write_run(tmp_path, [(0, 0, 1), (1, 2, 3), (2, 1, 0)], graph=[(0, 2), (1, 0)])
+        # a comment and a blank line before the bad record are lines too
+        path = out / pipeline.GRAPH_FILE
+        routable, bad = path.read_text().splitlines(keepends=True)
+        path.write_text(routable + "# pairs\n\n" + bad)
         assert run_cli(["train", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{pipeline.GRAPH_FILE}:2: " in err
+        assert f"{pipeline.GRAPH_FILE}:4: " in err
         assert "no route from node 0 to node 2" in err
 
 

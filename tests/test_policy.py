@@ -44,8 +44,14 @@ from ridepool.policy import (
     _ScoredTable,
 )
 from ridepool.geo import NoRouteError, RoadNetwork
-from ridepool.shareability import Objective, ShareabilityGraph, route_for_group
-from ridepool.tolerance import ToleranceProfile
+from ridepool.shareability import (
+    Objective,
+    ShareabilityGraph,
+    SharedRoute,
+    build_shareability_graph,
+    route_for_group,
+)
+from ridepool.tolerance import ToleranceProfile, filter_with_draws
 
 from conftest import features_for, scenario_instance, stub_trip, weighted_graph
 
@@ -484,12 +490,15 @@ def blocked_network_graph(graph, blocked):
     """`graph` with its groups routed on a directed copy of its network in
     which no arc leaves the destination node of a `blocked` trip, so a group
     of three or more with a stop at such a node mostly has no route.  The
-    trips keep their solo routes and the edges their routes, so every trip
-    stays a candidate."""
+    trips keep their solo routes, and its route cache is seeded with the
+    edges' routing records (the blocked network cannot route every pair
+    again), so every trip stays a candidate."""
     sinks = {graph.trips[t].dest for t in blocked}
     arcs = [(u, v, length, time) for a, b, length, time in graph.net.edges for u, v in ((a, b), (b, a)) if u not in sinks]
     net = RoadNetwork(graph.net.nodes, arcs, directed=True)
-    return ShareabilityGraph(net, graph.trips.values(), graph.edges.values(), graph.objective)
+    blocked_graph = ShareabilityGraph(net, graph.trips.values(), graph.edges.values(), graph.objective)
+    blocked_graph._routes.update((key, graph._routes[key]) for key in graph.edges)
+    return blocked_graph
 
 
 class TestBulkLegality:
@@ -535,10 +544,10 @@ class TestBulkLegality:
                 expected.append(v)
             assert legal == expected, (group, vs)
         assert len(routes) > 100 and None in routes  # some grown groups have no route
-        cached = {key: route for key, route in blocked._group_routes.items() if len(key) > 2}
+        cached = [key for key in blocked._routes if len(key) > 2]
         assert {len(key) for key in cached} == set(range(3, capacity + 1))
-        for key, route in cached.items():
-            assert route == oracle(key), key
+        for key in cached:
+            assert blocked.group_route(key) == oracle(key), key
 
 
 class TestScore:
@@ -619,7 +628,7 @@ class TestScore:
 def relabelled(graph, label):
     """`graph` with trip id t renamed `label(t)`."""
     trips = [stub_trip(label(tid)) for tid in graph.trips]
-    edges = [replace(edge, trip_a=label(edge.trip_a), trip_b=label(edge.trip_b)) for edge in graph.edges.values()]
+    edges = [edge._replace(trip_a=label(edge.trip_a), trip_b=label(edge.trip_b)) for edge in graph.edges.values()]
     return ShareabilityGraph(graph.net, trips, edges, graph.objective)
 
 
@@ -757,7 +766,7 @@ class TestStep:
         pair = next(
             ((a, b), e)
             for (a, b), e in sorted(graph.edges.items())
-            if max(e.shared.per_rider_delay.values()) > 0.0
+            if max(graph.group_route((a, b)).per_rider_delay.values()) > 0.0
         )
         (a, b), edge = pair
         plain = RewardSpec()
@@ -904,8 +913,9 @@ class TestDecisionCache:
 
 
 def fresh_copy(graph):
-    """The same graph with no group routed yet."""
-    return ShareabilityGraph(graph.net, graph.trips.values(), graph.edges.values(), graph.objective)
+    """The same graph, built again, with no group of three or more routed
+    yet (its pairs' routing records are the build's)."""
+    return build_shareability_graph(graph.net, graph.trips.values(), graph.objective)
 
 
 def routed_groups(monkeypatch, run):
@@ -942,6 +952,44 @@ def replay_decode(graph, spec, capacity, choose):
         groups.append(tuple(sorted((focal,) + state.selected)))
         assigned.update(groups[-1])
     return groups
+
+
+class TestRoutesBuiltWhenRead:
+    """The graph keeps each routed group's record and builds its
+    `SharedRoute` (``_evaluate_order``) only when `group_route` returns it,
+    once per group."""
+
+    @pytest.mark.parametrize("capacity", [2, 3, 4])
+    def test_one_route_built_per_group_read(self, capacity, monkeypatch):
+        graph, features, _, params = setup_150()
+        profile = ToleranceProfile(tau0=600.0, s=0.5)
+        spec = RewardSpec(social_penalty_weight=2000.0, profile=profile)
+        built, read = [], set()
+        evaluate_order, group_route = shareability._evaluate_order, ShareabilityGraph.group_route
+
+        def counted(trips, order, legs):
+            built.append(tuple(t.trip_id for t in trips))
+            return evaluate_order(trips, order, legs)
+
+        def recorded(self, group):
+            route = group_route(self, group)
+            if len(group) > 1:
+                read.add(tuple(sorted(group)))
+            return route
+
+        monkeypatch.setattr(shareability, "_evaluate_order", counted)
+        monkeypatch.setattr(ShareabilityGraph, "group_route", recorded)
+        graph = fresh_copy(graph)  # built here, so that a route the build makes is counted
+        solution = match_all(graph, features, params, spec, capacity)
+        rng = np.random.default_rng(7)
+        draws = {tid: rng.random() for tid in sorted(graph.trips)}
+        filtered = filter_with_draws(solution, graph, profile, draws)
+        assert len(built) == len(read)
+        assert sorted(built) == sorted(read)  # each group read is built once
+        assert {len(group) for group in read} == set(range(2, capacity + 1))
+        assert filtered.groups != solution.groups  # some groups dissolved
+        # and some groups were routed, by the build or a legality call, but never read
+        assert any(not isinstance(route, SharedRoute) for route in graph._routes.values())
 
 
 class TestMoveMemo:

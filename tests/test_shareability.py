@@ -480,9 +480,10 @@ class TestStopOrders:
     @pytest.mark.parametrize("k, n_orders, n_legs", [(2, 4, 8), (3, 60, 27), (4, 1776, 52)])
     def test_tables_match_filtered_permutations(self, k, n_orders, n_legs):
         expected = [o for o in itertools.permutations(range(2 * k)) if _allowed(o, k)]
-        orders, legs, order_legs = _stop_orders(k)
+        orders, leg_stops, order_legs = _stop_orders(k)
         assert [tuple(o) for o in orders.tolist()] == expected
         assert len(orders) == n_orders
+        legs = list(zip(*leg_stops.tolist()))
         assert legs == sorted({leg for o in expected for leg in zip(o, o[1:])})
         assert len(legs) == n_legs
         driven = [[legs[x] for x in column] for column in order_legs.T.tolist()]
@@ -565,21 +566,18 @@ class TestGroupRouting:
                 o, d = rng.sample(range(9), 2)
                 trips.append(TripRequest(4 * g + r, r, o, d, nodes[o], nodes[d], 60.0 * r, Route(1500.0, 150.0)))
             groups.append(trips)
-        errors, distance, time, routes = _route_groups(net, groups)
-        routed = []
+        errors, records = _route_groups(net, groups)
         for g, trips in enumerate(groups):
             try:
                 expected = search_route_oracle(net, trips)
             except NoRouteError as exc:
                 assert str(errors[g]) == str(exc)
-                assert distance[g] == time[g] == math.inf
+                assert records[g] is None
                 continue
             assert g not in errors
-            assert (distance[g], time[g]) == (expected.total_distance, expected.total_time)
-            assert routes([g]) == [expected]
-            routed.append(g)
+            assert (records[g].total_distance, records[g].total_time) == (expected.total_distance, expected.total_time)
+            assert records[g].shared_route(trips) == expected
         assert 0 < len(errors) < len(groups)
-        assert routes(routed) == [search_route_oracle(net, groups[g]) for g in routed]
 
     def test_fresh_group_routes_each_leg_once(self, monkeypatch):
         # one gather of the legs; a pair: 4 x 4 stop pairs minus 4 self-legs
@@ -606,8 +604,9 @@ class TestGroupRouting:
 
     def test_graph_routes_new_groups_in_one_call(self, monkeypatch):
         # a batch of new groups is one `_route_groups` call and a lone one a
-        # `group_route`; the cached routes are `route_for_group`'s, and the
-        # groups with no route are returned, not cached
+        # `group_route`; the routes built from the cached records are
+        # `route_for_group`'s, and the groups with no route are returned, not
+        # cached
         nodes = {i: GeoPoint(0.0, 0.01 * i) for i in range(6)}
         net = RoadNetwork(nodes, [(0, 1, 1000.0, 100.0), (1, 2, 1000.0, 100.0), (3, 4, 1000.0, 100.0)])
         trips = [trip_on(net, 0, 0, 2), trip_on(net, 1, 1, 2), trip_on(net, 2, 3, 4), trip_on(net, 3, 0, 1)]
@@ -623,7 +622,8 @@ class TestGroupRouting:
         errors = graph.route_groups([(3, 1, 0), (0, 1, 2), (0, 1, 3)])
         assert calls == [[(0, 1, 3), (0, 1, 2)]]  # in order of first appearance
         assert list(errors) == [(0, 1, 2)] and isinstance(errors[(0, 1, 2)], NoRouteError)
-        assert graph._group_routes == {(0, 1, 3): route_for_group(net, [trips[0], trips[1], trips[3]])}
+        assert list(graph._routes) == [(0, 1, 3)]
+        assert graph.group_route((3, 0, 1)) == route_for_group(net, [trips[0], trips[1], trips[3]])
         calls.clear()
         assert graph.route_groups([(0, 1, 3)]) == {} and calls == []
         assert list(graph.route_groups([(0, 1, 3), (0, 2, 3)])) == [(0, 2, 3)]
@@ -668,24 +668,20 @@ def assert_bulk_pairs_match_scalar(net, trips):
     depth-first search raises NoRouteError, and otherwise gives an equal
     SharedRoute whose totals are the four-order oracle's."""
     pairs = list(itertools.combinations(trips, 2))
-    errors, distance, time, routes = _route_groups(net, pairs)
-    routed, expected_routes = [], []
+    errors, records = _route_groups(net, pairs)
     for k, (a, b) in enumerate(pairs):
         try:
             expected = search_route_oracle(net, [a, b])
         except NoRouteError as exc:
             assert str(errors[k]) == str(exc)
-            assert distance[k] == time[k] == math.inf
             with pytest.raises(NoRouteError):
                 pair_route_oracle(net, a, b)
+            assert records[k] is None
             continue
         assert k not in errors
-        assert routes([k]) == [expected]
-        assert (distance[k], time[k]) == (expected.total_distance, expected.total_time)
+        assert records[k].shared_route([a, b]) == expected
+        assert (records[k].total_distance, records[k].total_time) == (expected.total_distance, expected.total_time)
         assert (expected.total_distance, expected.total_time) == pair_route_oracle(net, a, b)
-        routed.append(k)
-        expected_routes.append(expected)
-    assert routes(routed) == expected_routes
 
 
 def scalar_build_edges(net, trips, objective, constraints):
@@ -700,7 +696,7 @@ def scalar_build_edges(net, trips, objective, constraints):
         weight = edge_weight(shared, a, b, objective)
         saved = a.solo_route.distance + b.solo_route.distance - shared.total_distance
         if (saved if objective is Objective.VEHICLE else weight) > 0.0:
-            edges.append(ShareabilityEdge(a.trip_id, b.trip_id, weight, shared))
+            edges.append(ShareabilityEdge(a.trip_id, b.trip_id, weight, shared.total_distance, shared.total_time))
     return edges
 
 
@@ -766,10 +762,7 @@ class TestBulkPairRouting:
         assert_bulk_pairs_match_scalar(net, trips)
 
     def test_no_pairs(self, line_net):
-        errors, distance, time, routes = _route_groups(line_net, [])
-        assert errors == {}
-        assert distance.shape == time.shape == (0,)
-        assert routes([]) == []
+        assert _route_groups(line_net, []) == ({}, [])
 
     @settings(max_examples=40, deadline=None)
     @given(_pair_trips(_any_pairs), _island_edges, st.booleans())
@@ -878,16 +871,23 @@ class TestGraphBuild:
             net, trips, graph = scenario_instance(seed=seed, n_trips=10)
             by_id = graph.trips
             for (a, b), edge in graph.edges.items():
-                assert (
-                    edge.shared.total_distance
-                    < by_id[a].solo_route.distance + by_id[b].solo_route.distance
-                )
+                assert edge.total_distance < by_id[a].solo_route.distance + by_id[b].solo_route.distance
 
     def test_neighbors_are_symmetric(self):
         _, _, graph = scenario_instance(seed=3, n_trips=12)
         for (a, b) in graph.edges:
             assert b in graph.neighbors(a)
             assert a in graph.neighbors(b)
+
+
+def assert_edges_hold_best_shared_routes(net, graph):
+    """Each edge's totals are, bit for bit, those of `best_shared_route`,
+    and so is the route `group_route` builds for it."""
+    for (a, b), edge in graph.edges.items():
+        expected = best_shared_route(net, graph.trips[a], graph.trips[b])
+        assert edge.total_distance.hex() == expected.total_distance.hex()
+        assert edge.total_time.hex() == expected.total_time.hex()
+        assert graph.group_route((a, b)) == expected
 
 
 class TestTripAndGraphIO:
@@ -913,7 +913,7 @@ class TestTripAndGraphIO:
         assert set(loaded.edges) == set(graph.edges)
         for key, edge in graph.edges.items():
             assert loaded.edges[key].weight == pytest.approx(edge.weight, abs=1e-6)
-            assert loaded.edges[key].shared.total_distance == edge.shared.total_distance
+            assert loaded.edges[key].total_distance == edge.total_distance
 
     @pytest.mark.parametrize("capacity", [2, 3])
     @pytest.mark.parametrize("objective", list(Objective), ids=[o.value for o in Objective])
@@ -928,7 +928,8 @@ class TestTripAndGraphIO:
         assert list(handed.edges) == list(loaded.edges)  # file order, the order `RowTable` numbers rows in
         for key, edge in handed.edges.items():
             assert edge.weight.hex() == loaded.edges[key].weight.hex()
-            assert edge.shared == loaded.edges[key].shared
+        for built_handed_or_loaded in (graph, handed, loaded):
+            assert_edges_hold_best_shared_routes(net, built_handed_or_loaded)
         for tid in handed.trips:
             assert handed.neighbors(tid) == loaded.neighbors(tid)
             groups = [(tid, *others) for others in itertools.combinations(handed.neighbors(tid), capacity - 1)]
@@ -943,9 +944,9 @@ class TestTripAndGraphIO:
         records = [line.split() for line in path.read_text().splitlines()]
         path.write_text("".join(" ".join([f[0], f[2], f[1]] + f[3:]) + "\n" for f in records))
         loaded = read_graph(path, net, trips, graph.objective)
-        assert {key: e.shared for key, e in loaded.edges.items()} == {
-            key: e.shared for key, e in graph.edges.items()
-        }
+        assert set(loaded.edges) == set(graph.edges)
+        for built_or_loaded in (graph, loaded):
+            assert_edges_hold_best_shared_routes(net, built_or_loaded)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "trips.txt"
