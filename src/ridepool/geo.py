@@ -7,11 +7,13 @@ snapping and the pair gate decide it in bulk by dot products of
 `DOT_MARGIN` of deciding.  Networks are immutable after construction.  Nodes
 are indexed in ascending id order, and their arcs form one CSR table by node
 index.  Routes are read from whole shortest-path trees, kept per origin as
-one distance row and one time row of doubles: `RoadNetwork.distance_times`
-grows, in numpy, the trees of all the origins a call asks for that have none
-yet, a batch of origins at a time, so every later query from those origins
-on the same network object is a lookup.  Only origins that some query asks
-for get a tree; all pairs would not fit a large network.
+one distance row and one time row of doubles: `RoadNetwork.distances` (and
+`.times`, `.distance_times`) grows, in numpy, the trees of all the origins a
+call asks for that have none yet, a batch of origins at a time, so every
+later distance from those origins on the same network object is a lookup.
+A tree is grown as its distances; a path's time is summed, and kept, when a
+read first asks for it.  Only origins that some query asks for get a tree;
+all pairs would not fit a large network.
 """
 
 import functools
@@ -61,7 +63,9 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-# (origin, arc) entries relaxed at once while shortest-path trees are grown
+# entries formed at once by the bulk array work: (origin, arc) entries while
+# shortest-path trees are grown, arcs per step of a time walk, (node, point)
+# dots while points are snapped
 _TREE_CHUNK = 1 << 16
 
 # twice the bound `unit_vector` states between a rounded dot and the haversine
@@ -92,13 +96,24 @@ def _check_edge_cost(u, v, length, time):
         raise ValueError(f"edge ({u}, {v}) has travel time {time}; expected a finite positive number")
 
 
+def _distinct(values):
+    """``np.unique(values)``, without the 20 ms import of ``numpy.ma`` that
+    its plain form makes on first use."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 class _Arcs(NamedTuple):
     """A network's arcs as a CSR table by source index, then (target, length,
     time), so parallel arcs come shortest first and, at equal length,
     fastest first; the arcs out of node index i are start[i] .. start[i + 1]
     - 1.  Per arc: its source and target node index, the step from one to
     the other, its length and time; per node index, with one inf entry more,
-    the length of its shortest arc out."""
+    the length of its shortest arc out.  The arcs again by target index,
+    then arc order, into_count[i] of them into node index i from slot
+    into_start[i] on; per slot, the arc's step, length and time."""
 
     start: np.ndarray
     count: np.ndarray
@@ -108,6 +123,11 @@ class _Arcs(NamedTuple):
     length: np.ndarray
     time: np.ndarray
     shortest: np.ndarray
+    into_start: np.ndarray
+    into_count: np.ndarray
+    into_step: np.ndarray
+    into_length: np.ndarray
+    into_time: np.ndarray
 
 
 class RoadNetwork:
@@ -133,10 +153,10 @@ class RoadNetwork:
         # the trees grown so far: per node index (and -1, for no node) its row
         # in _dist and _time, or -1 while it has no tree; a row has an entry
         # per node index and one more, index n or -1, that no arc reaches:
-        # there an unknown destination reads inf
+        # there an unknown destination reads inf.  A time not read yet is nan
         n = len(self._node_ids)
         self._tree_row = np.full(n + 1, -1, dtype=np.intp)
-        self._dist = self._time = np.zeros((0, n + 1))
+        self._dist, self._time = np.zeros((0, n + 1)), np.zeros((0, n + 1))
         self._vectors = np.array([unit_vector(q) for q in self.nodes.values()])
 
     @functools.cached_property
@@ -154,7 +174,21 @@ class RoadNetwork:
         start = np.searchsorted(source, np.arange(len(self._node_ids) + 1))
         shortest = np.full(len(self._node_ids) + 1, math.inf)
         np.minimum.at(shortest, source, length)
-        return _Arcs(start, np.diff(start), source, target, target - source, length, time, shortest)
+        into = np.argsort(target, kind="stable")
+        into_start = np.searchsorted(target[into], np.arange(len(self._node_ids) + 1))
+        step = target - source
+        slots = (into_start, np.diff(into_start), step[into], length[into], time[into])
+        return _Arcs(start, np.diff(start), source, target, step, length, time, shortest, *slots)
+
+    @functools.cached_property
+    def _arcs_into(self) -> list:
+        """Per node index, the (source index, length, time) of each arc into
+        it, in arc order, as Python numbers for the scalar time walk."""
+        csr = self._arcs
+        tails = np.arange(len(csr.into_count)).repeat(csr.into_count) - csr.into_step
+        arcs = list(zip(tails.tolist(), csr.into_length.tolist(), csr.into_time.tolist()))
+        bounds = csr.into_start.tolist()
+        return [arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def snap_to_node(self, p: GeoPoint) -> int:
         """Nearest node by great-circle distance; ties go to the lowest id.
@@ -168,7 +202,35 @@ class RoadNetwork:
         if not self.nodes:
             raise ValueError("cannot snap onto an empty network")
         dots = self._vectors @ unit_vector(p)
-        near = np.flatnonzero(dots >= dots.max() - DOT_MARGIN)  # ascending id order
+        return self._nearest(p, np.flatnonzero(dots >= dots.max() - DOT_MARGIN))
+
+    def snap_to_nodes(self, points) -> list:
+        """`snap_to_node` of each of `points`, by the same shortlist and
+        re-rank, from one product of the point and node `unit_vector`s, a
+        block of about `_TREE_CHUNK` dots at a time."""
+        if not points:
+            return []
+        if not self.nodes:
+            raise ValueError("cannot snap onto an empty network")
+        vectors = np.array([unit_vector(p) for p in points])
+        block, nodes = max(1, _TREE_CHUNK // len(self._node_ids)), []
+        for lo in range(0, len(points), block):
+            dots = vectors[lo : lo + block] @ self._vectors.T  # (points, nodes)
+            rows, best = np.arange(len(dots)), dots.argmax(axis=1)
+            top = dots[rows, best]
+            # a point with a second node on its shortlist is re-ranked
+            dots[rows, best] = -math.inf
+            shared = np.flatnonzero(dots.max(axis=1) >= top - DOT_MARGIN).tolist()
+            dots[rows, best] = top
+            found = [self._node_ids[i] for i in best.tolist()]
+            for j in shared:
+                found[j] = self._nearest(points[lo + j], np.flatnonzero(dots[j] >= top[j] - DOT_MARGIN))
+            nodes += found
+        return nodes
+
+    def _nearest(self, p, near):
+        """The node nearest `p` by `great_circle_distance` among the node
+        indices `near`, in ascending order; ties go to the lowest id."""
         if len(near) == 1:
             return self._node_ids[near[0]]
         best_id, best_d = None, math.inf
@@ -182,15 +244,18 @@ class RoadNetwork:
     def _grow_trees(self, sources):
         """Store the full shortest-path trees from node indices `sources`, none
         of which has one yet, growing `_TREE_CHUNK` (origin, arc) entries'
-        worth of them at a time with `_trees`."""
+        worth of them at a time with `_trees`; their times are unknown but
+        at the roots (0) and the nodes not reached (inf)."""
         batch = max(1, _TREE_CHUNK // max(1, len(self._arcs.target)))
-        grown = [self._trees(sources[lo : lo + batch]) for lo in range(0, len(sources), batch)]
+        grown = np.concatenate([self._trees(sources[lo : lo + batch]) for lo in range(0, len(sources), batch)])
+        time = np.where(grown < math.inf, math.nan, math.inf)
+        time[np.arange(len(sources)), sources] = 0.0
         self._tree_row[sources] = len(self._dist) + np.arange(len(sources))
-        self._dist = np.concatenate([self._dist] + [dist for dist, _ in grown])
-        self._time = np.concatenate([self._time] + [time for _, time in grown])
+        self._dist = np.concatenate([self._dist, grown])
+        self._time = np.concatenate([self._time, time])
 
     def _trees(self, sources):
-        """(distance, time) by node index of the trees from node indices
+        """The distances by node index of the trees from node indices
         `sources`, one row each, each row ending in one entry that no arc
         reaches; inf where a node is not reached.
 
@@ -198,16 +263,12 @@ class RoadNetwork:
         D[u] + length, reached by frontier relaxation: the minimum over
         walks of their lengths summed left to right, which is what a heap
         Dijkstra finds, since its every distance is such a sum and no arc
-        can lower it.  Each reached node's predecessor arc is, among the arcs
-        with D[u] + length == D[v], the one of lowest D[u], then lowest arc
-        rank (u, length, time): Dijkstra's, whose nodes settle by (distance,
-        id) when every arc lengthens the path it extends, and the first
-        settled predecessor to reach a node's distance gives it its time,
-        over the fastest of equal-length parallel arcs.  An arc out of a
+        can lower it.  Dijkstra's nodes settle by (distance, id) when every
+        arc lengthens the path it extends, and a node's time comes from the
+        first settled predecessor to reach its distance, over the fastest of
+        equal-length parallel arcs: `_predecessors`' rule.  An arc out of a
         reached node that adds nothing to its distance raises ValueError:
-        the settle order, and so the times, would be another.  Times are
-        summed down the predecessor tree, t[v] = t[u] + arc time, one level
-        of hops from the root at a time.
+        the settle order, and so the times, would be another.
         """
         n, inf, csr = len(self._node_ids) + 1, math.inf, self._arcs
         start, count, step, length = csr.start, csr.count, csr.step, csr.length
@@ -244,48 +305,104 @@ class RoadNetwork:
                 f"adds nothing to the {table[row, u]} m path to node {self._node_ids[u]} "
                 f"from node {self._node_ids[sources[row]]}"
             )
-        # each reached entry's predecessor arc (len(length) for the others)
-        # and tail entry (itself for the others)
-        tail_dist = reached[:, csr.source]
-        tied = np.flatnonzero(tail_dist + length == reached[:, csr.target])
-        arcs = tied % len(length)
-        heads = tied // len(length) * n + csr.target[arcs]
-        tail_dist = tail_dist.ravel()[tied]
-        lowest = np.full(len(dist), inf)
-        np.minimum.at(lowest, heads, tail_dist)
-        first = tail_dist == lowest[heads]
-        pred = np.full(len(dist), len(length), dtype=np.intp)
-        np.minimum.at(pred, heads[first], arcs[first])
-        heads = np.flatnonzero(pred < len(length))
-        tail = np.arange(len(dist))
-        tail[heads] -= step[pred[heads]]
-        # hops from the root by pointer doubling: `hops` counts those up to
-        # `up`, which ends at the root
-        hops = (tail != np.arange(len(dist))).astype(np.intp)
-        up = tail
-        while (up[up] != up).any():
-            hops += hops[up]
-            up = up[up]
-        levels = np.cumsum(np.bincount(hops))
-        order = np.argsort(hops, kind="stable")[levels[0] :]  # hops 0: roots, unreached
-        tail, arc_time = tail[order], csr.time[pred[order]]
-        time = np.full(len(dist), inf)
-        time[roots] = 0.0
-        for lo, hi in zip(levels[:-1] - levels[0], levels[1:] - levels[0]):
-            time[order[lo:hi]] = time[tail[lo:hi]] + arc_time[lo:hi]
-        return table, time.reshape(len(sources), n)
+        return table
+
+    def _predecessors(self, entries):
+        """(tail entry, arc time) of the predecessor arc of each of the flat
+        tree `entries`, reached nodes but roots: among the arcs (u, v) into
+        the entry's node v with D[u] + length == D[v] (it has one or more),
+        the one of lowest D[u], then lowest arc index."""
+        n, csr, dist = len(self._node_ids) + 1, self._arcs, self._dist.ravel()
+        nodes = entries % n
+        count = csr.into_count[nodes]
+        ends = count.cumsum()
+        firsts = ends - count
+        slots = np.arange(ends[-1]) + (csr.into_start[nodes] - firsts).repeat(count)
+        tails = entries.repeat(count) - csr.into_step[slots]
+        tail_dist = dist[tails]
+        tight = np.flatnonzero(tail_dist + csr.into_length[slots] == dist[entries].repeat(count))
+        pick = tight
+        if len(tight) > len(entries):
+            # each entry's tight arcs, in slot order, start at `cuts`: take
+            # the first, then each later one of lower tail distance
+            cuts = tight.searchsorted(firsts)
+            several, tail_dist, best = np.diff(cuts, append=len(tight)), tail_dist[tight], cuts.copy()
+            for k in range(1, several.max()):
+                has = np.flatnonzero(several > k)
+                has = has[tail_dist[cuts[has] + k] < tail_dist[best[has]]]
+                best[has] = cuts[has] + k
+            pick = tight[best]
+        return tails[pick], csr.into_time[slots[pick]]
+
+    def _fill_times(self, entries):
+        """Fill in the unknown times of the flat tree `entries`, all
+        distinct, a block at a time, so that a step forms about
+        `_TREE_CHUNK` arcs: walk up all paths a `_predecessors` step at a
+        time to entries with a known time, then sum the arc times back down,
+        t[v] = t[u] + arc time, one level of hops from a known time at a
+        time (the hops counted by pointer doubling)."""
+        n, time = len(self._node_ids) + 1, self._time.ravel()
+        block = max(1, _TREE_CHUNK * n // max(1, len(self._arcs.into_step)))
+        for lo in range(0, len(entries), block):
+            walk, steps, walked = entries[lo : lo + block], [], 0
+            walk = walk[np.isnan(time[walk])]
+            while walk.size:
+                time[walk] = -1.0 - np.arange(walked, walked + len(walk))  # walked: -1 - its place in the walk
+                walked += len(walk)
+                tail, arc_time = self._predecessors(walk)
+                steps.append((walk, tail, arc_time))
+                walk = _distinct(tail[np.isnan(time[tail])])
+            if not steps:
+                continue
+            heads, tails, arc_time = map(np.concatenate, zip(*steps))
+            # the place in the walk of each head's tail, or of the head itself
+            # where the tail's time is known
+            places = np.arange(walked)
+            up = -1.0 - time[tails]
+            up = np.where(up >= 0.0, up, places).astype(np.intp)
+            hops = (up != places).astype(np.intp)
+            while True:
+                further = up[up]
+                if (further == up).all():
+                    break
+                hops += hops[up]
+                up = further
+            order = np.argsort(hops.astype(np.min_scalar_type(hops.max())), kind="stable")  # radix sort
+            heads, tails, arc_time = heads[order], tails[order], arc_time[order]
+            start = 0
+            for end in np.cumsum(np.bincount(hops)).tolist():
+                time[heads[start:end]] = time[tails[start:end]] + arc_time[start:end]
+                start = end
+
+    def _path_time(self, row, target):
+        """The time of the path to node index `target` in tree `row`, which
+        has one: `_fill_times` of one entry, walked in Python floats."""
+        dist, time, into = self._dist.item, self._time.item, self._arcs_into
+        path, node, total = [], target, time(row, target)
+        while total != total:  # nan: not known yet
+            reach, best = dist(row, node), None
+            for tail, length, arc_time in into[node]:
+                tail_dist = dist(row, tail)
+                if tail_dist + length == reach and (best is None or tail_dist < best[0]):
+                    best = (tail_dist, tail, arc_time)
+            path.append((node, best[2]))
+            node = best[1]
+            total = time(row, node)
+        for node, arc_time in reversed(path):
+            total += arc_time
+            self._time[row, node] = total
+        return total
 
     def _indices(self, ids):
         """The node index of each of `ids`, -1 for an id that is no node."""
-        at = self._ids.searchsorted(ids)
-        return np.where(self._ids.searchsorted(ids, side="right") > at, at, -1)
+        if not self.nodes:
+            return np.full(len(ids), -1)
+        at = self._ids.searchsorted(ids).clip(max=len(self._ids) - 1)
+        return np.where(self._ids[at] == ids, at, -1)
 
-    def distance_times(self, origins, dests):
-        """(distance_m, time_s) arrays of the minimum-distance paths from each
-        of `origins` to the node id at the same place in `dests`, inf where
-        there is none (an unknown destination included); an unknown origin
-        raises KeyError.  Each origin's full tree is grown the first time
-        it is asked for, for all new origins of a call at once, and kept."""
+    def _entries(self, origins, dests):
+        """The flat `_dist` and `_time` entry of each (origin, dest) query,
+        growing the trees of all new origins first."""
         if len(origins) != len(dests):
             raise ValueError(f"{len(origins)} origins but {len(dests)} destinations")
         sources, targets = self._indices(np.concatenate([origins, dests])).reshape(2, -1)
@@ -296,21 +413,53 @@ class RoadNetwork:
             # each missing tree once, in index order
             self._grow_trees(np.flatnonzero(np.bincount(sources[rows < 0])))
             rows = self._tree_row[sources]
-        return self._dist[rows, targets], self._time[rows, targets]
+        n = len(self._node_ids) + 1
+        return rows * n + targets % n
+
+    def _times_at(self, entries):
+        """The times at the flat tree `entries`, unknown ones filled in first."""
+        times = self._time.ravel()[entries]
+        unknown = np.isnan(times)
+        if unknown.any():
+            self._fill_times(_distinct(entries[unknown]))
+            times = self._time.ravel()[entries]
+        return times
+
+    def distances(self, origins, dests):
+        """The distance_m array of the minimum-distance paths from each of
+        `origins` to the node id at the same place in `dests`, inf where
+        there is none (an unknown destination included); an unknown origin
+        raises KeyError.  Each origin's full tree is grown the first time it
+        is asked for, for all new origins of a call at once, and kept."""
+        entries = self._entries(origins, dests)  # grows trees: `_dist` is read after
+        return self._dist.ravel()[entries]
+
+    def times(self, origins, dests):
+        """The time_s array of the paths `distances` measures, summed along
+        each, inf where there is none; a time is summed when first read."""
+        return self._times_at(self._entries(origins, dests))
+
+    def distance_times(self, origins, dests):
+        """(`distances`, `times`) of the same queries, from one lookup."""
+        entries = self._entries(origins, dests)
+        return self._dist.ravel()[entries], self._times_at(entries)
 
     def distance_time(self, origin, dest):
         """`distance_times` of one query, as floats; time is summed along the
-        minimum-distance path, not minimized.  An unknown origin raises
-        KeyError; an unknown or unreachable destination, NoRouteError."""
+        minimum-distance path, not minimized, walked in Python the first
+        time it is read.  An unknown origin raises KeyError; an unknown or
+        unreachable destination, NoRouteError."""
         source = self._index.get(origin)
         if source is None:
             raise KeyError(f"unknown node {origin}")
         if self._tree_row[source] < 0:
             self._grow_trees(np.array([source]))
-        row, target = self._tree_row[source], self._index.get(dest)
-        if target is None or self._dist[row, target] == math.inf:
+        row, target = self._tree_row.item(source), self._index.get(dest)
+        distance = math.inf if target is None else self._dist.item(row, target)
+        if distance == math.inf:
             raise NoRouteError(f"no route from node {origin} to node {dest}")
-        return float(self._dist[row, target]), float(self._time[row, target])
+        time = self._time.item(row, target)
+        return distance, time if time == time else self._path_time(row, target)  # nan: not known yet
 
     def shortest_path(self, origin, dest) -> Route:
         """`distance_time` as a `Route`; origin == dest yields a zero-length

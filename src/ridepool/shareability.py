@@ -16,18 +16,21 @@ Groups of 2, 3 and 4 riders are routed by one rule and one router
 before its own dropoff and the vehicle never runs empty between the first
 pickup and the last dropoff; ties go to the first such order in
 lexicographic stop order (pickups by trip id, then dropoffs).  The allowed
-orders of k riders (4, 60 or 1 776) are listed once per process, all
-groups' legs are read in one ``RoadNetwork.distance_times`` gather, and
-every order's total is compared in bulk.  The graph build and ``read_graph``
-route all their pairs in one call, ``read_trips`` all its solo trips, and
-``ShareabilityGraph.route_groups`` all the grown groups of one policy
-decision.  The router returns one record per group (``_Routing``: the
+orders of k riders (4, 60 or 1 776) are listed once per process, the
+distances of all groups' legs are read in one ``RoadNetwork.distances``
+gather, every order's total is compared in bulk, and times are read, in one
+``RoadNetwork.times`` call, for the winning orders' legs alone.  The graph
+build and ``read_graph`` route all their pairs in one call, ``read_trips``
+snaps all its trips in one product and routes all its solo trips in one
+call, and ``ShareabilityGraph.route_groups`` routes all the grown groups of
+one policy decision.  The router returns one record per group (``_Routing``: the
 winning order, its legs, their totals); an edge holds only the totals, and
 the graph caches each record and builds the group's `SharedRoute` from it
 the first time ``group_route`` reads it.
 """
 
 import bisect
+import copy
 import functools
 import logging
 import math
@@ -323,28 +326,30 @@ def _route_groups(net: RoadNetwork, groups):
     trip id, in the shortest allowed stop order (``_stop_orders``), ties to
     the first in lexicographic stop order.
 
-    The legs of all groups, only those some allowed order drives, are read
-    in one ``distance_times`` gather, so a group has a NoRouteError exactly
-    when some allowed order cannot be driven, and it names the group's first
-    such leg in row-major stop order.  Each order's total is its legs summed
-    left to right, the float ``_evaluate_order`` forms, and ``np.argmin``
-    keeps the first minimum.  The totals are summed one leg at a time over an
-    (orders, groups) block, a chunk of groups at a time, so that at most
-    `_ROUTE_CHUNK` totals are formed at once.
+    The distances of all groups' legs, only those some allowed order drives,
+    are read in one ``RoadNetwork.distances`` gather, so a group has a
+    NoRouteError exactly when some allowed order cannot be driven, and it
+    names the group's first such leg in row-major stop order.  Each order's
+    total is its legs summed left to right, the float ``_evaluate_order``
+    forms, and ``np.argmin`` keeps the first minimum.  The totals are summed
+    one leg at a time over an (orders, groups) block, a chunk of groups at a
+    time, so that at most `_ROUTE_CHUNK` totals are formed at once.  Times
+    are read, in one ``RoadNetwork.times`` call, only for the winning
+    orders' legs.
 
     Returns `(errors, records)`: for each group with a leg that has no
     route, in group order, the NoRouteError of its first such leg; and each
     group's `_Routing`, None for a group in `errors`.  A record's legs are
-    the floats ``distance_times`` returned, so the route ``_evaluate_order``
-    builds from it is, bit for bit, the one routing the group alone gives.
+    the floats the network returned, so the route ``_evaluate_order`` builds
+    from it is, bit for bit, the one routing the group alone gives.
     """
     k = len(groups[0]) if groups else 2
     orders, legs, order_legs = _stop_orders(k)
     stops = np.array([[t.origin for t in g] + [t.dest for t in g] for g in groups], dtype=np.int64)
     stops = stops.reshape(len(groups), 2 * k)
     tails, heads = stops[:, legs[0]], stops[:, legs[1]]  # (groups, legs) each
-    leg_dist_time = np.concatenate(net.distance_times(tails.ravel(), heads.ravel())).reshape(2, *tails.shape)
-    group, leg = np.nonzero(leg_dist_time[0] == math.inf)  # row-major
+    leg_dist = net.distances(tails.ravel(), heads.ravel()).reshape(tails.shape)
+    group, leg = np.nonzero(leg_dist == math.inf)  # row-major
     errors = {}
     if len(group):
         group, first = np.unique(group, return_index=True)
@@ -356,20 +361,23 @@ def _route_groups(net: RoadNetwork, groups):
     step = max(1, _ROUTE_CHUNK // len(orders))
     for lo in range(0, len(groups), step):
         # (legs, groups): a leg's lengths are one row, so each gather copies whole rows
-        leg_dist = np.ascontiguousarray(leg_dist_time[0, lo : lo + step].T)
-        total = np.take(leg_dist, order_legs[0], axis=0) + np.take(leg_dist, order_legs[1], axis=0)  # (orders, groups)
+        block = np.ascontiguousarray(leg_dist[lo : lo + step].T)
+        total = np.take(block, order_legs[0], axis=0) + np.take(block, order_legs[1], axis=0)  # (orders, groups)
         for at in range(2, len(order_legs)):
-            total += np.take(leg_dist, order_legs[at], axis=0)
+            total += np.take(block, order_legs[at], axis=0)
         best[lo : lo + step] = np.argmin(total, axis=0)
-    # the winning order's distance and time legs per group, summed the same way
-    won = leg_dist_time[:, np.arange(len(groups))[:, None], order_legs[:, best].T]
-    totals = won[:, :, 0] + won[:, :, 1]
-    for at in range(2, len(order_legs)):
-        totals += won[:, :, at]
-    won_orders, won_legs = orders[best], won.transpose(1, 2, 0)
+    # the winning order's legs per group, (groups, 2k - 1): their distances as
+    # read, their times read now, each summed left to right
+    rows, won = np.arange(len(groups))[:, None], order_legs[:, best].T
+    won_time = net.times(tails[rows, won].ravel(), heads[rows, won].ravel()).reshape(won.shape)
+    won_legs = np.stack([leg_dist[rows, won], won_time], axis=2)  # (groups, 2k - 1, 2)
+    totals = won_legs[:, 0] + won_legs[:, 1]
+    for at in range(2, won.shape[1]):
+        totals += won_legs[:, at]
+    won_orders = orders[best]
     records = [
         None if g in errors else _Routing(distance, time, won_orders, won_legs, g)
-        for g, (distance, time) in enumerate(zip(*totals.tolist()))
+        for g, (distance, time) in enumerate(totals.tolist())
     ]
     return errors, records
 
@@ -529,10 +537,12 @@ def write_trips(trips, path):
 
 
 def read_trips(path, net: RoadNetwork):
-    """Parse trip records and re-snap them on `net`, then route every solo
-    trip in one ``distance_times`` call; a trip id may appear once.  The
-    first record, in file order, that has no route (NoRouteError) or makes no
-    valid `TripRequest` (ValueError) is named by its line."""
+    """Parse every trip record, then snap all their endpoints on `net` in
+    one ``RoadNetwork.snap_to_nodes`` call and route every solo trip in one
+    ``distance_times`` call; a trip id may appear once.  A record that does
+    not parse is named by its line; an empty network, by the first record's.
+    Then the first record, in file order, that has no route (NoRouteError)
+    or makes no valid `TripRequest` (ValueError) is named by its line."""
     seen = set()
 
     def parse(fields):
@@ -542,11 +552,18 @@ def read_trips(path, net: RoadNetwork):
         seen.add(trip_id)
         origin = GeoPoint(float(fields[3]), float(fields[4]))
         dest = GeoPoint(float(fields[5]), float(fields[6]))
-        o, d = net.snap_to_node(origin), net.snap_to_node(dest)
-        return TripDraw(trip_id, int(fields[2]), o, d, origin, dest, float(fields[7]))
+        return trip_id, int(fields[2]), origin, dest, float(fields[7])
 
     lines = []
-    draws = read_records(path, "trip", {"T": 8}, parse, lines)
+    records = read_records(path, "trip", {"T": 8}, parse, lines)
+    try:
+        nodes = net.snap_to_nodes([point for record in records for point in record[2:4]])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lines[0]}: bad trip record: {exc}") from exc
+    draws = [
+        TripDraw(trip_id, user_id, o, d, origin, dest, departure)
+        for (trip_id, user_id, origin, dest, departure), o, d in zip(records, nodes[0::2], nodes[1::2])
+    ]
     trips = []
     for draw, route, lineno in zip(draws, solo_routes(net, draws), lines):
         if route is None:
@@ -567,16 +584,17 @@ def write_graph(graph: ShareabilityGraph, path) -> ShareabilityGraph:
     Returns the graph that `read_graph` rebuilds from the file: the same
     trips and network, the edges in file order, each weight the float its
     `%.6f` text reads back to, and each total, routing record and route the
-    one `graph` holds (the one `read_graph` derives again).
+    one `graph` holds (the one `read_graph` derives again).  It shares
+    `graph`'s trips and adjacency, which the rounding leaves as they are.
     """
-    edges = []
+    edges = {}
     with open(path, "w") as fh:
         for (a, b), e in sorted(graph.edges.items()):
             weight = f"{e.weight:.6f}"
             fh.write(f"G {a} {b} {weight} {e.total_distance:.6f} {e.total_time:.6f}\n")
-            edges.append(ShareabilityEdge(a, b, float(weight), e.total_distance, e.total_time))
-    handed = ShareabilityGraph(graph.net, graph.trips.values(), edges, graph.objective)
-    handed._routes.update(graph._routes)
+            edges[(a, b)] = ShareabilityEdge(a, b, float(weight), e.total_distance, e.total_time)
+    handed = copy.copy(graph)
+    handed.edges, handed._routes = edges, dict(graph._routes)
     return handed
 
 

@@ -403,6 +403,67 @@ class TestPartialTrees:
         assert type(distance) is float and type(time) is float
 
 
+def irregular_grid(seed, directed, hub):
+    """A 20 x 20 grid of roads with random lengths and times rounded to 6
+    decimals, as `read_network` reads them, and 80 equal-length parallel
+    roads of another time; with `hub`, node 400 joined to all 400 others by
+    longer roads.  Directed, each road runs both ways at lengths of its own,
+    but one in ten runs one way only, and none runs into node 0."""
+    rng = random.Random(seed)
+    nodes = {r * 20 + c: GeoPoint(0.01 * r, 0.01 * c) for r in range(20) for c in range(20)}
+    roads = [(n, n + 1, 100.0) for n in nodes if n % 20 < 19] + [(n, n + 20, 100.0) for n in nodes if n < 380]
+    if hub:
+        nodes[400] = GeoPoint(0.095, 0.095)
+        roads += [(400, n, 1000.0) for n in range(400)]
+    if directed:
+        roads += [(v, u, least) for u, v, least in roads if rng.random() < 0.9]
+        roads = [road for road in roads if road[1] != 0]
+
+    def rounded(lo, hi):
+        return round(rng.uniform(lo, hi), 6)
+
+    edges = [(u, v, rounded(least, 10 * least), rounded(10.0, 100.0)) for u, v, least in roads]
+    edges += [(u, v, length, rounded(10.0, 100.0)) for u, v, length, _ in rng.sample(edges, 80)]
+    rng.shuffle(edges)
+    return nodes, edges
+
+
+class TestIrregularNetworksAtSize:
+    """Every (origin, node) answer on 400- and 401-node networks with random
+    lengths and tied parallel roads, read in bulk in random splits and
+    orders and one at a time, mixed on one network, equals a heap Dijkstra's
+    bit for bit."""
+
+    @pytest.mark.parametrize("hub", [False, True], ids=["grid", "hub"])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_every_answer_equals_full_dijkstra(self, directed, hub):
+        nodes, edges = irregular_grid(7 + 2 * directed + hub, directed, hub)
+        expected = {origin: full_dijkstra(edges, directed, origin) for origin in nodes}
+        rng = random.Random(1)
+        queries = [(origin, dest) for origin in nodes for dest in nodes]
+        rng.shuffle(queries)
+        cuts = [0] + sorted(rng.sample(range(1, len(queries)), 7)) + [len(queries)]
+        net = RoadNetwork(nodes, edges, directed=directed)
+        unreached = 0
+        for part, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            batch = queries[lo:hi]
+            if part % 2:  # one query at a time
+                for origin, dest in batch:
+                    dist, time = expected[origin]
+                    if dest in dist:
+                        assert net.distance_time(origin, dest) == (dist[dest], time[dest])
+                    else:
+                        unreached += 1
+                        with pytest.raises(NoRouteError):
+                            net.distance_time(origin, dest)
+                continue
+            distance, time = net.distance_times(*zip(*batch))
+            for (origin, dest), answer in zip(batch, zip(distance.tolist(), time.tolist())):
+                dist, times = expected[origin]
+                assert answer == (dist.get(dest, math.inf), times.get(dest, math.inf))
+        assert (unreached > 0) == directed
+
+
 class TestNetworkIO:
     def test_round_trip(self, grid3, tmp_path):
         path = tmp_path / "net.txt"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridepool import shareability
+from ridepool import geo, shareability
 from ridepool.geo import (
     GeoPoint,
     METERS_PER_DEGREE,
@@ -176,8 +176,8 @@ def search_route_oracle(net, trips):
 
 
 class _LegTable:
-    """A network stand-in that answers ``distance_time`` and
-    ``distance_times`` from a table."""
+    """A network stand-in that answers ``distance_time``, ``distances`` and
+    ``times`` from a table."""
 
     def __init__(self, legs):
         self.legs = legs
@@ -185,8 +185,11 @@ class _LegTable:
     def distance_time(self, origin, dest):
         return self.legs[origin, dest]
 
-    def distance_times(self, origins, dests):
-        return np.array([self.legs[o, d] for o, d in zip(origins, dests)]).T
+    def distances(self, origins, dests):
+        return np.array([self.legs[o, d][0] for o, d in zip(origins, dests)])
+
+    def times(self, origins, dests):
+        return np.array([self.legs[o, d][1] for o, d in zip(origins, dests)])
 
 
 def assert_same_group_route(net, trips):
@@ -580,27 +583,28 @@ class TestGroupRouting:
         assert 0 < len(errors) < len(groups)
 
     def test_fresh_group_routes_each_leg_once(self, monkeypatch):
-        # one gather of the legs; a pair: 4 x 4 stop pairs minus 4 self-legs
-        # and the 4 dropoff -> pickup legs, which would leave the vehicle
-        # empty between the riders; four riders: 8 x 8 minus 8 self-legs and
-        # the 4 dropoff -> own pickup legs.  The winning order's legs are the
-        # ones already read.
+        # one gather of the legs' distances; a pair: 4 x 4 stop pairs minus 4
+        # self-legs and the 4 dropoff -> pickup legs, which would leave the
+        # vehicle empty between the riders; four riders: 8 x 8 minus 8
+        # self-legs and the 4 dropoff -> own pickup legs.  Then one read of
+        # the times of the winning order's 3 or 7 legs.
         net = build_grid_network(4, 4, 1000.0, 10.0)
         pair = [trip_on(net, 0, 0, 15), trip_on(net, 1, 1, 14)]
         four = pair + [trip_on(net, 2, 4, 11), trip_on(net, 3, 5, 9)]
         expected = {2: group_route_oracle(net, pair), 4: group_route_oracle(net, four)}
         calls = []
-        distance_times = net.distance_times
+        for name in ("distances", "times", "distance_times"):
 
-        def counted(origins, dests):
-            calls.append((len(origins), len(dests)))
-            return distance_times(origins, dests)
+            def counted(origins, dests, read=getattr(net, name), name=name):
+                calls.append((name, len(origins), len(dests)))
+                return read(origins, dests)
 
-        monkeypatch.setattr(net, "distance_times", counted)
+            monkeypatch.setattr(net, name, counted)
         for trips, legs in ((pair, 8), (four, 52)):
             calls.clear()
             assert route_for_group(net, trips) == expected[len(trips)]
-            assert calls == [(legs, legs)]
+            won = 2 * len(trips) - 1
+            assert calls == [("distances", legs, legs), ("times", won, won)]
 
     def test_graph_routes_new_groups_in_one_call(self, monkeypatch):
         # a batch of new groups is one `_route_groups` call and a lone one a
@@ -890,7 +894,56 @@ def assert_edges_hold_best_shared_routes(net, graph):
         assert graph.group_route((a, b)) == expected
 
 
+_SNAP_GRID = build_grid_network(6, 6, 500.0, 10.0, anchor=GeoPoint(10.0, 20.0))
+
+
+@st.composite
+def _snap_points(draw):
+    """Points at node positions, at the midpoints between neighbouring nodes
+    (ties, which go to the lower id) and anywhere on the globe, mostly far
+    off the grid."""
+    nodes = _SNAP_GRID.nodes
+    at_node = st.sampled_from(list(nodes.values()))
+    midpoint = st.sampled_from(_SNAP_GRID.edges).map(
+        lambda e: GeoPoint((nodes[e[0]].lat + nodes[e[1]].lat) / 2, (nodes[e[0]].lon + nodes[e[1]].lon) / 2)
+    )
+    anywhere = st.builds(GeoPoint, lat=st.floats(-89.0, 89.0), lon=st.floats(-179.0, 179.0))
+    return draw(st.lists(st.one_of(at_node, midpoint, anywhere), min_size=1, max_size=40))
+
+
 class TestTripAndGraphIO:
+    @pytest.mark.parametrize("chunk", [geo._TREE_CHUNK, 100])
+    @settings(max_examples=100, deadline=None)
+    @given(points=_snap_points())
+    def test_bulk_snapping_answers_like_snap_to_node(self, chunk, points, tmp_path_factory):
+        # each point is one trip's origin and another's destination, the
+        # other end a node it does not snap to; a chunk of 100 dots snaps two
+        # points per product on the 36-node grid
+        net, nodes = _SNAP_GRID, _SNAP_GRID.nodes
+        records = []
+        for k, p in enumerate(points):
+            q = nodes[35] if net.snap_to_node(p) == 0 else nodes[0]
+            for i, (a, b) in enumerate(((p, q), (q, p))):
+                records.append(f"T {2 * k + i} 0 {a.lat!r} {a.lon!r} {b.lat!r} {b.lon!r} 0.0\n")
+        path = tmp_path_factory.mktemp("snap") / "trips.txt"
+        path.write_text("".join(records))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_TREE_CHUNK", chunk)
+            trips = read_trips(path, net)
+        assert [t.origin_point for t in trips[0::2]] == [t.dest_point for t in trips[1::2]] == points
+        for t in trips:
+            for point, node in ((t.origin_point, t.origin), (t.dest_point, t.dest)):
+                assert node == net.snap_to_node(point) == snap_oracle(net, point)
+
+    @pytest.mark.parametrize("head,line", [("", 1), ("# trips\n\n", 3)])
+    def test_an_empty_network_is_named_at_the_first_record(self, head, line, tmp_path):
+        path = tmp_path / "trips.txt"
+        path.write_text(head + "T 0 0 0.0 0.0 0.0 0.01 0.000\nT 1 1 0.0 0.01 0.0 0.02 0.000\n")
+        message = f"{path}:{line}: bad trip record: cannot snap onto an empty network"
+        with pytest.raises(ValueError) as raised:
+            read_trips(path, RoadNetwork({}, []))
+        assert str(raised.value) == message
+
     def test_trips_round_trip(self, tmp_path):
         net, trips, _ = scenario_instance(seed=2, n_trips=8)
         path = tmp_path / "trips.txt"
@@ -970,14 +1023,18 @@ class TestRealisticSize:
         assert bulk.read_bytes() == scalar.read_bytes()
 
     def test_300_hotspot_trips_route_every_leg_like_full_dijkstra(self, monkeypatch):
-        queries, distance_times = [], RoadNetwork.distance_times
+        # every leg's distance from the one gather and every time read, of
+        # the winning orders' legs, and both of each solo trip
+        distances, times = [], []
+        for name, kept in (("distances", [distances]), ("times", [times]), ("distance_times", [distances, times])):
 
-        def recorded(net, origins, dests):
-            distance, time = distance_times(net, origins, dests)
-            queries.extend(zip(list(origins), list(dests), distance.tolist(), time.tolist()))
-            return distance, time
+            def recorded(net, origins, dests, read=getattr(RoadNetwork, name), kept=kept):
+                answers = read(net, origins, dests)
+                for queries, answer in zip(kept, np.atleast_2d(answers)):
+                    queries.extend(zip(list(origins), list(dests), answer.tolist()))
+                return answers
 
-        monkeypatch.setattr(RoadNetwork, "distance_times", recorded)
+            monkeypatch.setattr(RoadNetwork, name, recorded)
         cfg = load_config(
             text="[network]\nrows = 20\ncols = 20\n[demand]\nn_trips = 300\nn_users = 300\n"
             "hotspots = 400\nhotspot_spread_m = 300\ndeparture_window_s = 3600\n"
@@ -985,11 +1042,12 @@ class TestRealisticSize:
         net, trips = generate_scenario(cfg)
         build_shareability_graph(net, trips, cfg.objective, cfg.constraints)
         trees = {}
-        for origin, dest, distance, time in queries:
-            if origin not in trees:
-                trees[origin] = full_dijkstra(net.edges, False, origin)
-            assert (distance, time) == (trees[origin][0][dest], trees[origin][1][dest])
-        assert len(queries) > 5000 and len(trees) > 300
+        for field, queries in enumerate((distances, times)):
+            for origin, dest, answer in queries:
+                if origin not in trees:
+                    trees[origin] = full_dijkstra(net.edges, False, origin)
+                assert answer == trees[origin][field][dest]
+        assert len(distances) > 5000 and len(times) > 2000 and len(trees) > 300
 
     def test_300_hotspot_trips_snap_and_gate_like_the_scalar_scans(self, monkeypatch):
         # shaped like a file-driven benchmark run: demand around many hotspots on a 20x20 grid
