@@ -11,9 +11,10 @@ one distance row and one time row of doubles: `RoadNetwork.distances` (and
 `.times`, `.distance_times`) grows, in numpy, the trees of all the origins a
 call asks for that have none yet, a batch of origins at a time, so every
 later distance from those origins on the same network object is a lookup.
-A tree is grown as its distances; a path's time is summed, and kept, when a
-read first asks for it.  Only origins that some query asks for get a tree;
-all pairs would not fit a large network.
+A tree is grown as its distances; `_fill_times` alone sums times, and keeps
+them: those of the paths a bulk read asks for, or all of a tree's unknown
+ones at once at a scalar read.  Only origins that some query asks for get a
+tree; all pairs would not fit a large network.
 """
 
 import functools
@@ -179,16 +180,6 @@ class RoadNetwork:
         step = target - source
         slots = (into_start, np.diff(into_start), step[into], length[into], time[into])
         return _Arcs(start, np.diff(start), source, target, step, length, time, shortest, *slots)
-
-    @functools.cached_property
-    def _arcs_into(self) -> list:
-        """Per node index, the (source index, length, time) of each arc into
-        it, in arc order, as Python numbers for the scalar time walk."""
-        csr = self._arcs
-        tails = np.arange(len(csr.into_count)).repeat(csr.into_count) - csr.into_step
-        arcs = list(zip(tails.tolist(), csr.into_length.tolist(), csr.into_time.tolist()))
-        bounds = csr.into_start.tolist()
-        return [arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def snap_to_node(self, p: GeoPoint) -> int:
         """Nearest node by great-circle distance; ties go to the lowest id.
@@ -374,25 +365,6 @@ class RoadNetwork:
                 time[heads[start:end]] = time[tails[start:end]] + arc_time[start:end]
                 start = end
 
-    def _path_time(self, row, target):
-        """The time of the path to node index `target` in tree `row`, which
-        has one: `_fill_times` of one entry, walked in Python floats."""
-        dist, time, into = self._dist.item, self._time.item, self._arcs_into
-        path, node, total = [], target, time(row, target)
-        while total != total:  # nan: not known yet
-            reach, best = dist(row, node), None
-            for tail, length, arc_time in into[node]:
-                tail_dist = dist(row, tail)
-                if tail_dist + length == reach and (best is None or tail_dist < best[0]):
-                    best = (tail_dist, tail, arc_time)
-            path.append((node, best[2]))
-            node = best[1]
-            total = time(row, node)
-        for node, arc_time in reversed(path):
-            total += arc_time
-            self._time[row, node] = total
-        return total
-
     def _indices(self, ids):
         """The node index of each of `ids`, -1 for an id that is no node."""
         if not self.nodes:
@@ -446,9 +418,10 @@ class RoadNetwork:
 
     def distance_time(self, origin, dest):
         """`distance_times` of one query, as floats; time is summed along the
-        minimum-distance path, not minimized, walked in Python the first
-        time it is read.  An unknown origin raises KeyError; an unknown or
-        unreachable destination, NoRouteError."""
+        minimum-distance path, not minimized; the first unknown time read
+        from a tree fills all of its unknown ones in one `_fill_times` call.
+        An unknown origin raises KeyError; an unknown or unreachable
+        destination, NoRouteError."""
         source = self._index.get(origin)
         if source is None:
             raise KeyError(f"unknown node {origin}")
@@ -459,7 +432,10 @@ class RoadNetwork:
         if distance == math.inf:
             raise NoRouteError(f"no route from node {origin} to node {dest}")
         time = self._time.item(row, target)
-        return distance, time if time == time else self._path_time(row, target)  # nan: not known yet
+        if time != time:  # nan: not known yet
+            self._fill_times(row * self._time.shape[1] + np.flatnonzero(np.isnan(self._time[row])))
+            time = self._time.item(row, target)
+        return distance, time
 
     def shortest_path(self, origin, dest) -> Route:
         """`distance_time` as a `Route`; origin == dest yields a zero-length

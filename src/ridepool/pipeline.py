@@ -111,9 +111,10 @@ def write_matching(solution, path):
             fh.write(f"M {gid} {ids} {route.total_distance:.6f} {route.total_time:.6f}\n")
 
 
-def read_matching(path, trip_ids, capacity):
-    """The groups of `write_matching`: each of `trip_ids` once, in groups of
-    at most `capacity`.  A bad group names its line; trips left out, the file."""
+def read_matching(path, graph, capacity):
+    """The groups of `write_matching`: each trip of `graph` once, in groups of
+    at most `capacity`, each routed on `graph` as it is read.  A bad or
+    unroutable group names its line; trips left out, the file."""
     grouped = set()
 
     def parse(fields):
@@ -121,15 +122,16 @@ def read_matching(path, trip_ids, capacity):
         if len(group) > capacity:
             raise ValueError(f"group {group} exceeds capacity {capacity}")
         for tid in group:
-            if tid not in trip_ids:
+            if tid not in graph.trips:
                 raise KeyError(tid)
             if tid in grouped:
                 raise ValueError(f"trip {tid} is already in a group")
             grouped.add(tid)
+        graph.group_route(group)
         return group
 
     groups = read_records(path, "matching", {"M": 5}, parse)
-    missing = sorted(set(trip_ids) - grouped)
+    missing = sorted(set(graph.trips) - grouped)
     if missing:
         raise ValueError(f"{path}: no group for trips {missing}")
     return groups
@@ -216,8 +218,8 @@ def stage_match(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
 
 
 def stage_evaluate(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
-    trip_ids = {t.trip_id for t in artifacts.trips}  # a missing trips file is named before a missing matching
-    groups = read_matching(_artifact(out_dir, MATCHING_FILE, "match"), trip_ids, cfg.capacity)
+    artifacts.trips  # a missing trips file is named before a missing matching, and that before a missing graph
+    groups = read_matching(_artifact(out_dir, MATCHING_FILE, "match"), artifacts.graph, cfg.capacity)
     graph = artifacts.graph
     solution = baselines.solution_for(graph, groups)
     outcomes = metrics_mod.build_outcomes(solution, graph.trips, cfg.factors)

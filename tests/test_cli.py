@@ -335,7 +335,7 @@ class TestPipeline:
         features = read_features(out / pipeline.FEATURES_FILE)
         assert {t.user_id for t in trips} <= set(features)
         read_policy(out / pipeline.POLICY_FILE)
-        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE, graph.trips, small_cfg.capacity)
+        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE, graph, small_cfg.capacity)
         assert sorted(t for g in groups for t in g) == sorted(graph.trips)
         rows = [line.split(",") for line in (out / pipeline.REPORT_CSV_FILE).read_text().splitlines()]
         assert [name for name, _ in rows] == list(METRIC_NAMES)
@@ -417,7 +417,9 @@ class TestPipeline:
         out = tmp_path / "run"
         pipeline.run_pipeline(cfg, str(out), ("gen", "graph", "embed", "train", "match"))
         trip_ids = range(cfg.demand.n_trips)
-        groups = pipeline.read_matching(out / pipeline.MATCHING_FILE, trip_ids, cfg.capacity)
+        groups = pipeline.read_matching(
+            out / pipeline.MATCHING_FILE, pipeline.RunArtifacts(cfg, str(out)).graph, cfg.capacity
+        )
         assert sorted(t for g in groups for t in g) == list(trip_ids)
 
     def test_module_entrypoint_runs(self, tmp_path):
@@ -637,6 +639,15 @@ class TestUnroutableRecords:
         assert f"{pipeline.GRAPH_FILE}:4: " in err
         assert "no route from node 0 to node 2" in err
 
+    def test_matching_group_with_an_unreachable_leg_names_its_line(self, tmp_path, capsys):
+        out = self.write_run(tmp_path, [(0, 0, 1), (1, 2, 3), (2, 1, 0)], graph=[])
+        # a comment and a blank line before the bad record are lines too
+        (out / pipeline.MATCHING_FILE).write_text("M 0 2 0.0 0.0\n# groups\n\nM 1 0,1 0.0 0.0\n")
+        assert run_cli(["evaluate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pipeline.MATCHING_FILE}:4: matching record cannot be routed: " in err
+        assert "no route from node 0 to node 2" in err
+
 
 class TestVanishingEdge:
     """From node 0 every other node lies 1e20 m away, and a 1 m edge adds
@@ -734,7 +745,9 @@ class TestRunArtifacts:
                 pipeline.run_pipeline(load_config(cfg_path), str(out), ["match"])
             monkeypatch.undo()
             assert reads == [str(path)]
-            return pipeline.read_matching(out / pipeline.MATCHING_FILE, set(range(20)), 2)
+            return pipeline.read_matching(
+                out / pipeline.MATCHING_FILE, pipeline.RunArtifacts(load_config(cfg_path), str(out)).graph, 2
+            )
 
         assert max(len(g) for g in match()) == 2
         # a checkpoint whose stop logit outweighs every candidate: nobody pools

@@ -463,6 +463,35 @@ class TestIrregularNetworksAtSize:
                 assert answer == (dist.get(dest, math.inf), times.get(dest, math.inf))
         assert (unreached > 0) == directed
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_a_scalar_read_fills_its_whole_tree(self, directed, monkeypatch):
+        # the hub network of the case above
+        nodes, edges = irregular_grid(8 + 2 * directed, directed, True)
+        net = RoadNetwork(nodes, edges, directed=directed)
+        walked = []
+        predecessors = net._predecessors
+        monkeypatch.setattr(net, "_predecessors", lambda entries: walked.append(len(entries)) or predecessors(entries))
+        rng = random.Random(2)
+        ids = sorted(nodes)
+        for origin in rng.sample(ids, 12):
+            dist, time = full_dijkstra(edges, directed, origin)
+            dest = rng.choice([node for node in sorted(dist) if node != origin])
+            assert net.distance_time(origin, dest) == (dist[dest], time[dest])
+            assert walked
+            row = net._tree_row[net._index[origin]]
+            # every reached node's time is known; nodes not reached read inf
+            assert net._time[row, :-1].tolist() == [time.get(node, math.inf) for node in ids]
+            walked.clear()
+            for _ in range(3):
+                dests = rng.sample(ids, rng.randrange(1, len(ids)))
+                if rng.random() < 0.5:
+                    answers = list(zip(*(a.tolist() for a in net.distance_times([origin] * len(dests), dests))))
+                    assert answers == [(dist.get(d, math.inf), time.get(d, math.inf)) for d in dests]
+                else:
+                    assert net.times([origin] * len(dests), dests).tolist() == [time.get(d, math.inf) for d in dests]
+                assert net.distance_time(origin, dest) == (dist[dest], time[dest])
+            assert walked == []
+
 
 class TestNetworkIO:
     def test_round_trip(self, grid3, tmp_path):
