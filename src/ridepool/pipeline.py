@@ -33,12 +33,14 @@ from . import metrics as metrics_mod
 from . import policy as policy_mod
 from . import tolerance as tolerance_mod
 from .geo import read_network, read_records, write_network
-from .scenario import ScenarioConfig, config_to_ini, draw_demand, generate_scenario, validate_config
+from .scenario import ScenarioConfig, config_to_ini, draw_demand, generate_scenario, grid_network, validate_config
 from .shareability import (
     Objective,
     build_shareability_graph,
     read_graph,
     read_trips,
+    route_pairs,
+    weigh_pairs,
     write_graph,
     write_trips,
 )
@@ -113,8 +115,9 @@ def write_matching(solution, path):
 
 def read_matching(path, graph, capacity):
     """The groups of `write_matching`: each trip of `graph` once, in groups of
-    at most `capacity`, each routed on `graph` as it is read.  A bad or
-    unroutable group names its line; trips left out, the file."""
+    at most `capacity`, each routed on `graph` as it is read, its totals
+    those of its route as `%.6f` writes them.  A bad or unroutable group, or
+    one whose totals disagree, names its line; trips left out, the file."""
     grouped = set()
 
     def parse(fields):
@@ -127,7 +130,12 @@ def read_matching(path, graph, capacity):
             if tid in grouped:
                 raise ValueError(f"trip {tid} is already in a group")
             grouped.add(tid)
-        graph.group_route(group)
+        route = graph.group_route(group)
+        expected = (f"{route.total_distance:.6f}", f"{route.total_time:.6f}")
+        if [float(v) for v in fields[3:5]] != [float(v) for v in expected]:
+            raise ValueError(
+                f"group {group} has distance and time {fields[3]} {fields[4]}, but its route's are {' '.join(expected)}"
+            )
         return group
 
     groups = read_records(path, "matching", {"M": 5}, parse)
@@ -186,7 +194,8 @@ class RunArtifacts:
 
 
 def stage_gen(cfg: ScenarioConfig, out_dir, artifacts: RunArtifacts):
-    net, draws = draw_demand(cfg)  # trips.txt holds no route, so none is computed
+    net = grid_network(cfg)
+    draws = draw_demand(cfg, net)  # trips.txt holds no route, so none is computed
     write_network(net, os.path.join(out_dir, NETWORK_FILE))
     write_trips(draws, os.path.join(out_dir, TRIPS_FILE))
 
@@ -272,9 +281,10 @@ def objective_report(cfg: ScenarioConfig, objectives=None):
     objectives = objectives or [Objective.DISTANCE, Objective.TIME, Objective.VEHICLE]
     net, trips = generate_scenario(cfg)
     features = embed_trips(trips, cfg)
+    routing = route_pairs(net, trips, cfg.constraints)
     reports = {}
     for objective in objectives:
-        graph = build_shareability_graph(net, trips, objective, cfg.constraints)
+        graph = weigh_pairs(routing, objective)
         solution = match_scenario(graph, features, cfg)
         outcomes = metrics_mod.build_outcomes(solution, graph.trips, cfg.factors)
         reports[objective] = metrics_mod.compute_report(solution, outcomes, cfg.factors)

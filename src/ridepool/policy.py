@@ -32,12 +32,18 @@ cache is exact: a hit returns what a miss would have computed.
 - Once per parameter set (one update's rollouts, or the greedy decode),
   `_ScoredTable` scores the whole table up front, ROW_CHUNK row ids at a
   time, and caches decisions by (focal trip, selected co-riders, candidate
-  ids), which fixes their row ids: a decision gathers its rows' logits and
-  its value row's value and forms its probabilities and sampling cdf on
-  first sight; met again it costs one draw and a bisect.  The greedy
-  decode starts both caches empty, so it routes exactly the groups a
-  per-visit `_legal` over the free neighbours would, in the same order and
-  the same calls: at most one routing call per decision.
+  ids), which fixes their row ids.  On first sight a decision finds its
+  rows by a merge walk, gathers its logits and value through memoryviews of
+  the scores and forms its probabilities and sampling cdf on Python
+  floats: its one numpy call builds its records' `row_ids` array.  Met
+  again it costs one dict read and a bisect.  The greedy decode starts
+  both caches empty, so it routes exactly the groups a per-visit `_legal`
+  over the free neighbours would, in the same order and the same calls:
+  at most one routing call per decision.
+
+A rollout draws its uniforms in one ``Generator.random(n)`` call (n = trips
+x (capacity - 1) bounds its decisions); decision i reads double i, the
+double the i-th scalar ``random()`` call would return.
 
 The update is batched and scores each distinct row once per epoch: the
 recorded steps carry row ids into the table and are grouped by decision key,
@@ -254,7 +260,7 @@ class RowTable:
         rank = np.empty_like(by_appearance)
         rank[by_appearance] = np.arange(len(first))
         keep = first[by_appearance]  # each row's first entry
-        self._entry_row = rank[inverse]  # directed entry -> its row at depth 0
+        entry_row = rank[inverse]  # directed entry -> its row at depth 0
 
         self.contexts = contexts
         self.focal_context = focal[keep]
@@ -264,12 +270,12 @@ class RowTable:
             arr.flags.writeable = False
         self.per_depth = len(keep)
         self.depths = capacity - 1
-        # a value entry's neighbour id is one past every trip id, so it sorts last
-        self._value_key = int(trip_ids.max(initial=-1)) + 1
-        self._neighbors = np.append(trip_ids, self._value_key)[other]
+        # a focal trip's entries run from its start: its neighbours in
+        # ascending id, as the graph lists them, then its value entry
+        self._neighbors = graph.neighbors
+        self._entry_row = memoryview(entry_row)  # indexed, it gives Python ints without a numpy call
         counts = np.bincount(focal, minlength=n)
-        ends = np.cumsum(counts)
-        self._entries = dict(zip(trip_ids.tolist(), zip((ends - counts).tolist(), ends.tolist())))
+        self._starts = dict(zip(trip_ids.tolist(), (np.cumsum(counts) - counts).tolist()))
 
     def __len__(self):
         """The number of row ids: the distinct rows of every depth."""
@@ -278,9 +284,22 @@ class RowTable:
     def decision_rows(self, focal, depth, candidates: tuple) -> np.ndarray:
         """Row ids of a decision at `depth`: the candidates' (neighbours of
         the focal trip, in ascending id), then the focal trip's value row."""
-        start, stop = self._entries[focal]
-        entries = self._neighbors[start:stop].searchsorted(candidates + (self._value_key,))
-        return self._entry_row[start + entries] + depth * self.per_depth
+        return np.array(self._row_ids(focal, depth, candidates))
+
+    def _row_ids(self, focal, depth, candidates) -> list:
+        """`decision_rows` as a list of ints, found by one merge walk over
+        the focal trip's entries: `candidates` is an ascending subsequence
+        of its neighbours."""
+        start, neighbors = self._starts[focal], self._neighbors(focal)
+        entry_row, offset = self._entry_row, depth * self.per_depth
+        ids = []
+        at = 0
+        for v in candidates:
+            while neighbors[at] != v:
+                at += 1
+            ids.append(entry_row[start + at] + offset)
+        ids.append(entry_row[start + len(neighbors)] + offset)
+        return ids
 
     def inputs(self, row_ids) -> np.ndarray:
         """(len(row_ids), input_dim): the rows `row_ids` name, gathered."""
@@ -338,7 +357,7 @@ def _group_rejection_cost(graph, group, profile) -> float:
     return rejection_cost(delays, profile)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One visit of a decision: everything needed to re-evaluate it during
     updates.  Its inputs are rows of a row table; steps with the same
@@ -378,6 +397,7 @@ def _run_policy(graph, spec, capacity, pick, scored, moves) -> RolloutResult:
     one graph, capacity and reward spec.  `scored` is the graph's row table
     under one set of parameters (`_ScoredTable`); a decision met again reuses
     its entry.  `pick` chooses an action index from an entry."""
+    table, decisions = scored.table, scored.decisions
     assigned = set()
     episodes = []
     groups = []
@@ -396,10 +416,12 @@ def _run_policy(graph, spec, capacity, pick, scored, moves) -> RolloutResult:
             except KeyError:  # a candidate not asked about yet: ask every such one at once
                 group.learn([v for v in neighbors if v not in assigned and v not in legal])
                 select_ids = [v for v in neighbors if v not in assigned and legal[v]]
-            entry = scored.decision((focal, group.state.selected, tuple(select_ids)))
+            key = (focal, group.state.selected, tuple(select_ids))
+            entry = decisions.get(key)
+            if entry is None:
+                entry = scored.decision(key)
             index = pick(entry)
-            log_prob = entry.log_probs[index]
-            record = StepRecord(scored.table, entry.row_ids, index, log_prob, 0.0, entry.value, decision=entry.key)
+            record = StepRecord(table, entry.row_ids, index, entry.log_probs[index], 0.0, entry.value, 0.0, key)
             records.append(record)
             if index == len(select_ids):
                 break
@@ -458,7 +480,7 @@ class _ScoredTable:
     the decisions met so far, keyed by (focal trip, selected co-riders,
     candidate ids)."""
 
-    __slots__ = ("table", "params", "logits", "values", "decisions")
+    __slots__ = ("table", "params", "logits", "values", "decisions", "_logits", "_values", "_stop_logit")
 
     def __init__(self, table: RowTable, params: PolicyParams):
         self.table = table
@@ -467,25 +489,30 @@ class _ScoredTable:
         self.values = np.empty(len(table))
         for chunk in np.split(np.arange(len(table)), range(ROW_CHUNK, len(table), ROW_CHUNK)):
             _, self.logits[chunk], self.values[chunk] = _score(params, table.inputs(chunk))
+        # what a decision indexes: Python floats, without a numpy call or a copy
+        self._logits, self._values = memoryview(self.logits), memoryview(self.values)
+        self._stop_logit = float(params.stop_logit)
         self.decisions = {}
 
     def decision(self, key) -> _Decision:
-        """The decision `key`, formed on first sight.  Its softmax and cdf
-        run on Python floats: a decision has few candidates, and numpy's
-        cost per call would dominate."""
+        """The decision `key`, formed on first sight on Python ints and
+        floats but for its read-only `row_ids` array: a decision has few
+        candidates, and numpy's cost per call would dominate."""
         entry = self.decisions.get(key)
         if entry is None:
             focal, selected, candidates = key
-            row_ids = self.table.decision_rows(focal, len(selected), candidates)
+            ids = self.table._row_ids(focal, len(selected), candidates)
+            row_ids = np.array(ids)
             row_ids.flags.writeable = False
-            logits = self.logits[row_ids].tolist()
-            logits[-1] = float(self.params.stop_logit)
+            all_logits = self._logits
+            logits = [all_logits[i] for i in ids]
+            logits[-1] = self._stop_logit
             top = max(logits)
             exps = [math.exp(x - top) for x in logits]
             total = sum(exps)
             log_total = math.log(total)
             log_probs = [x - top - log_total for x in logits]
-            value = float(self.values[row_ids[-1]])
+            value = self._values[ids[-1]]
             entry = self.decisions[key] = _Decision(key, row_ids, log_probs, value, _cdf([e / total for e in exps]))
         return entry
 
@@ -500,11 +527,12 @@ def _cdf(probs) -> list:
     return [c / cdf[-1] for c in cdf]
 
 
-def _sample(cdf, rng) -> int:
-    """An index drawn from the distribution with cumulative `cdf` (see
-    `_cdf`): the same draw from the same generator state as
-    `rng.choice(len(probs), p=probs)`, without its checks and conversions."""
-    return bisect_right(cdf, rng.random())
+def _sample(cdf, uniform) -> int:
+    """The index that `uniform`, the generator's next ``random()`` double,
+    draws from the distribution with cumulative `cdf` (see `_cdf`): the
+    index `rng.choice(len(probs), p=probs)` draws from the same generator
+    state, without its checks and conversions."""
+    return bisect_right(cdf, uniform)
 
 
 def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None, moves=None) -> RolloutResult:
@@ -514,18 +542,21 @@ def rollout(graph, features, params, spec, capacity=2, seed=0, scored=None, move
     `_run_policy`; leaving either out gives a fresh one.  Rollouts under the
     same parameters (one update's, in `train`) may share a scored table, and
     rollouts on the same graph, capacity and spec (all of a `train` run's)
-    may share a move memo; neither changes any record."""
-    rng = np.random.default_rng(seed)
+    may share a move memo; neither changes any record.  A trip is a focal
+    trip at most once, and each of its decisions but a Stop grows its group,
+    so trips x (capacity - 1) uniforms, drawn in one call, are enough."""
+    uniforms = iter(np.random.default_rng(seed).random(len(graph.trips) * max(0, capacity - 1)).tolist())
     scored = _ScoredTable(RowTable(graph, features, capacity), params) if scored is None else scored
     moves = {} if moves is None else moves
-    return _run_policy(graph, spec, capacity, lambda entry: _sample(entry.cdf, rng), scored, moves)
+    return _run_policy(graph, spec, capacity, lambda entry: _sample(entry.cdf, next(uniforms)), scored, moves)
 
 
 def match_all(graph, features, params, spec, capacity=2) -> MatchingSolution:
     """Greedy decode (argmax action, ties to the lowest trip id) into a full
     matching solution with routed groups."""
     scored = _ScoredTable(RowTable(graph, features, capacity), params)
-    result = _run_policy(graph, spec, capacity, lambda entry: int(np.argmax(entry.log_probs)), scored, {})
+    # the first of the most likely actions, as `np.argmax` picks
+    result = _run_policy(graph, spec, capacity, lambda entry: entry.log_probs.index(max(entry.log_probs)), scored, {})
     return solution_for(graph, result.groups)
 
 
@@ -701,6 +732,7 @@ def train(graph, features, spec, capacity=2, cfg=None, n_updates=100, hidden=64)
                 graph, features, params, spec, capacity, seed=[cfg.seed, update, r], scored=scored, moves=moves
             )
             episodes.extend(result.episodes)
+        del scored, result  # the update reads the records, not the decisions: free those first
         params = ppo_update(params, episodes, cfg)
         history.append(float(np.mean([episode[0].return_ for episode in episodes])))
     return params, history

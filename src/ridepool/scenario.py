@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .embedding import EmbeddingConfig
-from .geo import GeoPoint, build_grid_network, grid_steps
+from .geo import GeoPoint, RoadNetwork, build_grid_network, grid_steps
 from .metrics import CostFactors
 from .policy import PPOConfig
 from .shareability import Objective, PairingConstraints, TripDraw, TripRequest, solo_routes
@@ -115,8 +115,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def draw_demand(cfg: ScenarioConfig):
-    """Build the grid network and draw the seeded demand on it, snapping each
+def grid_network(cfg: ScenarioConfig) -> RoadNetwork:
+    """The grid network of a validated `cfg`: it depends on `cfg.network`
+    alone, so configs that differ only in their seed may share one, and the
+    shortest-path trees it grows."""
+    net_cfg = validate_config(cfg).network
+    anchor = GeoPoint(net_cfg.anchor_lat, net_cfg.anchor_lon)
+    return build_grid_network(net_cfg.rows, net_cfg.cols, net_cfg.spacing_m, net_cfg.speed_mps, anchor)
+
+
+def draw_demand(cfg: ScenarioConfig, net: RoadNetwork) -> list:
+    """The seeded demand of `cfg` on `net`, its `grid_network`, snapping each
     drawn point once and routing nothing.
 
     Draw order per trip: user id, origin hotspot + jitter, then destination
@@ -124,14 +133,11 @@ def draw_demand(cfg: ScenarioConfig):
     retries), then the departure time.
     """
     validate_config(cfg)
-    net_cfg = cfg.network
-    anchor = GeoPoint(net_cfg.anchor_lat, net_cfg.anchor_lon)
-    net = build_grid_network(net_cfg.rows, net_cfg.cols, net_cfg.spacing_m, net_cfg.speed_mps, anchor)
     dem = cfg.demand
     rng = np.random.default_rng(cfg.seed)
     node_ids = np.array(sorted(net.nodes))
     hotspot_ids = rng.choice(node_ids, size=dem.hotspots, replace=False)
-    lat_per_m, lon_per_m = grid_steps(1.0, anchor.lat)
+    lat_per_m, lon_per_m = grid_steps(1.0, cfg.network.anchor_lat)
 
     def draw_point():
         hotspot = net.nodes[int(hotspot_ids[int(rng.integers(dem.hotspots))])]
@@ -157,14 +163,20 @@ def draw_demand(cfg: ScenarioConfig):
             )
         departure = float(rng.uniform(0.0, dem.departure_window_s))
         draws.append(TripDraw(trip_id, user_id, origin, dest, origin_point, dest_point, departure))
-    return net, draws
+    return draws
+
+
+def routed_demand(cfg: ScenarioConfig, net: RoadNetwork) -> list:
+    """The `draw_demand` trips on `net`, each with its solo route (a grid is
+    connected, so every trip has one)."""
+    draws = draw_demand(cfg, net)
+    return [TripRequest(*d, solo_route=r) for d, r in zip(draws, solo_routes(net, draws))]
 
 
 def generate_scenario(cfg: ScenarioConfig):
-    """The grid network and the `draw_demand` trips, each with its solo route
-    (a grid is connected, so every trip has one)."""
-    net, draws = draw_demand(cfg)
-    return net, [TripRequest(*d, solo_route=r) for d, r in zip(draws, solo_routes(net, draws))]
+    """A fresh `grid_network` and the `routed_demand` trips on it."""
+    net = grid_network(cfg)
+    return net, routed_demand(cfg, net)
 
 
 def _parse_bool(raw):

@@ -20,7 +20,9 @@ orders of k riders (4, 60 or 1 776) are listed once per process, the
 distances of all groups' legs are read in one ``RoadNetwork.distances``
 gather, every order's total is compared in bulk, and times are read, in one
 ``RoadNetwork.times`` call, for the winning orders' legs alone.  The graph
-build and ``read_graph`` route all their pairs in one call, ``read_trips``
+build routes its gated pairs in one call (`route_pairs`), before an
+objective weighs them (`weigh_pairs`), so several objectives' graphs share
+one routing; ``read_graph`` routes all its pairs in one call, ``read_trips``
 snaps all its trips in one product and routes all its solo trips in one
 call, and ``ShareabilityGraph.route_groups`` routes all the grown groups of
 one policy decision.  The router returns one record per group (``_Routing``: the
@@ -491,18 +493,19 @@ class ShareabilityGraph:
         return sum(t.solo_route.time for t in trips) - route.total_time
 
 
-def build_shareability_graph(
-    net: RoadNetwork,
-    trips,
-    objective: Objective = Objective.DISTANCE,
-    constraints: PairingConstraints = PairingConstraints(),
-) -> ShareabilityGraph:
-    """Evaluate every unordered trip pair through the feasibility gates.
+class PairRouting(NamedTuple):
+    """Some trips' gated and routed pairs, which any objective's graph is weighed from."""
 
-    A pair becomes an edge only when it saves distance (vehicle objective) or
-    has strictly positive savings weight (distance/time objectives); pairs
-    that pool without saving anything are dropped in every objective.
-    """
+    net: RoadNetwork
+    trips: list  # sorted by trip id
+    pairs: list  # (trip a, trip b) per gated pair, a before b
+    records: list  # each pair's `_Routing`, None for a pair with no route
+
+
+def route_pairs(net: RoadNetwork, trips, constraints: PairingConstraints) -> PairRouting:
+    """Gate every unordered pair of `trips` (`_gated_pairs`) and route the
+    pairs that pass in one ``_route_groups`` call; a pair with no shared
+    route is logged and skipped."""
     trips = sorted(trips, key=lambda t: t.trip_id)
     if not trips:
         raise ValueError("cannot build a shareability graph without trips")
@@ -510,15 +513,37 @@ def build_shareability_graph(
     errors, records = _route_groups(net, pairs)
     for k, exc in errors.items():
         log.warning("skipping pair (%s, %s): %s", pairs[k][0].trip_id, pairs[k][1].trip_id, exc)
+    return PairRouting(net, trips, pairs, records)
+
+
+def weigh_pairs(routing: PairRouting, objective: Objective) -> ShareabilityGraph:
+    """The graph of `routing`'s trips under `objective`, holding its kept
+    pairs' routing records.
+
+    A pair becomes an edge only when it saves distance (vehicle objective) or
+    has strictly positive savings weight (distance/time objectives); pairs
+    that pool without saving anything are dropped in every objective.
+    """
     saving = Objective.TIME if objective is Objective.TIME else Objective.DISTANCE  # vehicle edges: distance saved
-    kept = [(a, b, r) for (a, b), r in zip(pairs, records) if r is not None and edge_weight(r, a, b, saving) > 0.0]
+    routed = zip(routing.pairs, routing.records)
+    kept = [(a, b, r) for (a, b), r in routed if r is not None and edge_weight(r, a, b, saving) > 0.0]
     edges = [
         ShareabilityEdge(a.trip_id, b.trip_id, edge_weight(r, a, b, objective), r.total_distance, r.total_time)
         for a, b, r in kept
     ]
-    graph = ShareabilityGraph(net, trips, edges, objective)
+    graph = ShareabilityGraph(routing.net, routing.trips, edges, objective)
     graph._routes.update(((a.trip_id, b.trip_id), r) for a, b, r in kept)
     return graph
+
+
+def build_shareability_graph(
+    net: RoadNetwork,
+    trips,
+    objective: Objective = Objective.DISTANCE,
+    constraints: PairingConstraints = PairingConstraints(),
+) -> ShareabilityGraph:
+    """The graph of `trips` under one objective: `route_pairs`, then `weigh_pairs`."""
+    return weigh_pairs(route_pairs(net, trips, constraints), objective)
 
 
 def write_trips(trips, path):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .baselines import MatchingSolution, solution_for
+from .shareability import route_pairs, weigh_pairs
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,18 @@ class SweepCell:
 def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> list:
     """Matching quality across social-distance sensitivity levels.
 
-    For each run a fresh seeded scenario is generated, matched once per
-    objective, then filtered at every s with common per-trip draws; each
-    (objective, s) cell reports the mean and stddev of all metrics over runs.
-    Each (run, objective) builds one graph; when the reward's social penalty
-    weight is positive the policy is retrained on it per cell because s then
-    feeds back into training.
+    For each run a fresh seeded demand is drawn, matched once per objective,
+    then filtered at every s with common per-trip draws; each (objective, s)
+    cell reports the mean and stddev of all metrics over runs.  The runs
+    differ only in their seed, so they share one `grid_network` and its
+    shortest-path trees.  Each run routes its pairs once (`route_pairs`),
+    and each (run, objective) builds one graph from that routing
+    (`weigh_pairs`); when the reward's social penalty weight is positive
+    the policy is retrained on it per cell because s then feeds back into
+    training.
     """
     from . import pipeline  # pipeline imports this module
+    from .scenario import grid_network, routed_demand  # so does scenario
 
     s_values = list(s_values)
     objectives = list(objectives)
@@ -103,17 +108,20 @@ def sensitivity_sweep(scenario, s_values, objectives, runs_per_cell, seed) -> li
     if runs_per_cell < 1:
         raise ValueError("runs_per_cell must be >= 1")
 
+    net = grid_network(scenario)
     samples = {(obj, s): {name: [] for name in metrics_mod.METRIC_NAMES} for obj in objectives for s in s_values}
     for run in range(runs_per_cell):
         run_cfg = replace(scenario, seed=int(np.random.SeedSequence([seed, run]).generate_state(1)[0]))
-        net, trips = pipeline.generate_scenario(run_cfg)
+        trips = routed_demand(run_cfg, net)
         features = pipeline.embed_trips(trips, run_cfg)
         draws = {
             t.trip_id: float(np.random.default_rng([seed, run, t.trip_id]).random()) for t in trips
         }
+        routing = graph = solution = None  # drops the last run's before this run's are built
+        routing = route_pairs(net, trips, run_cfg.constraints)
         for obj in objectives:
             graph = solution = None  # drops the last objective's graph before the next is built
-            graph = pipeline.build_shareability_graph(net, trips, obj, run_cfg.constraints)
+            graph = weigh_pairs(routing, obj)
             for s in s_values:
                 profile = scenario.tolerance.with_sensitivity(s)
                 if solution is None or scenario.social_penalty_weight > 0.0:

@@ -642,11 +642,30 @@ class TestUnroutableRecords:
     def test_matching_group_with_an_unreachable_leg_names_its_line(self, tmp_path, capsys):
         out = self.write_run(tmp_path, [(0, 0, 1), (1, 2, 3), (2, 1, 0)], graph=[])
         # a comment and a blank line before the bad record are lines too
-        (out / pipeline.MATCHING_FILE).write_text("M 0 2 0.0 0.0\n# groups\n\nM 1 0,1 0.0 0.0\n")
+        (out / pipeline.MATCHING_FILE).write_text("M 0 2 1000.000000 100.000000\n# groups\n\nM 1 0,1 0.0 0.0\n")
         assert run_cli(["evaluate", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{pipeline.MATCHING_FILE}:4: matching record cannot be routed: " in err
         assert "no route from node 0 to node 2" in err
+
+    @pytest.mark.parametrize(
+        "record, totals",
+        [("M 1 1 5.0 100.0", "5.0 100.0"), ("M 1 1 1000.0 7.0", "1000.0 7.0")],
+        ids=["distance", "time"],
+    )
+    def test_matching_totals_that_disagree_with_the_route_name_the_line(self, record, totals, tmp_path, capsys):
+        # group (0, 2) drives 0 -> 1 -> 0: 2 000 m in 200 s; trip 1 alone 1 000 m in 100 s
+        out = self.write_run(tmp_path, [(0, 0, 1), (1, 2, 3), (2, 1, 0)], graph=[(0, 2)])
+        path = out / pipeline.MATCHING_FILE
+        path.write_text("M 0 0,2 2000.000000 200.000000\n# groups\n\nM 1 1 1000 100.0\n")
+        assert run_cli(["evaluate", "--out", str(out)]) == 0  # the same numbers, spelled otherwise
+        path.write_text(f"M 0 0,2 2000.000000 200.000000\n# groups\n\n{record}\n")
+        assert run_cli(["evaluate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"{pipeline.MATCHING_FILE}:4: bad matching record: group (1,) has distance and time {totals}, "
+            "but its route's are 1000.000000 100.000000"
+        ) in err
 
 
 class TestVanishingEdge:

@@ -39,6 +39,7 @@ from ridepool.policy import (
     _cdf,
     _legal,
     _pack_steps,
+    _run_policy,
     _sample,
     _score,
     _ScoredTable,
@@ -856,13 +857,28 @@ class TestSample:
         probs = np.array(weights) / sum(weights)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(n_draws):
-            assert _sample(_cdf(probs), ours) == int(theirs.choice(len(probs), p=probs))
+            assert _sample(_cdf(probs), ours.random()) == int(theirs.choice(len(probs), p=probs))
         assert ours.random() == theirs.random()  # both consumed the stream alike
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probabilities_raise(self, bad):
         with pytest.raises(ValueError, match="NaN or inf"):
             _cdf(np.array([0.25, bad, 0.75]))
+
+    @pytest.mark.parametrize("capacity", (2, 3))
+    def test_one_draw_call_gives_the_scalar_stream(self, capacity):
+        # `rollout` draws its doubles in one call; a pick that draws one
+        # scalar double per decision must take the same actions
+        graph, features, spec, params = setup_150()
+        drawn = rollout(graph, features, params, spec, capacity=capacity, seed=9)
+        rng = np.random.default_rng(9)
+        scored = _ScoredTable(RowTable(graph, features, capacity), params)
+        scalar = _run_policy(graph, spec, capacity, lambda entry: _sample(entry.cdf, rng.random()), scored, {})
+        records, expected = all_records(drawn), all_records(scalar)
+        assert len(records) == len(expected) > len(graph.trips) // 2
+        for rec, want in zip(records, expected):
+            assert (rec.action_index, rec.log_prob) == (want.action_index, want.log_prob)
+        assert drawn.groups == scalar.groups
 
 
 class TestDecisionCache:

@@ -204,20 +204,96 @@ class TestSweep:
         assert decoded[0] != decoded[1]  # s reaches the decode, so the cells can tell a missed retrain
 
     def test_penalty_sweep_builds_one_graph_per_objective(self, monkeypatch):
-        # the graph depends on the objective only, so retraining per s reuses it
-        from ridepool import pipeline
+        # the graph depends on the objective only, so retraining per s reuses
+        # it; the routed pairs depend on neither, so each run routes them once
+        from ridepool import shareability
+        from ridepool import tolerance as tolerance_mod
 
-        build = pipeline.build_shareability_graph
-        built = []
+        route_groups, weigh_pairs = shareability._route_groups, tolerance_mod.weigh_pairs
+        routed, weighed = [], []
 
-        def counted(net, trips, objective, constraints):
-            built.append(objective)
-            return build(net, trips, objective, constraints)
+        def counted_route_groups(net, groups):
+            routed.append([len(group) for group in groups])
+            return route_groups(net, groups)
 
-        monkeypatch.setattr(pipeline, "build_shareability_graph", counted)
+        def counted_weigh_pairs(routing, objective):
+            weighed.append((routing, objective))
+            return weigh_pairs(routing, objective)
+
+        monkeypatch.setattr(shareability, "_route_groups", counted_route_groups)
+        monkeypatch.setattr(tolerance_mod, "weigh_pairs", counted_weigh_pairs)
         cfg = small_sweep_config(social_penalty_weight=1000.0)
-        sensitivity_sweep(cfg, [0.0, 0.5, 1.0], [Objective.DISTANCE, Objective.VEHICLE], runs_per_cell=1, seed=3)
-        assert built == [Objective.DISTANCE, Objective.VEHICLE]
+        sensitivity_sweep(cfg, [0.0, 0.5, 1.0], [Objective.DISTANCE, Objective.VEHICLE], runs_per_cell=2, seed=3)
+        # one routing call per run, of pairs only: capacity 2 grows no larger group
+        assert len(routed) == 2 and {size for sizes in routed for size in sizes} == {2}
+        assert [objective for _, objective in weighed] == [Objective.DISTANCE, Objective.VEHICLE] * 2
+        (first, _), (second, _), (third, _), (fourth, _) = weighed
+        assert first is second and third is fourth and first is not third
+
+    def test_sweep_grows_each_origin_tree_once(self, monkeypatch):
+        # the runs differ only in their seed, so they share one network and its trees
+        from ridepool.geo import RoadNetwork
+
+        grow_trees = RoadNetwork._grow_trees
+        grown = []
+
+        def counted_grow_trees(net, sources):
+            grown.extend((net, int(source)) for source in sources)
+            return grow_trees(net, sources)
+
+        monkeypatch.setattr(RoadNetwork, "_grow_trees", counted_grow_trees)
+        cfg = small_sweep_config(capacity=3)
+        sensitivity_sweep(cfg, [0.0, 1.0], list(Objective), runs_per_cell=3, seed=5)
+        assert len({id(net) for net, _ in grown}) == 1
+        sources = [source for _, source in grown]
+        assert len(sources) == len(set(sources)) > 0
+
+    def test_shared_network_and_routing_change_no_cell(self):
+        # the reference draws each run on a fresh network and builds each
+        # objective's graph from scratch; the sweep shares one network across
+        # runs and one pair routing across a run's objectives
+        from dataclasses import replace
+
+        from ridepool import metrics as metrics_mod
+        from ridepool import pipeline
+        from ridepool.shareability import build_shareability_graph
+
+        # at 3 m/s an edge takes 233.33... s, an inexact float, so a pair can
+        # save no distance but a rounding error of time: the time objective
+        # keeps it and the others drop it (asserted below); at seed 4 such a
+        # pair is matched, so a time graph built on the distance graph's
+        # kept pairs changes the time cells
+        network = NetworkConfig(rows=5, cols=5, spacing_m=700.0, speed_mps=3.0)
+        cfg = small_sweep_config(network=network, capacity=3, train_updates=1)
+        s_values, objectives, seed, runs = [0.0, 1.0], list(Objective), 4, 2
+        cells = sensitivity_sweep(cfg, s_values, objectives, runs_per_cell=runs, seed=seed)
+
+        samples = {(obj, s): {name: [] for name in METRIC_NAMES} for obj in objectives for s in s_values}
+        time_only = 0
+        for run in range(runs):
+            run_cfg = replace(cfg, seed=int(np.random.SeedSequence([seed, run]).generate_state(1)[0]))
+            net, trips = pipeline.generate_scenario(run_cfg)
+            features = pipeline.embed_trips(trips, run_cfg)
+            draws = {t.trip_id: float(np.random.default_rng([seed, run, t.trip_id]).random()) for t in trips}
+            for obj in objectives:
+                graph = build_shareability_graph(net, trips, obj, run_cfg.constraints)
+                if obj is Objective.TIME:
+                    distance_graph = build_shareability_graph(net, trips, Objective.DISTANCE, run_cfg.constraints)
+                    time_only += len(set(graph.edges) - set(distance_graph.edges))
+                solution = pipeline.match_scenario(graph, features, run_cfg)
+                for s in s_values:
+                    filtered = filter_with_draws(solution, graph, cfg.tolerance.with_sensitivity(s), draws)
+                    outcomes = metrics_mod.build_outcomes(filtered, graph.trips, cfg.factors)
+                    report = metrics_mod.compute_report(filtered, outcomes, cfg.factors)
+                    for name in METRIC_NAMES:
+                        samples[(obj, s)][name].append(getattr(report, name))
+        expected = [
+            SweepCell(obj, s, {name: (float(np.mean(v)), float(np.std(v))) for name, v in samples[(obj, s)].items()})
+            for obj in objectives
+            for s in s_values
+        ]
+        assert time_only > 0
+        assert cells == expected
 
     def test_carpooling_rate_non_increasing_in_s(self):
         cfg = small_sweep_config()
